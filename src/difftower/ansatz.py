@@ -11,13 +11,14 @@ bounds".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import BoundsExceeded, DiffTowerError
 from .ratfun import MPoly, RatFun, poly_lcm
+from .ratint import has_rational_antiderivative
 from .tower import SubfieldSpec, Tower
 
 
@@ -72,9 +73,6 @@ class NoSolutionWithinBounds:
     certified: bool = False
 
 
-SearchOutcome = object  # Found | NoSolutionWithinBounds
-
-
 def monomials_upto(n_vars: int, max_deg: int) -> List[tuple]:
     """Exponent tuples of total degree <= max_deg, descending deglex."""
     out = [e for e in itertools.product(range(max_deg + 1), repeat=n_vars)
@@ -83,25 +81,37 @@ def monomials_upto(n_vars: int, max_deg: int) -> List[tuple]:
     return out
 
 
-def _assemble_rows(exprs: Sequence[RatFun]):
-    """Clear denominators across exprs and return the coefficient-matching
-    rows: one row per monomial of the cleared polynomials, one column per
-    expression."""
-    if not exprs:
-        return []
-    variables = exprs[0].vars
-    lcm = MPoly.const(variables, 1)
-    seen = set()
-    for e in exprs:
-        if e.den not in seen:
-            seen.add(e.den)
-            lcm = poly_lcm(lcm, e.den)
+def clear_denominators(exprs: Sequence[RatFun]) -> Tuple[MPoly, List[MPoly]]:
+    """The monic lcm of the denominators of exprs (nonempty) and each
+    numerator over it."""
+    lcm = MPoly.const(exprs[0].vars, 1)
+    for den in dict.fromkeys(e.den for e in exprs):
+        lcm = poly_lcm(lcm, den)
+    return lcm, [e.num * lcm.try_divexact(e.den) for e in exprs]
+
+
+def _assemble_rows(cols: Sequence[MPoly]) -> List[linalg.Row]:
+    """Coefficient-matching rows of polynomial columns over one common
+    denominator: one row per monomial, holding each column's coefficient of
+    that monomial."""
     by_monom = {}
-    for col, e in enumerate(exprs):
-        cleared = e.num * lcm.try_divexact(e.den)
-        for exp, c in cleared.terms.items():
+    for col, p in enumerate(cols):
+        for exp, c in p.terms.items():
             by_monom.setdefault(exp, {})[col] = c
     return [by_monom[key] for key in sorted(by_monom)]
+
+
+def _solve_columns(cols: Sequence[MPoly], target: MPoly) -> List[Tuple[Fraction, ...]]:
+    """Solutions of sum_i c_i * cols_i = target, as for solve_linear_ansatz."""
+    n = len(cols)
+    rows = _assemble_rows(list(cols) + [target])
+    linalg.check_size(len(rows), n + 1)
+    rhs = [r.pop(n, Fraction(0)) for r in rows]
+    particular, kernel = linalg.solve_affine(rows, rhs, n)
+    if particular is None:
+        return []
+    # a homogeneous target's particular solution is 0 and is left out
+    return [tuple(v) for v in [particular] + kernel if any(v)]
 
 
 def solve_linear_ansatz(terms: Sequence[RatFun], target: RatFun) -> List[Tuple[Fraction, ...]]:
@@ -111,18 +121,8 @@ def solve_linear_ansatz(terms: Sequence[RatFun], target: RatFun) -> List[Tuple[F
     particular solution (free coordinates zero) followed by the kernel
     basis, or [] when inconsistent.  Ordering is deterministic.
     """
-    n = len(terms)
-    rows_full = _assemble_rows(list(terms) + [target])
-    linalg.check_size(len(rows_full), n + 1)
-    if target.is_zero():
-        rows = [{c: v for c, v in r.items() if c < n} for r in rows_full]
-        basis = linalg.nullspace([r for r in rows if r], n)
-        return [tuple(v) for v in basis]
-    rhs = [r.pop(n, Fraction(0)) for r in rows_full]
-    particular, kernel = linalg.solve_affine(rows_full, rhs, n)
-    if particular is None:
-        return []
-    return [tuple(particular)] + [tuple(v) for v in kernel]
+    _, cols = clear_denominators(list(terms) + [target])
+    return _solve_columns(cols[:-1], cols[-1])
 
 
 def _closure_values(gens: Sequence[RatFun], tower: Tower, order: int) -> List[RatFun]:
@@ -169,7 +169,7 @@ def _membership_at(u: RatFun, values: Sequence[RatFun],
     exprs = [u * value_of(e) for e in monoms_q]
     exprs += [-value_of(e) for e in monoms_p]
     n_cols = len(exprs)
-    rows = _assemble_rows(exprs)
+    rows = _assemble_rows(clear_denominators(exprs)[1])
     linalg.check_size(len(rows), n_cols)
     kernel = linalg.nullspace(rows, n_cols)
     if not kernel:
@@ -208,7 +208,7 @@ def _degree_ladder(bounds: Bounds):
 
 
 def subfield_membership(u: RatFun, K: SubfieldSpec, tower: Tower,
-                        bounds: Bounds = Bounds()) -> SearchOutcome:
+                        bounds: Bounds = Bounds()) -> Found | NoSolutionWithinBounds:
     """Search for u as a rational expression in K's generators and their
     derivatives.  Ascending effort ladder, so a Found witness is the one at
     the least (degree, order) bound."""
@@ -228,7 +228,7 @@ def subfield_membership(u: RatFun, K: SubfieldSpec, tower: Tower,
 
 
 def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
-                      bounds: Bounds = Bounds()) -> SearchOutcome:
+                      bounds: Bounds = Bounds()) -> Found | NoSolutionWithinBounds:
     """Bounded search for w with D(w) = f + g*w.
 
     The ansatz is w = N/d with unknown polynomial numerator and a fixed
@@ -237,15 +237,9 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
     equation (f = 0, g != 0) the trivial solution w = 0 is excluded.
     """
     variables = tower.vars
-    lcm = poly_lcm(f.den, g.den)
-    for d in tower.derivatives:
-        lcm = poly_lcm(lcm, d.den)
-    cap_num, _ = bounds.escalated_degrees()
-    denom = MPoly.const(variables, 1)
-    if lcm.total_degree() > 0:
-        power = max(1, bounds.max_den_degree // max(1, lcm.total_degree()))
-        denom = lcm ** power
+    denom, _, target, column = _ode_ansatz(f, g, tower, bounds)
     denom_rf = RatFun.from_poly(denom)
+    cap_num, _ = bounds.escalated_degrees()
 
     # the caps bound w itself; the fixed denominator shifts the numerator
     offset = max(0, denom.total_degree())
@@ -256,38 +250,57 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
         monoms = monomials_upto(len(variables), deg)
         if len(monoms) ** 2 > cap_cells:
             continue
-        terms = []
-        for exp in monoms:
-            mono = RatFun.from_poly(MPoly(variables, {exp: Fraction(1)}))
-            w_e = mono / denom_rf
-            terms.append(tower.differentiate(w_e) - g * w_e)
-        if f.is_zero():
-            try:
-                basis = solve_linear_ansatz(terms, f)
-            except BoundsExceeded:
-                continue
-            for vec in basis:
-                w = _vec_to_ratfun(vec, monoms, variables) / denom_rf
-                if not w.is_zero():
-                    _check_solution(w, f, g, tower)
-                    return Found(w)
-            if g.is_zero():
-                return Found(RatFun.const(variables, 0))
-            continue
         try:
-            sols = solve_linear_ansatz(terms, f)
+            sols = _solve_columns([column(e) for e in monoms], target)
         except BoundsExceeded:
             continue
         if not sols:
             continue
         w = _vec_to_ratfun(sols[0], monoms, variables) / denom_rf
-        if g.is_zero():
+        if g.is_zero() and not f.is_zero():
+            # fix the antiderivative's free constant; for f = g = 0 the
+            # nonzero constant is the answer
             w = w - _poly_part_constant(w)
         _check_solution(w, f, g, tower)
         return Found(w)
     certified = (not tower.gen_names and g.is_zero()
-                 and not _has_rational_antiderivative_base(f, tower))
+                 and not has_rational_antiderivative(f))
     return NoSolutionWithinBounds(bounds, certified=certified)
+
+
+def _ode_ansatz(f: RatFun, g: RatFun, tower: Tower, bounds: Bounds
+                ) -> Tuple[MPoly, MPoly, MPoly, Callable[[tuple], MPoly]]:
+    """The linear system of D(w) = f + g*w for w = N/denom, cleared over a
+    common denominator C.
+
+    lcm covers the denominators of f, g and every tower derivative, and the
+    fixed ansatz denominator is denom = lcm^power.  Then D(denom)/denom =
+    power*D(lcm)/lcm, so C = lcm^2*denom clears every column.  Returns
+    (denom, C, C*f, column), where column(e) is the polynomial
+    C*(D(m/denom) - g*m/denom) for the monomial m = x^e, built from the
+    polynomials lcm*D(x_i) with no gcd.
+    """
+    lcm, (f_num, g_num, *d_nums) = clear_denominators(
+        [f, g, *tower.derivatives])
+    power = max(1, bounds.max_den_degree // max(1, lcm.total_degree()))
+    denom = lcm ** power
+
+    def derivation(p: MPoly, images: Sequence[MPoly]) -> MPoly:
+        # sum_i dp/dx_i * images[i]; with images lcm*D(x_i), this is lcm*D(p)
+        total = MPoly.zero(tower.vars)
+        for i in p.used_indices():
+            total = total + p.partial(i) * images[i]
+        return total
+
+    # C*(D(m/denom) - g*m/denom) = lcm*(lcm*D(m)) - m*(power*lcm*D(lcm) + lcm*(lcm*g))
+    lcm_d_nums = [lcm * d for d in d_nums]
+    shift = derivation(lcm, d_nums).scale(power) + lcm * g_num
+
+    def column(exp: tuple) -> MPoly:
+        m = MPoly(tower.vars, {exp: Fraction(1)})
+        return derivation(m, lcm_d_nums) - m * shift
+
+    return denom, lcm * lcm * denom, lcm * denom * f_num, column
 
 
 def _vec_to_ratfun(vec, monoms, variables) -> RatFun:
@@ -323,8 +336,3 @@ def _poly_part_constant(w: RatFun) -> RatFun:
             else:
                 rem[tgt] = nv
     return RatFun.const(w.vars, const)
-
-
-def _has_rational_antiderivative_base(f: RatFun, tower: Tower) -> bool:
-    from .ratint import has_rational_antiderivative
-    return has_rational_antiderivative(f)

@@ -13,10 +13,10 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from . import ansatz, autgroup, structure
+from . import ansatz, autgroup, linalg, structure
 from .ansatz import Bounds, Found
-from .errors import (AlreadyInBase, BoundsExceeded, DiffTowerError,
-                     DivisionByZero, DuplicateName, ExprSyntaxError,
+from .errors import (AlreadyInBase, BoundsExceeded, DivisionByZero,
+                     DuplicateName, ExprSyntaxError,
                      ForwardReference, InvalidTowerConstant,
                      MalformedAntiderivative, NotAntiderivative,
                      NotDifferential, NotFlat, NotTriangular, TowerFileError,
@@ -24,7 +24,7 @@ from .errors import (AlreadyInBase, BoundsExceeded, DiffTowerError,
                      ZeroDenominator)
 from .parser import format_ratfun, parse_expr, parse_tower_file
 from .ratfun import RatFun
-from .tower import BASE_VAR, SubfieldSpec, Tower, base_subfield
+from .tower import SubfieldSpec, Tower, base_subfield
 
 _INPUT_ERRORS = (TowerFileError, ExprSyntaxError, UnknownSymbol,
                  DuplicateName, ForwardReference, InvalidTowerConstant,
@@ -221,9 +221,16 @@ def _cmd_recover(args) -> int:
     return 1
 
 
+def _parse_alpha(text: str) -> List[Fraction]:
+    try:
+        return [Fraction(part) for part in text.split(",")]
+    except ZeroDivisionError:
+        raise DivisionByZero(f"--alpha {text!r} has a zero denominator") from None
+
+
 def _cmd_aut(args) -> int:
     tower, _ = _load(args)
-    alpha = [Fraction(part) for part in args.alpha.split(",")] if args.alpha \
+    alpha = _parse_alpha(args.alpha) if args.alpha \
         else [Fraction(0)] * len(tower.gen_names)
     sigma = autgroup.make_translation_aut(tower, alpha)
     lines = []
@@ -357,8 +364,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 3 if e.code else 0
-    if getattr(args, "max_cells", None):
-        os.environ["DIFFIELD_MAX_CELLS"] = str(args.max_cells)
+    saved = os.environ.get(linalg.MAX_CELLS_ENV)
+    if args.max_cells:
+        os.environ[linalg.MAX_CELLS_ENV] = str(args.max_cells)
     try:
         return args.func(args)
     except _DECISION_ERRORS as e:
@@ -376,6 +384,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as e:
         _emit([f"error: {e}"], [("status", "error"), ("error", "OSError")])
         return 3
+    finally:
+        # --max-cells applies to this invocation only
+        if saved is None:
+            os.environ.pop(linalg.MAX_CELLS_ENV, None)
+        else:
+            os.environ[linalg.MAX_CELLS_ENV] = saved
 
 
 def entrypoint():

@@ -16,10 +16,11 @@ from .errors import BoundsExceeded
 Row = Dict[int, Fraction]
 
 DEFAULT_MAX_CELLS = 500_000
+MAX_CELLS_ENV = "DIFFIELD_MAX_CELLS"
 
 
 def max_cells() -> int:
-    value = os.environ.get("DIFFIELD_MAX_CELLS")
+    value = os.environ.get(MAX_CELLS_ENV)
     if value:
         return int(value)
     return DEFAULT_MAX_CELLS
@@ -70,20 +71,7 @@ def rref(rows: List[Row], n_cols: int) -> Tuple[List[Row], List[int]]:
 def nullspace(rows: List[Row], n_cols: int) -> List[List[Fraction]]:
     """Deterministic kernel basis: one vector per free column, in column
     order, with the free coordinate set to 1."""
-    red, pivots = rref(rows, n_cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for row, pcol in zip(red, pivots):
-            coeff = row.get(free)
-            if coeff is not None:
-                vec[pcol] = -coeff
-        basis.append(vec)
-    return basis
+    return _kernel_from(*rref(rows, n_cols), n_cols)
 
 
 def solve_affine(rows: List[Row], rhs: Sequence[Fraction], n_cols: int):
@@ -99,17 +87,18 @@ def solve_affine(rows: List[Row], rhs: Sequence[Fraction], n_cols: int):
             r[n_cols] = Fraction(b)
         aug.append(r)
     red, pivots = rref(aug, n_cols + 1)
-    kernel_rows = []
+    kernel = _kernel_from(red, pivots, n_cols)
+    if n_cols in pivots:
+        return None, kernel
     particular = [Fraction(0)] * n_cols
     for row, pcol in zip(red, pivots):
-        if pcol == n_cols:
-            return None, _kernel_from(red, pivots, n_cols)
         particular[pcol] = row.get(n_cols, Fraction(0))
-        kernel_rows.append({c: v for c, v in row.items() if c < n_cols})
-    return particular, _kernel_from(red, pivots, n_cols)
+    return particular, kernel
 
 
 def _kernel_from(red, pivots, n_cols):
+    """Kernel basis of the first n_cols columns of an RREF; a pivot in a
+    later (right-hand side) column is skipped."""
     pivot_set = {p for p in pivots if p < n_cols}
     basis = []
     for free in range(n_cols):

@@ -10,7 +10,7 @@ function.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DivisionByZero, VariableMismatch, ZeroDenominator
 
@@ -674,12 +674,6 @@ class RatFun:
         d = self.den.substitute(mapping, target_vars)
         return n / d
 
-    def rename_vars(self, variables: Sequence[str]) -> "RatFun":
-        """Same terms over a renamed variable list of equal length."""
-        variables = tuple(variables)
-        return RatFun(MPoly(variables, self.num.terms),
-                      MPoly(variables, self.den.terms), _canonical=True)
-
     def extend_vars(self, variables: Sequence[str]) -> "RatFun":
         """Reinterpret over a superset variable list."""
         variables = tuple(variables)
@@ -708,21 +702,3 @@ class RatFun:
     def __repr__(self):
         from .parser import format_ratfun
         return f"RatFun({format_ratfun(self)!r})"
-
-
-def normalize(raw_num: MPoly, raw_den: MPoly) -> RatFun:
-    """Canonicalize a raw fraction; raises ZeroDenominator when den = 0."""
-    return RatFun(raw_num, raw_den)
-
-
-def rational_arithmetic(op: str, a: RatFun, b: RatFun) -> RatFun:
-    """Dispatch table mirroring the four field operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")

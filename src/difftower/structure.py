@@ -18,11 +18,11 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .ansatz import (Bounds, Found, NoSolutionWithinBounds, Witness,
-                     monomials_upto, subfield_membership)
+from .ansatz import (Bounds, Found, Witness, _assemble_rows,
+                     clear_denominators, monomials_upto, subfield_membership)
 from .errors import (AlreadyInBase, DiffTowerError, MalformedAntiderivative,
                      NotAntiderivative, NotFlat, Unsupported)
-from .ratfun import MPoly, RatFun, poly_gcd, poly_lcm
+from .ratfun import MPoly, RatFun, poly_gcd
 from .tower import BASE_VAR, SubfieldSpec, Tower
 
 
@@ -142,7 +142,6 @@ class LinearField:
             self.names.insert(0, BASE_VAR)
             self.pretty[BASE_VAR] = tower.gen(BASE_VAR)
         subst = {}
-        z_expr = None
         for col, coeffs, rest, name in plan:
             # entry = var + sum(c_j var_j) + rest  ->  var = name - sum - rest
             value = RatFun.var(self.ext_vars, name)
@@ -150,12 +149,7 @@ class LinearField:
                 if j != col and c:
                     value = value - RatFun.var(self.ext_vars, tower.vars[j]).scale(c)
             value = value - rest.extend_vars(self.ext_vars)
-            if tower.vars[col] == BASE_VAR:
-                z_expr = value
             subst[tower.vars[col]] = value
-        if z_expr is not None:
-            # rests were constant by construction, so no nesting through z
-            pass
         self.subst = subst
         self.allowed = set(self.names)
 
@@ -308,7 +302,8 @@ class NormalTower:
 def normal_tower(tower: Tower, bounds: Bounds = Bounds()) -> NormalTower:
     """Iterated antiderivative closure: at each level adjoin every Q-linear
     combination of the not-yet-captured tower variables whose derivative
-    lies in the previous level's field."""
+    lies in the previous level's field.  The closure is exact; bounds is
+    accepted like the other structure queries' and has no effect."""
     entries: List[RatFun] = []
     levels: List[Tuple[RatFun, ...]] = [()]
     partial = False
@@ -318,7 +313,7 @@ def normal_tower(tower: Tower, bounds: Bounds = Bounds()) -> NormalTower:
                     if not field.contains(tower.gen(v))]
         if not unplaced:
             break
-        new_exprs = _closure_step(tower, field, unplaced, bounds)
+        new_exprs = _closure_step(tower, field, unplaced)
         new_exprs = [e for e in new_exprs if not field.contains(e)]
         if not new_exprs:
             partial = True
@@ -329,14 +324,11 @@ def normal_tower(tower: Tower, bounds: Bounds = Bounds()) -> NormalTower:
 
 
 def _closure_step(tower: Tower, field: LinearField,
-                  unplaced: List[str], bounds: Bounds) -> List[RatFun]:
+                  unplaced: List[str]) -> List[RatFun]:
     """All normalized Q-linear combinations of the unplaced variables whose
     derivative lies in the current field, via one exact linear solve."""
     derivs = [field.rewrite(tower.deriv_of(v)) for v in unplaced]
-    lcm = MPoly.const(field.ext_vars, 1)
-    for d in derivs:
-        lcm = poly_lcm(lcm, d.den)
-    nums = [d.num * lcm.try_divexact(d.den) for d in derivs]
+    lcm, nums = clear_denominators(derivs)
     allowed_idx = {field.ext_vars.index(n) for n in field.allowed}
     content = _content_over(lcm, allowed_idx)
     pp = lcm.try_divexact(content)
@@ -347,16 +339,10 @@ def _closure_step(tower: Tower, field: LinearField,
             if all(k == 0 or i in allowed_idx for i, k in enumerate(exp)):
                 beta_monoms.append(exp)
     n_alpha = len(unplaced)
-    cols = {}
-    for j, num in enumerate(nums):
-        for e, c in num.terms.items():
-            cols.setdefault(e, {})[j] = c
-    for m, exp in enumerate(beta_monoms):
-        prod = pp * MPoly(field.ext_vars, {exp: Fraction(1)})
-        for e, c in prod.terms.items():
-            cols.setdefault(e, {})[n_alpha + m] = -c
-    rows = [cols[k] for k in sorted(cols)]
-    n_cols = n_alpha + len(beta_monoms)
+    cols = nums + [-(pp * MPoly(field.ext_vars, {exp: Fraction(1)}))
+                   for exp in beta_monoms]
+    rows = _assemble_rows(cols)
+    n_cols = len(cols)
     linalg.check_size(len(rows), n_cols)
     kernel = linalg.nullspace(rows, n_cols)
     alpha_rows = [{i: v for i, v in enumerate(vec[:n_alpha]) if v}

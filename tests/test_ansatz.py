@@ -8,12 +8,12 @@ from fractions import Fraction
 import pytest
 
 from difftower.ansatz import (Bounds, Found, NoSolutionWithinBounds, Witness,
-                              monomials_upto, solve_first_order,
+                              _ode_ansatz, monomials_upto, solve_first_order,
                               solve_linear_ansatz, subfield_membership)
 from difftower.errors import DiffTowerError
 from difftower.parser import parse_expr
 from difftower.randexpr import random_ratfun
-from difftower.ratfun import RatFun
+from difftower.ratfun import MPoly, RatFun
 from difftower.tower import SubfieldSpec, base_subfield, tower_from_pairs
 
 SMALL = Bounds(3, 3, 2, escalation=())
@@ -185,3 +185,31 @@ class TestFirstOrder:
             out = solve_first_order(f, g, T, Bounds(4, 4, 2, escalation=()))
             assert isinstance(out, Found)
             assert T.differentiate(out.value) == f + g * out.value
+
+
+# log, arctangent, log-log and dilog towers
+ODE_TOWERS = {
+    "log": ["1/z"],
+    "arctan": ["1/(z^2 + 1)"],
+    "loglog": ["1/z", "1/(z*zeta1)"],
+    "dilog": ["1/(z - 1)", "zeta1/z"],
+}
+
+
+class TestOdeColumns:
+    @pytest.mark.parametrize("shape", sorted(ODE_TOWERS))
+    def test_column_is_cleared_derivative(self, shape):
+        derivs = ODE_TOWERS[shape]
+        v = ("z", "zeta1", "zeta2")[:len(derivs) + 1]
+        T = tower_from_pairs([(name, parse_expr(d, v))
+                              for name, d in zip(v[1:], derivs)])
+        f = parse_expr("1/(z + 2)", T)
+        g = parse_expr("3/(z + 1)", T)
+        denom, common, target, column = _ode_ansatz(
+            f, g, T, Bounds(2, 2, 1, escalation=()))
+        denom_rf = RatFun.from_poly(denom)
+        assert RatFun(target, common) == f
+        for exp in monomials_upto(len(v), 2):
+            w = RatFun.from_poly(MPoly(v, {exp: Fraction(1)})) / denom_rf
+            assert RatFun(column(exp), common) \
+                == T.differentiate(w) - g * w

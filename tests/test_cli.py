@@ -1,11 +1,13 @@
 """Parser, printer and CLI subcommands."""
 
 import io
+import os
 import random
 from contextlib import redirect_stdout
 
 import pytest
 
+from difftower import corpus
 from difftower.cli import main
 from difftower.errors import (ExprSyntaxError, ForwardReference,
                               TowerFileError, UnknownSymbol)
@@ -201,6 +203,23 @@ class TestCli:
         code, out = run(["aut", "--tower", log_file, "--alpha", "1",
                          "--probe", "zeta1"])
         assert code == 1 and "fixed=false" in out
+
+    def test_aut_bad_alpha_is_input_error(self, log_file):
+        code, out = run(["aut", "--tower", log_file, "--alpha", "1/0"])
+        assert code == 3 and "error=DivisionByZero" in out
+
+    def test_max_cells_applies_to_one_run(self, log_file, monkeypatch):
+        monkeypatch.delenv("DIFFIELD_MAX_CELLS", raising=False)
+        before = dict(os.environ)
+        assert run(["derive", "--tower", log_file, "zeta1",
+                    "--max-cells", "10"])[0] == 0
+        output, code = corpus.run_case(corpus.load_case("log-recover"))
+        assert code == 0
+        assert "witness=(x0*x1 + x2)/(x0*x2 - 3*x1^2)" in output
+        assert dict(os.environ) == before
+        monkeypatch.setenv("DIFFIELD_MAX_CELLS", "400000")
+        run(["derive", "--tower", log_file, "zeta1", "--max-cells", "10"])
+        assert os.environ["DIFFIELD_MAX_CELLS"] == "400000"
 
     def test_bad_subfield_name(self, log_file):
         code, _ = run(["member", "--tower", log_file, "--subfield", "nope",
