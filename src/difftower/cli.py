@@ -281,6 +281,13 @@ def _cmd_structure(args) -> int:
 
 # -- wiring ----------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="difftower")
     sub = top.add_subparsers(dest="command", required=True)
@@ -292,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if bounds:
             p.add_argument("--deg", type=int)
             p.add_argument("--order", type=int)
-        p.add_argument("--max-cells", type=int, dest="max_cells")
+        p.add_argument("--max-cells", type=_positive_int, dest="max_cells")
 
     p = sub.add_parser("validate")
     common(p)
@@ -365,7 +372,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return 3 if e.code else 0
     saved = os.environ.get(linalg.MAX_CELLS_ENV)
-    if args.max_cells:
+    if args.max_cells is not None:
         os.environ[linalg.MAX_CELLS_ENV] = str(args.max_cells)
     try:
         return args.func(args)

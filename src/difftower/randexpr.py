@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
 
 from .ratfun import MPoly, RatFun
 from .tower import Tower, tower_from_pairs

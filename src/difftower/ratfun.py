@@ -10,6 +10,7 @@ function.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import DivisionByZero, VariableMismatch, ZeroDenominator
@@ -40,8 +41,8 @@ class MPoly:
             if len(exp) != n:
                 raise VariableMismatch(
                     f"exponent {exp!r} has wrong length for variables {self.vars!r}")
-            c = Fraction(coeff)
-            if c != 0:
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if c:
                 clean[tuple(exp)] = c
         self.terms = clean
 
@@ -308,7 +309,6 @@ def _primitive_scale(p: MPoly) -> MPoly:
     Pure Fraction PRS blows up numerically; this keeps coefficients small."""
     if p.is_zero():
         return p
-    from math import gcd, lcm
     den = lcm(*(c.denominator for c in p.terms.values()))
     num = gcd(*(c.numerator * (den // c.denominator) for c in p.terms.values()))
     q = p.scale(Fraction(den, num))
@@ -356,7 +356,6 @@ def _heu_gcd(p: MPoly, q: MPoly):
     from balanced digits.  Candidates are only accepted after exact trial
     division, so a non-None return is a true gcd over Z.  None when all
     evaluation points fail."""
-    from math import gcd
     used = p.used_indices() | q.used_indices()
     if not used:
         return MPoly.const(p.vars, gcd(int(p.const_value()),
@@ -385,12 +384,13 @@ def _heu_gcd(p: MPoly, q: MPoly):
     return None
 
 
-def _content_in(p: MPoly, i: int) -> MPoly:
-    cont = MPoly.zero(p.vars)
+def _content_in(p: MPoly, i: int, cont: MPoly | None = None) -> MPoly:
+    """Monic gcd of cont and p's coefficients in vars[i], to the first unit."""
+    cont = MPoly.zero(p.vars) if cont is None else cont
     for c in _coeff_map(p, i).values():
-        cont = poly_gcd(cont, c)
         if cont.is_const() and not cont.is_zero():
             break
+        cont = poly_gcd(cont, c)
     return cont
 
 
@@ -461,16 +461,16 @@ def _monomial_gcd(m: MPoly, q: MPoly) -> MPoly:
 
 
 def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
-    """Monic greatest common divisor via primitive pseudo-remainder
-    sequences, recursing over the last variable with positive degree."""
+    """Monic gcd, tried in order: equal up to a scalar, monomial, one side
+    free of the main variable, modular coprimality proof, GCDHEU, PRS."""
     if p.vars != q.vars:
         raise VariableMismatch(f"{p.vars!r} vs {q.vars!r}")
     if p.is_zero():
         return q.monic()
     if q.is_zero():
         return p.monic()
-    if p.terms == q.terms or p.monic() == q.monic():
-        return p.monic()
+    if p.terms.keys() == q.terms.keys() and (m := p.monic()) == q.monic():
+        return m
     if len(p.terms) == 1:
         return _monomial_gcd(p, q)
     if len(q.terms) == 1:
@@ -482,11 +482,11 @@ def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
     if p.degree_in(i) == 0 or q.degree_in(i) == 0:
         # One side is free of the main variable: gcd divides its content.
         if p.degree_in(i) == 0:
-            return poly_gcd(p, _content_in(q, i))
-        return poly_gcd(_content_in(p, i), q)
+            return _content_in(q, i, p)
+        return _content_in(p, i, q)
     if _proven_coprime_in(p, q, i):
         # gcd is free of the main variable, hence divides both contents
-        return poly_gcd(_content_in(p, i), _content_in(q, i))
+        return _content_in(q, i, _content_in(p, i))
     g = _heu_gcd(_primitive_scale(p), _primitive_scale(q))
     if g is not None:
         return g.monic()

@@ -13,9 +13,7 @@ itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
+from dataclasses import dataclass
 
 from .errors import (DuplicateName, ForwardReference, InvalidTowerConstant,
                      UnknownSymbol)

@@ -221,6 +221,12 @@ class TestCli:
         run(["derive", "--tower", log_file, "zeta1", "--max-cells", "10"])
         assert os.environ["DIFFIELD_MAX_CELLS"] == "400000"
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_max_cells_must_be_positive(self, log_file, cap):
+        code, out = run(["solve-ode", "--tower", log_file, "--f", "1/z",
+                         "--max-cells", cap])
+        assert code == 3 and out == ""
+
     def test_bad_subfield_name(self, log_file):
         code, _ = run(["member", "--tower", log_file, "--subfield", "nope",
                        "z", "--deg", "2", "--order", "1"])

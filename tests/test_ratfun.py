@@ -31,6 +31,10 @@ class TestMPoly:
     def test_zero_coefficients_dropped(self):
         p = MPoly(V2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
         assert p.terms == {(0, 1): Fraction(2)}
+        p = MPoly(V2, {(2, 0): 0, (1, 1): 3, (1, 0): Fraction(1, 2),
+                       (0, 1): Fraction(0), (0, 0): -1})
+        assert p.terms == {(1, 1): 3, (1, 0): Fraction(1, 2), (0, 0): -1}
+        assert all(type(c) is Fraction for c in p.terms.values())
 
     def test_wrong_exponent_length(self):
         with pytest.raises(VariableMismatch):
@@ -122,6 +126,101 @@ class TestGcd:
         if not g.is_zero():
             assert a.try_divexact(g) is not None
             assert b.try_divexact(g) is not None
+
+
+def _sympy_poly(p):
+    sympy = pytest.importorskip("sympy")
+    terms = {e: sympy.Rational(c.numerator, c.denominator)
+             for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms, *sympy.symbols(p.vars), domain="QQ")
+
+
+def _assert_sympy_gcd(a, b):
+    sympy = pytest.importorskip("sympy")
+    ours = poly_gcd(a, b)
+    theirs = sympy.gcd(_sympy_poly(a), _sympy_poly(b))
+    # equal up to a rational constant
+    assert _sympy_poly(ours).monic() == theirs.monic()
+
+
+def _spy(monkeypatch, name, record, keep=lambda args, out: True):
+    real = getattr(ratfun, name)
+
+    def wrapper(*args):
+        out = real(*args)
+        if keep(args, out):
+            record.append(args)
+        return out
+
+    monkeypatch.setattr(ratfun, name, wrapper)
+
+
+def _random_pairs(seed, make, count=30):
+    """Seeded pairs over ("y", "x") or ("y", "w", "x"): the main variable of
+    poly_gcd is x.  make(free, full) returns one pair; free() draws a
+    nonconstant polynomial without x, full() one of positive degree in x."""
+    from difftower.randexpr import random_mpoly
+    rng = random.Random(seed)
+
+    def draw(variables, ok):
+        while True:
+            p = random_mpoly(rng, variables, max_deg=2)
+            if ok(p):
+                return p
+
+    pairs = []
+    for _ in range(count):
+        variables = ("y", "w", "x")[-rng.randint(2, 3):]
+        x = len(variables) - 1
+        pairs.append(make(
+            lambda: draw(variables, lambda p: not p.is_const()
+                         and p.degree_in(x) == 0),
+            lambda: draw(variables, lambda p: p.degree_in(x) > 0)))
+    return pairs
+
+
+class TestGcdOracle:
+    """poly_gcd against sympy.gcd, on pairs that reach each early branch."""
+
+    def test_one_side_free_of_main_variable(self, monkeypatch):
+        folds = []
+        _spy(monkeypatch, "_content_in", folds, lambda args, out: len(args) == 3)
+        V = ("y", "x")
+        _assert_sympy_gcd(P("(y+1)*x + (y+1)", V), P("(y+1)*(y-2)", V))
+        assert folds
+        pairs = _random_pairs(
+            31, lambda free, full: (free() * full(), free() * free()))
+        for a, b in pairs:
+            _assert_sympy_gcd(a, b)
+            _assert_sympy_gcd(b, a)
+        assert len(folds) >= 2 * len(pairs)
+
+    def test_proven_coprime_with_content(self, monkeypatch):
+        proofs = []
+        _spy(monkeypatch, "_proven_coprime_in", proofs, lambda args, out: out)
+        V = ("y", "x")
+        a, b = P("(y+1)*(x+1)", V), P("(y+1)*(x+2)", V)
+        assert poly_gcd(a, b) == P("y + 1", V)
+        _assert_sympy_gcd(a, b)
+        assert proofs
+        pairs = _random_pairs(
+            37, lambda free, full: (free() * full(), free() * full()))
+        for a, b in pairs:
+            _assert_sympy_gcd(a, b)
+        assert len(proofs) >= len(pairs) // 2
+
+    def test_equal_up_to_scalar(self, monkeypatch):
+        deeper = []
+        for name in ("_monomial_gcd", "_content_in", "_proven_coprime_in",
+                     "_heu_gcd"):
+            _spy(monkeypatch, name, deeper)
+        pairs = _random_pairs(
+            41, lambda free, full: (full(), None))
+        for a, _ in pairs:
+            b = a.scale(Fraction(-7, 3))
+            assert poly_gcd(a, b) == a.monic()
+            _assert_sympy_gcd(a, b)
+        assert deeper == []
 
 
 class TestRatFun:
