@@ -20,10 +20,19 @@ MAX_CELLS_ENV = "DIFFIELD_MAX_CELLS"
 
 
 def max_cells() -> int:
+    """The cell cap from the environment (unset or empty: the default);
+    ValueError unless it is a positive integer."""
     value = os.environ.get(MAX_CELLS_ENV)
-    if value:
-        return int(value)
-    return DEFAULT_MAX_CELLS
+    if not value:
+        return DEFAULT_MAX_CELLS
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise ValueError(
+            f"{MAX_CELLS_ENV} must be a positive integer, got {value!r}")
+    return cap
 
 
 def check_size(n_rows: int, n_cols: int, cap: Optional[int] = None):

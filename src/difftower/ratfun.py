@@ -5,12 +5,18 @@ polynomials store no zero coefficients, fractions are gcd-reduced and the
 denominator is deglex-monic.  Equality is structural equality of canonical
 forms, so two values compare equal exactly when they denote the same
 function.
+
+Coefficients are stored as Fractions, but the hot loops (products, exact
+division, GCDHEU and the modular images) run on cleared integer numerators:
+each operand is written once as {exponent: int} over the lcm of its
+denominators, and a Fraction is built only for each output term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import DivisionByZero, VariableMismatch, ZeroDenominator
@@ -45,6 +51,16 @@ class MPoly:
             if c:
                 clean[tuple(exp)] = c
         self.terms = clean
+
+    @classmethod
+    def _over(cls, variables: tuple, ints: Mapping[Exponent, int],
+              d: int = 1) -> "MPoly":
+        """The polynomial ints / d, from integer numerators whose exponents
+        already have the right length."""
+        p = object.__new__(cls)
+        p.vars = variables
+        p.terms = {e: Fraction(c, d) for e, c in ints.items() if c}
+        return p
 
     # -- constructors --------------------------------------------------
 
@@ -137,7 +153,7 @@ class MPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out[e] + c if e in out else c
         return MPoly(self.vars, out)
 
     def __neg__(self) -> "MPoly":
@@ -148,12 +164,15 @@ class MPoly:
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
+        d1, a = _cleared(self)
+        d2, b = _cleared(other)
+        b = b.items()
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MPoly(self.vars, out)
+        for e1, c1 in a.items():
+            for e2, c2 in b:
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return MPoly._over(self.vars, out, d1 * d2)
 
     def scale(self, c) -> "MPoly":
         c = Fraction(c)
@@ -194,9 +213,8 @@ class MPoly:
         out = {}
         for e, c in self.terms.items():
             if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = out.get(tuple(e2), Fraction(0)) + c * e[i]
+                # lowering one exponent maps distinct terms to distinct terms
+                out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
         return MPoly(self.vars, out)
 
     def eval_rat(self, point: Mapping[str, Rat]) -> Rat:
@@ -241,25 +259,14 @@ class MPoly:
         self._check(other)
         if other.is_zero():
             return None
-        quo = {}
-        rem = dict(self.terms)
-        le_d = other.leading_exp()
-        lc_d = other.terms[le_d]
-        while rem:
-            le = max(rem, key=_deglex_key)
-            diff = tuple(a - b for a, b in zip(le, le_d))
-            if any(d < 0 for d in diff):
-                return None
-            c = rem[le] / lc_d
-            quo[diff] = quo.get(diff, Fraction(0)) + c
-            for e, v in other.terms.items():
-                tgt = tuple(a + b for a, b in zip(e, diff))
-                nv = rem.get(tgt, Fraction(0)) - c * v
-                if nv == 0:
-                    rem.pop(tgt, None)
-                else:
-                    rem[tgt] = nv
-        return MPoly(self.vars, quo)
+        d1, a = _cleared(self)
+        d2, b = _cleared(other)
+        cont, b = _primitive(b)
+        quo = _divexact_int(a, b)
+        if quo is None:
+            return None
+        return MPoly._over(self.vars, {e: c * d2 for e, c in quo.items()},
+                           d1 * cont)
 
     def divides(self, other: "MPoly") -> bool:
         return other.try_divexact(self) is not None
@@ -276,6 +283,54 @@ class MPoly:
     def __repr__(self):
         from .parser import format_mpoly
         return f"MPoly({format_mpoly(self)!r})"
+
+
+# -- integer kernels ---------------------------------------------------------
+
+def _cleared(p: MPoly):
+    """(d, {exp: int}) with p = ints / d, d the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    return d, {e: c.numerator * (d // c.denominator)
+               for e, c in p.terms.items()}
+
+
+def _divexact_int(a: dict, b: dict):
+    """Exact quotient a / b of integer polynomials, b nonzero and primitive
+    (integer content 1), else None.  By Gauss's lemma an exact quotient is
+    integral, so a step that leaves an integer remainder proves that b does
+    not divide a."""
+    quo = {}
+    rem = dict(a)
+    le_b = max(b, key=_deglex_key)
+    lc_b = b[le_b]
+    b = b.items()
+    while rem:
+        le = max(rem, key=_deglex_key)
+        diff = tuple(map(sub, le, le_b))
+        if min(diff) < 0:
+            return None
+        c, r = divmod(rem[le], lc_b)
+        if r:
+            return None
+        # the leading terms of rem strictly fall, so each diff is new
+        quo[diff] = c
+        for e, v in b:
+            tgt = tuple(map(add, e, diff))
+            nv = rem.get(tgt, 0) - c * v
+            if nv:
+                rem[tgt] = nv
+            else:
+                del rem[tgt]
+    return quo
+
+
+def _primitive(a: dict):
+    """(c, a / c) for nonzero a, c its integer content signed so that a / c
+    has a positive leading term."""
+    cont = gcd(*a.values())
+    if a[max(a, key=_deglex_key)] < 0:
+        cont = -cont
+    return cont, a if cont == 1 else {e: c // cont for e, c in a.items()}
 
 
 # -- univariate views used by gcd and pseudo-division -----------------------
@@ -309,28 +364,23 @@ def _primitive_scale(p: MPoly) -> MPoly:
     Pure Fraction PRS blows up numerically; this keeps coefficients small."""
     if p.is_zero():
         return p
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    num = gcd(*(c.numerator * (den // c.denominator) for c in p.terms.values()))
-    q = p.scale(Fraction(den, num))
-    return q.scale(-1) if q.leading_coeff() < 0 else q
+    return MPoly._over(p.vars, _primitive(_cleared(p)[1])[1])
 
 
-def _eval_var_int(p: MPoly, i: int, xi: int) -> MPoly:
+def _eval_var_int(a: dict, i: int, xi: int) -> dict:
+    """a with vars[i] set to the integer xi (exponent i becomes 0)."""
     out: dict = {}
-    for e, c in p.terms.items():
-        e2 = list(e)
-        k = e2[i]
-        e2[i] = 0
-        key = tuple(e2)
-        out[key] = out.get(key, Fraction(0)) + c * xi ** k
-    return MPoly(p.vars, {e: c for e, c in out.items() if c})
+    for e, c in a.items():
+        key = e[:i] + (0,) + e[i + 1:]
+        out[key] = out.get(key, 0) + c * xi ** e[i]
+    return {e: c for e, c in out.items() if c}
 
 
-def _lift_digits(gh: MPoly, i: int, xi: int) -> MPoly:
+def _lift_digits(gh: dict, i: int, xi: int) -> dict:
     """Read vars[i]-coefficients back out of an evaluation at xi using
     balanced base-xi digits."""
     out: dict = {}
-    cur = {e: int(c) for e, c in gh.terms.items()}
+    cur = gh
     k = 0
     while cur:
         nxt = {}
@@ -339,47 +389,50 @@ def _lift_digits(gh: MPoly, i: int, xi: int) -> MPoly:
             if d > xi // 2:
                 d -= xi
             if d:
-                e2 = list(e)
-                e2[i] = k
-                out[tuple(e2)] = Fraction(d)
+                out[e[:i] + (k,) + e[i + 1:]] = d
             r = (c - d) // xi
             if r:
                 nxt[e] = r
         cur = nxt
         k += 1
-    return MPoly(gh.vars, out)
+    return out
 
 
 def _heu_gcd(p: MPoly, q: MPoly):
-    """Heuristic gcd of integer-coefficient polynomials: strip integer
-    content, evaluate one variable at a large integer, recurse, reconstruct
-    from balanced digits.  Candidates are only accepted after exact trial
-    division, so a non-None return is a true gcd over Z.  None when all
-    evaluation points fail."""
-    used = p.used_indices() | q.used_indices()
+    """Heuristic gcd (GCDHEU, Char-Geddes-Gonnet) of nonzero polynomials
+    over Q: a gcd up to a rational constant, or None when every evaluation
+    point fails.  Works on the cleared integer numerators of p and q."""
+    g = _heu_gcd_int(_cleared(p)[1], _cleared(q)[1])
+    return None if g is None else MPoly._over(p.vars, g)
+
+
+def _heu_gcd_int(a: dict, b: dict):
+    """gcd over Z of nonzero integer polynomials: strip integer content,
+    evaluate one variable at a large integer, recurse, reconstruct from
+    balanced digits.  Candidates are only accepted after exact trial
+    division, so a non-None return is a true gcd over Z."""
+    cont_a, a = _primitive(a)
+    cont_b, b = _primitive(b)
+    cont = gcd(cont_a, cont_b)
+    used = {j for e in (*a, *b) for j, k in enumerate(e) if k}
+    zero = (0,) * len(next(iter(a)))
     if not used:
-        return MPoly.const(p.vars, gcd(int(p.const_value()),
-                                       int(q.const_value())))
-    cont = gcd(gcd(*(int(c) for c in p.terms.values())),
-               gcd(*(int(c) for c in q.terms.values())))
-    pp = _primitive_scale(p)
-    qq = _primitive_scale(q)
+        return {zero: cont}
     i = max(used)
-    bound = max(max(abs(c) for c in pp.terms.values()),
-                max(abs(c) for c in qq.terms.values()))
-    xi = 2 * int(bound) + 29
+    bound = max(max(map(abs, a.values())), max(map(abs, b.values())))
+    xi = 2 * bound + 29
     for _ in range(6):
-        ph = _eval_var_int(pp, i, xi)
-        qh = _eval_var_int(qq, i, xi)
-        if not (ph.is_zero() or qh.is_zero()):
-            gh = _heu_gcd(ph, qh)
+        ah = _eval_var_int(a, i, xi)
+        bh = _eval_var_int(b, i, xi)
+        if ah and bh:
+            gh = _heu_gcd_int(ah, bh)
             if gh is not None:
-                g = _primitive_scale(_lift_digits(gh, i, xi))
-                if g.is_const():
-                    return MPoly.const(p.vars, cont)
-                if pp.try_divexact(g) is not None \
-                        and qq.try_divexact(g) is not None:
-                    return g.scale(cont)
+                g = _primitive(_lift_digits(gh, i, xi))[1]
+                if g.keys() == {zero}:
+                    return {zero: cont}
+                if _divexact_int(a, g) is not None \
+                        and _divexact_int(b, g) is not None:
+                    return {e: c * cont for e, c in g.items()}
         xi = xi * 73 // 32 + 31
     return None
 
@@ -399,14 +452,15 @@ _EVAL_SEEDS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 def _modp_image(p: MPoly, i: int, point: Sequence[int], prime: int):
-    """Coefficient list of p as a univariate polynomial in vars[i] after
-    evaluating the other variables at point, mod prime.  None when a
-    coefficient denominator vanishes mod prime."""
+    """Coefficient list of a nonzero constant multiple of p as a univariate
+    polynomial in vars[i] after evaluating the other variables at point,
+    mod prime.  None when a coefficient denominator vanishes mod prime."""
+    d, ints = _cleared(p)
+    if d % prime == 0:
+        return None
     out: dict = {}
-    for exp, c in p.terms.items():
-        if c.denominator % prime == 0:
-            return None
-        v = c.numerator % prime * pow(c.denominator, -1, prime) % prime
+    for exp, c in ints.items():
+        v = c % prime
         for j, e in enumerate(exp):
             if j != i and e:
                 v = v * pow(point[j], e, prime) % prime
@@ -487,7 +541,7 @@ def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
     if _proven_coprime_in(p, q, i):
         # gcd is free of the main variable, hence divides both contents
         return _content_in(q, i, _content_in(p, i))
-    g = _heu_gcd(_primitive_scale(p), _primitive_scale(q))
+    g = _heu_gcd(p, q)
     if g is not None:
         return g.monic()
     cont_p = _content_in(p, i)

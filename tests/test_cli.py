@@ -227,6 +227,14 @@ class TestCli:
                          "--max-cells", cap])
         assert code == 3 and out == ""
 
+    @pytest.mark.parametrize("cap", ["-5", "0", "abc"])
+    def test_max_cells_env_must_be_positive(self, cap, monkeypatch):
+        # the cap from the environment is input too: exit 3, not a miss
+        monkeypatch.setenv("DIFFIELD_MAX_CELLS", cap)
+        output, code = corpus.run_case(corpus.load_case("log-recover"))
+        assert code == 3 and "error=ValueError" in output
+        assert "DIFFIELD_MAX_CELLS" in output
+
     def test_bad_subfield_name(self, log_file):
         code, _ = run(["member", "--tower", log_file, "--subfield", "nope",
                        "z", "--deg", "2", "--order", "1"])

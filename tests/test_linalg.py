@@ -91,3 +91,9 @@ class TestSizeCap:
         assert linalg.max_cells() == 42
         with pytest.raises(BoundsExceeded):
             linalg.check_size(7, 7)
+
+    @pytest.mark.parametrize("value", ["-5", "0", "abc", "2.5"])
+    def test_env_must_be_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("DIFFIELD_MAX_CELLS", value)
+        with pytest.raises(ValueError, match="DIFFIELD_MAX_CELLS"):
+            linalg.max_cells()

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from difftower.errors import DivisionByZero, VariableMismatch, ZeroDenominator
@@ -66,6 +66,98 @@ class TestMPoly:
             == Fraction(9, 2)
 
 
+def _ref_mul(p, q):
+    """Schoolbook product on Fraction coefficients."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return MPoly(p.vars, out)
+
+
+def _ref_divexact(p, q):
+    """Deglex division on Fraction coefficients: p / q if exact, else None."""
+    quo, rem = {}, dict(p.terms)
+    le_q = q.leading_exp()
+    while rem:
+        le = max(rem, key=lambda e: (sum(e), e))
+        diff = tuple(a - b for a, b in zip(le, le_q))
+        if min(diff) < 0:
+            return None
+        c = rem[le] / q.terms[le_q]
+        quo[diff] = c
+        for e, v in q.terms.items():
+            tgt = tuple(a + b for a, b in zip(e, diff))
+            rem[tgt] = rem.get(tgt, Fraction(0)) - c * v
+            if not rem[tgt]:
+                del rem[tgt]
+    return MPoly(p.vars, quo)
+
+
+# small exponents and coefficients with mixed denominators
+_mpolys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(-20, 20, max_denominator=12), max_size=5,
+).map(lambda terms: MPoly(V2, terms))
+
+
+def _with_content(q, content, den):
+    """q's primitive part times -content/den: its cleared numerators have
+    integer content `content` and a negative leading coefficient."""
+    return ratfun._primitive_scale(q).scale(Fraction(-content, den))
+
+
+class TestIntegerKernels:
+    """MPoly products and exact division, which run on cleared integer
+    numerators, against schoolbook loops on Fractions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mpolys, _mpolys)
+    @example(MPoly.zero(V2), MPoly(V2, {(1, 0): Fraction(3, 4)}))
+    def test_mul_matches_fraction_loop(self, p, q):
+        got = p * q
+        assert got == _ref_mul(p, q)
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mpolys, _mpolys, st.integers(1, 12), st.integers(1, 7))
+    @example(MPoly.zero(V2), MPoly(V2, {(1, 0): Fraction(2, 3)}), 2, 5)
+    def test_divexact_matches_fraction_loop(self, p, q, content, den):
+        if q.is_zero():
+            assert p.try_divexact(q) is None
+            return
+        q = _with_content(q, content, den)
+        assert q.leading_coeff() < 0
+        # exact: the quotient comes back whatever the divisor's content
+        assert (p * q).try_divexact(q) == p == _ref_divexact(p * q, q)
+        # p itself is usually not a multiple of q
+        assert p.try_divexact(q) == _ref_divexact(p, q)
+        if not q.is_const():
+            # q divides p*q but not the unit, so never p*q + 1
+            a = p * q + MPoly.const(V2, 1)
+            assert a.try_divexact(q) is None
+            assert _ref_divexact(a, q) is None
+
+    def test_divexact_not_divisible(self):
+        # (x+1) / (2x+3): the leading quotient coefficient 1/2 leaves a
+        # remainder once the divisor is primitive
+        assert P("x + 1").try_divexact(P("2*x + 3")) is None
+        assert P("x^2 - y^2").try_divexact(P("2*x + 2*y")) \
+            == P("x - y").scale(Fraction(1, 2))
+        assert P("y").try_divexact(P("-6*x - 4")) is None
+
+    def test_integer_division_exits(self):
+        b = {(1, 0): 2, (0, 0): 3}  # 2x + 3, primitive
+        assert ratfun._divexact_int({(2, 0): 4, (1, 0): 12, (0, 0): 9}, b) \
+            == {(1, 0): 2, (0, 0): 3}
+        assert ratfun._divexact_int({}, b) == {}
+        # 1 = 0*2 + 1: the leading quotient coefficient is not an integer
+        assert ratfun._divexact_int({(1, 0): 1, (0, 0): 1}, b) is None
+        # y / x: the exponent difference goes negative
+        assert ratfun._divexact_int({(0, 1): 1}, b) is None
+
+
 class TestGcd:
     def test_univariate(self):
         assert poly_gcd(P("x^2 - 1"), P("x^2 - 2*x + 1")) == P("x - 1")
@@ -114,6 +206,27 @@ class TestGcd:
         monkeypatch.setattr(ratfun, "_prem", counting_prem)
         assert [poly_gcd(a, b) for a, b in pairs] == expected
         assert len(prem_calls) >= 10
+
+    def test_heu_gcd_discards_a_false_candidate(self, monkeypatch):
+        # a lifted candidate that fails trial division is dropped and the
+        # next evaluation point gives the gcd
+        real = ratfun._lift_digits
+        lifts = []
+
+        def corrupt_first(gh, i, xi):
+            g = real(gh, i, xi)
+            lifts.append(xi)
+            if len(lifts) == 1:
+                zero = (0,) * len(next(iter(g)))
+                g = {**g, zero: g.get(zero, 0) + 1}
+            return g
+
+        monkeypatch.setattr(ratfun, "_lift_digits", corrupt_first)
+        x = ("x",)
+        g = P("x + 1", x)
+        p, q = g * P("x - 2", x), g * P("x + 3", x)
+        assert ratfun._heu_gcd(p, q).monic() == g
+        assert len(lifts) == 2
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -221,6 +334,64 @@ class TestGcdOracle:
             assert poly_gcd(a, b) == a.monic()
             _assert_sympy_gcd(a, b)
         assert deeper == []
+
+    def test_heu_gcd_rational_operands(self):
+        # GCDHEU clears the denominators of non-primitive rational input
+        sympy = pytest.importorskip("sympy")
+        from difftower.randexpr import random_mpoly
+        rng = random.Random(53)
+        for _ in range(25):
+            variables = V3[:rng.randint(1, 3)]
+            g, a, b = (random_mpoly(rng, variables, max_deg=2)
+                       for _ in range(3))
+            p = (g * a).scale(Fraction(-9, 4))
+            q = (g * b).scale(Fraction(15, 7))
+            if p.is_zero() or q.is_zero():
+                continue
+            h = ratfun._heu_gcd(p, q)
+            assert h is not None
+            theirs = sympy.gcd(_sympy_poly(p), _sympy_poly(q))
+            assert _sympy_poly(h).monic() == theirs.monic()
+
+    def test_poly_gcd_hands_heu_gcd_its_operands(self, monkeypatch):
+        calls = []
+        _spy(monkeypatch, "_heu_gcd", calls)
+        g = P("x*y + 3")
+        p = (g * P("2*x - y^2")).scale(Fraction(-5, 6))
+        q = (g * P("x^2 + 3*y")).scale(Fraction(4, 9))
+        assert poly_gcd(p, q) == g.monic()
+        assert calls == [(p, q)]
+
+    def test_lcm_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        pairs = _random_pairs(43, lambda free, full: (
+            free() * full(), full() * full()), count=20)
+        for a, b in pairs:
+            ours = poly_lcm(a, b)
+            theirs = sympy.lcm(_sympy_poly(a), _sympy_poly(b))
+            assert _sympy_poly(ours).monic() == theirs.monic()
+
+    def test_canonical_form_matches_cancel(self):
+        sympy = pytest.importorskip("sympy")
+
+        def shared(free, full):
+            c = full()
+            return full() * c, free() * full() * c
+
+        pairs = (_random_pairs(47, shared, count=15)
+                 + _random_pairs(59, lambda free, full: (
+                     free() * full(), full()), count=15))
+        for a, b in pairs:
+            u = RatFun(a, b)
+            num, den = _sympy_poly(u.num), _sympy_poly(u.den)
+            n, d = sympy.fraction(sympy.cancel(
+                _sympy_poly(a).as_expr() / _sympy_poly(b).as_expr()))
+            n = sympy.Poly(n, *num.gens, domain="QQ")
+            d = sympy.Poly(d, *num.gens, domain="QQ")
+            # reduced forms agree up to one constant; ours has a monic den
+            assert den.monic() == d.monic()
+            assert num * d == n * den
+            assert u.den.leading_coeff() == 1
 
 
 class TestRatFun:

@@ -65,3 +65,42 @@ class TestCriterion:
             u = random_ratfun(rng, ("z",), max_deg=3)
             f = T.differentiate(u) + R("1/(z-1)")
             assert not has_rational_antiderivative(f), f
+
+
+def _sympy_expr(u, z):
+    sympy = pytest.importorskip("sympy")
+
+    def poly(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * z ** e[0]
+                   for e, c in p.terms.items())
+
+    return poly(u.num) / poly(u.den)
+
+
+class TestRatintOracle:
+    def test_matches_sympy_ratint(self):
+        """On seeded f: True exactly when sympy's ratint(f) has no log or
+        atan part."""
+        sympy = pytest.importorskip("sympy")
+        from sympy.integrals.rationaltools import ratint
+        from difftower.randexpr import random_fraction, random_ratfun
+        rng = random.Random(2010)
+        T = tower_from_pairs([])
+        z = sympy.Symbol("z")
+        answers = []
+        for i in range(30):
+            u = random_ratfun(rng, ("z",), max_deg=2)
+            if i % 3 == 0:
+                f = T.differentiate(u)
+            elif i % 3 == 1:
+                # a simple pole pair, or none when the fraction is 0
+                f = T.differentiate(u) + R(
+                    f"({random_fraction(rng)})/(z^2 + {rng.randint(1, 5)})")
+            else:
+                f = u
+            ours = has_rational_antiderivative(f)
+            theirs = ratint(_sympy_expr(f, z), z)
+            assert ours == (not theirs.has(sympy.log, sympy.atan,
+                                           sympy.RootSum)), f
+            answers.append(ours)
+        assert True in answers and False in answers
