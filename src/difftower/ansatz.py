@@ -330,7 +330,7 @@ def _poly_part_constant(w: RatFun) -> RatFun:
             const += c
         for e, v in den.terms.items():
             tgt = tuple(a + b for a, b in zip(e, diff))
-            nv = rem.get(tgt, Fraction(0)) - c * v
+            nv = rem.get(tgt, 0) - c * v
             if nv == 0:
                 rem.pop(tgt, None)
             else:

@@ -62,7 +62,7 @@ def rref(rows: List[Row], n_cols: int) -> Tuple[List[Row], List[int]]:
                     continue
                 new = dict(r)
                 for c, v in pivot.items():
-                    nv = new.get(c, Fraction(0)) - f * v
+                    nv = new.get(c, 0) - f * v
                     if nv == 0:
                         new.pop(c, None)
                     else:

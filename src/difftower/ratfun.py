@@ -7,9 +7,9 @@ forms, so two values compare equal exactly when they denote the same
 function.
 
 Coefficients are stored as Fractions, but the hot loops (products, exact
-division, GCDHEU and the modular images) run on cleared integer numerators:
-each operand is written once as {exponent: int} over the lcm of its
-denominators, and a Fraction is built only for each output term.
+division and GCDHEU) run on cleared integer numerators: each operand is
+written once as {exponent: int} over the lcm of its denominators, and a
+Fraction is built only for each output term.
 """
 
 from __future__ import annotations
@@ -333,17 +333,7 @@ def _primitive(a: dict):
     return cont, a if cont == 1 else {e: c // cont for e, c in a.items()}
 
 
-# -- univariate views used by gcd and pseudo-division -----------------------
-
-def _coeff_map(p: MPoly, i: int):
-    """View p as a univariate polynomial in vars[i]: degree -> MPoly coeff."""
-    out = {}
-    for k in range(p.degree_in(i) + 1):
-        c = p.coeff_in(i, k)
-        if not c.is_zero():
-            out[k] = c
-    return out
-
+# -- gcd ---------------------------------------------------------------------
 
 def _prem(p: MPoly, q: MPoly, i: int) -> MPoly:
     """Pseudo-remainder of p by q in the main variable vars[i]."""
@@ -437,73 +427,17 @@ def _heu_gcd_int(a: dict, b: dict):
     return None
 
 
-def _content_in(p: MPoly, i: int, cont: MPoly | None = None) -> MPoly:
-    """Monic gcd of cont and p's coefficients in vars[i], to the first unit."""
-    cont = MPoly.zero(p.vars) if cont is None else cont
-    for c in _coeff_map(p, i).values():
-        if cont.is_const() and not cont.is_zero():
+def _content_in(p: MPoly, i: int) -> MPoly:
+    """Monic gcd of p's coefficients in vars[i], to the first unit."""
+    coeffs: dict = {}
+    for e, c in p.terms.items():
+        coeffs.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    cont = MPoly.zero(p.vars)
+    for terms in coeffs.values():
+        cont = poly_gcd(cont, MPoly(p.vars, terms))
+        if cont.is_const():
             break
-        cont = poly_gcd(cont, c)
     return cont
-
-
-_GCD_PRIMES = (2147483647, 2147483629, 2147483587)
-_EVAL_SEEDS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-
-
-def _modp_image(p: MPoly, i: int, point: Sequence[int], prime: int):
-    """Coefficient list of a nonzero constant multiple of p as a univariate
-    polynomial in vars[i] after evaluating the other variables at point,
-    mod prime.  None when a coefficient denominator vanishes mod prime."""
-    d, ints = _cleared(p)
-    if d % prime == 0:
-        return None
-    out: dict = {}
-    for exp, c in ints.items():
-        v = c % prime
-        for j, e in enumerate(exp):
-            if j != i and e:
-                v = v * pow(point[j], e, prime) % prime
-        d = exp[i]
-        out[d] = (out.get(d, 0) + v) % prime
-    deg = max((d for d, v in out.items() if v), default=-1)
-    if deg < 0:
-        return []
-    return [out.get(k, 0) for k in range(deg + 1)]
-
-
-def _modp_gcd_degree(a, b, prime: int) -> int:
-    while b:
-        inv = pow(b[-1], -1, prime)
-        b = [c * inv % prime for c in b]
-        while len(a) >= len(b):
-            lead = a[-1]
-            off = len(a) - len(b)
-            a = [(c - lead * b[k - off] if k >= off else c) % prime
-                 for k, c in enumerate(a[:-1])]
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
-def _proven_coprime_in(p: MPoly, q: MPoly, i: int) -> bool:
-    """True when a modular image proves deg_i(gcd(p, q)) = 0.
-
-    Sound one-sided test: if the evaluation keeps both leading coefficients
-    in vars[i] nonzero mod prime, the image of the true gcd keeps its full
-    degree in vars[i], so a constant univariate gcd certifies the claim."""
-    dp, dq = p.degree_in(i), q.degree_in(i)
-    for shift, prime in enumerate(_GCD_PRIMES):
-        point = [s + 31 * shift for s in _EVAL_SEEDS[:len(p.vars)]]
-        a = _modp_image(p, i, point, prime)
-        b = _modp_image(q, i, point, prime)
-        if a is None or b is None:
-            continue
-        if len(a) - 1 != dp or len(b) - 1 != dq:
-            continue
-        return _modp_gcd_degree(a, b, prime) == 0
-    return False
 
 
 def _monomial_gcd(m: MPoly, q: MPoly) -> MPoly:
@@ -515,8 +449,9 @@ def _monomial_gcd(m: MPoly, q: MPoly) -> MPoly:
 
 
 def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
-    """Monic gcd, tried in order: equal up to a scalar, monomial, one side
-    free of the main variable, modular coprimality proof, GCDHEU, PRS."""
+    """Monic gcd, tried in order: a zero operand, equal up to a scalar, a
+    monomial operand, GCDHEU, and the primitive PRS in the main variable
+    when every GCDHEU evaluation point fails."""
     if p.vars != q.vars:
         raise VariableMismatch(f"{p.vars!r} vs {q.vars!r}")
     if p.is_zero():
@@ -529,21 +464,11 @@ def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
         return _monomial_gcd(p, q)
     if len(q.terms) == 1:
         return _monomial_gcd(q, p)
-    used = p.used_indices() | q.used_indices()
-    if not used:
-        return MPoly.const(p.vars, 1)
-    i = max(used)
-    if p.degree_in(i) == 0 or q.degree_in(i) == 0:
-        # One side is free of the main variable: gcd divides its content.
-        if p.degree_in(i) == 0:
-            return _content_in(q, i, p)
-        return _content_in(p, i, q)
-    if _proven_coprime_in(p, q, i):
-        # gcd is free of the main variable, hence divides both contents
-        return _content_in(q, i, _content_in(p, i))
     g = _heu_gcd(p, q)
     if g is not None:
         return g.monic()
+    # both operands have two terms or more, so some variable occurs
+    i = max(p.used_indices() | q.used_indices())
     cont_p = _content_in(p, i)
     cont_q = _content_in(q, i)
     g_cont = poly_gcd(cont_p, cont_q)

@@ -175,6 +175,11 @@ class TestGcd:
     def test_coprime(self):
         got = poly_gcd(P("x + 1"), P("y + 1"))
         assert got.is_const() and got.const_value() == 1
+        # constant operands
+        one = MPoly.const(V2, 1)
+        assert poly_gcd(P("2"), P("3")) == one
+        assert poly_gcd(P("2"), P("x + 1")) == one
+        assert poly_gcd(P("x + 1"), P("3")) == one
 
     def test_zero_cases(self):
         z = MPoly.zero(V2)
@@ -194,18 +199,19 @@ class TestGcd:
             a, b, c = (random_mpoly(rng, variables, max_deg=2)
                        for _ in range(3))
             pairs.append((a * c, b * c))
+        # contents in the main variable x that are not units
+        pairs += _random_pairs(
+            67, lambda free, full: (free() * full(), free() * full()),
+            count=10)
         expected = [poly_gcd(a, b) for a, b in pairs]
-        prem_calls = []
-        real_prem = ratfun._prem
-
-        def counting_prem(*args):
-            prem_calls.append(1)
-            return real_prem(*args)
-
+        prem_calls, contents = [], []
+        _spy(monkeypatch, "_prem", prem_calls)
+        _spy(monkeypatch, "_content_in", contents,
+             lambda args, out: not out.is_const())
         monkeypatch.setattr(ratfun, "_heu_gcd", lambda p, q: None)
-        monkeypatch.setattr(ratfun, "_prem", counting_prem)
         assert [poly_gcd(a, b) for a, b in pairs] == expected
         assert len(prem_calls) >= 10
+        assert contents
 
     def test_heu_gcd_discards_a_false_candidate(self, monkeypatch):
         # a lifted candidate that fails trial division is dropped and the
@@ -268,6 +274,26 @@ def _spy(monkeypatch, name, record, keep=lambda args, out: True):
     monkeypatch.setattr(ratfun, name, wrapper)
 
 
+def _reaches_heu_gcd(monkeypatch, pairs):
+    """Check poly_gcd against sympy.gcd on each pair in both argument
+    orders.  A pair without a monomial operand must reach GCDHEU with its
+    operands as given, and nothing else may; returns how many of the
+    2 * len(pairs) calls did."""
+    calls = []
+    _spy(monkeypatch, "_heu_gcd", calls)
+    reached = 0
+    for a, b in pairs:
+        for p, q in ((a, b), (b, a)):
+            calls.clear()
+            _assert_sympy_gcd(p, q)
+            if len(p.terms) > 1 and len(q.terms) > 1:
+                assert calls == [(p, q)]
+                reached += 1
+            else:
+                assert calls == []
+    return reached
+
+
 def _random_pairs(seed, make, count=30):
     """Seeded pairs over ("y", "x") or ("y", "w", "x"): the main variable of
     poly_gcd is x.  make(free, full) returns one pair; free() draws a
@@ -293,39 +319,26 @@ def _random_pairs(seed, make, count=30):
 
 
 class TestGcdOracle:
-    """poly_gcd against sympy.gcd, on pairs that reach each early branch."""
+    """poly_gcd against sympy.gcd, on pairs that reach each of its branches."""
 
     def test_one_side_free_of_main_variable(self, monkeypatch):
-        folds = []
-        _spy(monkeypatch, "_content_in", folds, lambda args, out: len(args) == 3)
         V = ("y", "x")
-        _assert_sympy_gcd(P("(y+1)*x + (y+1)", V), P("(y+1)*(y-2)", V))
-        assert folds
-        pairs = _random_pairs(
+        pairs = [(P("(y+1)*x + (y+1)", V), P("(y+1)*(y-2)", V))]
+        pairs += _random_pairs(
             31, lambda free, full: (free() * full(), free() * free()))
-        for a, b in pairs:
-            _assert_sympy_gcd(a, b)
-            _assert_sympy_gcd(b, a)
-        assert len(folds) >= 2 * len(pairs)
+        assert _reaches_heu_gcd(monkeypatch, pairs) >= len(pairs)
 
-    def test_proven_coprime_with_content(self, monkeypatch):
-        proofs = []
-        _spy(monkeypatch, "_proven_coprime_in", proofs, lambda args, out: out)
+    def test_coprime_with_content(self, monkeypatch):
         V = ("y", "x")
         a, b = P("(y+1)*(x+1)", V), P("(y+1)*(x+2)", V)
         assert poly_gcd(a, b) == P("y + 1", V)
-        _assert_sympy_gcd(a, b)
-        assert proofs
-        pairs = _random_pairs(
+        pairs = [(a, b)] + _random_pairs(
             37, lambda free, full: (free() * full(), free() * full()))
-        for a, b in pairs:
-            _assert_sympy_gcd(a, b)
-        assert len(proofs) >= len(pairs) // 2
+        assert _reaches_heu_gcd(monkeypatch, pairs) >= len(pairs)
 
     def test_equal_up_to_scalar(self, monkeypatch):
         deeper = []
-        for name in ("_monomial_gcd", "_content_in", "_proven_coprime_in",
-                     "_heu_gcd"):
+        for name in ("_monomial_gcd", "_heu_gcd"):
             _spy(monkeypatch, name, deeper)
         pairs = _random_pairs(
             41, lambda free, full: (full(), None))

@@ -101,6 +101,39 @@ class TestDerivation:
             Tower(TowerSpec(generators=()))
 
 
+def _sympy_poly(p, symbols):
+    sympy = pytest.importorskip("sympy")
+    terms = {e: sympy.Rational(c.numerator, c.denominator)
+             for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms, *symbols, domain="QQ")
+
+
+class TestDifferentiateOracle:
+    def test_chain_rule_matches_sympy(self):
+        # D(u) = du/dz + sum_i du/dzeta_i * zeta_i', reduced by sympy.cancel
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(4099)
+        for _ in range(30):
+            T = random_tower(rng, depth=rng.randint(1, 3), max_deg=2)
+            u = random_ratfun(rng, T.vars, max_deg=2)
+            symbols = sympy.symbols(T.vars)
+
+            def expr(w):
+                return (_sympy_poly(w.num, symbols).as_expr()
+                        / _sympy_poly(w.den, symbols).as_expr())
+
+            chain = sum(sympy.diff(expr(u), s) * expr(T.deriv_of(name))
+                        for s, name in zip(symbols, T.vars))
+            n, d = sympy.fraction(sympy.cancel(chain))
+            n = sympy.Poly(n, *symbols, domain="QQ")
+            d = sympy.Poly(d, *symbols, domain="QQ")
+            du = T.differentiate(u)
+            num, den = _sympy_poly(du.num, symbols), _sympy_poly(du.den, symbols)
+            # reduced forms agree up to one constant; ours has a monic den
+            assert den.monic() == d.monic()
+            assert num * d == n * den
+
+
 class TestSubfieldSpec:
     def test_default_names(self):
         T = log_tower()
