@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import BoundsExceeded, DiffTowerError
-from .ratfun import MPoly, RatFun, poly_lcm
+from .ratfun import MPoly, RatFun, clear_denominators
 from .ratint import has_rational_antiderivative
 from .tower import SubfieldSpec, Tower
 
@@ -79,15 +79,6 @@ def monomials_upto(n_vars: int, max_deg: int) -> List[tuple]:
            if sum(e) <= max_deg]
     out.sort(key=lambda e: (sum(e), e), reverse=True)
     return out
-
-
-def clear_denominators(exprs: Sequence[RatFun]) -> Tuple[MPoly, List[MPoly]]:
-    """The monic lcm of the denominators of exprs (nonempty) and each
-    numerator over it."""
-    lcm = MPoly.const(exprs[0].vars, 1)
-    for den in dict.fromkeys(e.den for e in exprs):
-        lcm = poly_lcm(lcm, den)
-    return lcm, [e.num * lcm.try_divexact(e.den) for e in exprs]
 
 
 def _assemble_rows(cols: Sequence[MPoly]) -> List[linalg.Row]:
@@ -277,28 +268,21 @@ def _ode_ansatz(f: RatFun, g: RatFun, tower: Tower, bounds: Bounds
     fixed ansatz denominator is denom = lcm^power.  Then D(denom)/denom =
     power*D(lcm)/lcm, so C = lcm^2*denom clears every column.  Returns
     (denom, C, C*f, column), where column(e) is the polynomial
-    C*(D(m/denom) - g*m/denom) for the monomial m = x^e, built from the
-    polynomials lcm*D(x_i) with no gcd.
+    C*(D(m/denom) - g*m/denom) for the monomial m = x^e, built by
+    MPoly.derivation over the polynomials lcm*D(x_i) with no gcd.
     """
     lcm, (f_num, g_num, *d_nums) = clear_denominators(
         [f, g, *tower.derivatives])
     power = max(1, bounds.max_den_degree // max(1, lcm.total_degree()))
     denom = lcm ** power
 
-    def derivation(p: MPoly, images: Sequence[MPoly]) -> MPoly:
-        # sum_i dp/dx_i * images[i]; with images lcm*D(x_i), this is lcm*D(p)
-        total = MPoly.zero(tower.vars)
-        for i in p.used_indices():
-            total = total + p.partial(i) * images[i]
-        return total
-
     # C*(D(m/denom) - g*m/denom) = lcm*(lcm*D(m)) - m*(power*lcm*D(lcm) + lcm*(lcm*g))
     lcm_d_nums = [lcm * d for d in d_nums]
-    shift = derivation(lcm, d_nums).scale(power) + lcm * g_num
+    shift = lcm.derivation(d_nums).scale(power) + lcm * g_num
 
     def column(exp: tuple) -> MPoly:
         m = MPoly(tower.vars, {exp: Fraction(1)})
-        return derivation(m, lcm_d_nums) - m * shift
+        return m.derivation(lcm_d_nums) - m * shift
 
     return denom, lcm * lcm * denom, lcm * denom * f_num, column
 

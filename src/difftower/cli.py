@@ -230,7 +230,7 @@ def _parse_alpha(text: str) -> List[Fraction]:
 
 def _cmd_aut(args) -> int:
     tower, _ = _load(args)
-    alpha = _parse_alpha(args.alpha) if args.alpha \
+    alpha = _parse_alpha(args.alpha) if args.alpha is not None \
         else [Fraction(0)] * len(tower.gen_names)
     sigma = autgroup.make_translation_aut(tower, alpha)
     lines = []

@@ -22,6 +22,8 @@ from .errors import ExprSyntaxError, TowerFileError, UnknownSymbol
 from .ratfun import MPoly, RatFun
 from .tower import BASE_VAR, SubfieldSpec, Tower, tower_from_pairs
 
+# deeper parentheses are refused before the recursive descent overflows
+_MAX_NESTING = 100
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
 
 
@@ -54,6 +56,7 @@ class _Parser:
         self.vars = variables
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -132,8 +135,14 @@ class _Parser:
                 raise UnknownSymbol(f"unknown symbol {value!r} at {pos}")
             return RatFun.var(self.vars, value)
         if kind == "op" and value == "(":
+            if self.depth == _MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"parentheses nested deeper than {_MAX_NESTING}",
+                    position=pos, expected="fewer parentheses")
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ExprSyntaxError("expected a value", position=pos,
                               expected="number, name or '('")

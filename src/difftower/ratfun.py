@@ -217,6 +217,14 @@ class MPoly:
                 out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
         return MPoly(self.vars, out)
 
+    def derivation(self, images: Sequence["MPoly"]) -> "MPoly":
+        """sum_i dp/dx_i * images[i]; with images[i] = L*D(x_i) this is
+        L*D(p), built with no gcd."""
+        total = MPoly.zero(self.vars)
+        for i in self.used_indices():
+            total = total + self.partial(i) * images[i]
+        return total
+
     def eval_rat(self, point: Mapping[str, Rat]) -> Rat:
         total = Fraction(0)
         for e, c in self.terms.items():
@@ -639,7 +647,10 @@ class RatFun:
         return RatFun(self.num ** k, self.den ** k)
 
     def scale(self, c) -> "RatFun":
-        return RatFun(self.num.scale(c), self.den, _canonical=False)
+        # c*num/den is still reduced over the same monic denominator
+        if c == 0:
+            return RatFun.const(self.vars, 0)
+        return RatFun(self.num.scale(c), self.den, _canonical=True)
 
     def eval_rat(self, point: Mapping[str, Rat]) -> Rat:
         d = self.den.eval_rat(point)
@@ -681,3 +692,12 @@ class RatFun:
     def __repr__(self):
         from .parser import format_ratfun
         return f"RatFun({format_ratfun(self)!r})"
+
+
+def clear_denominators(exprs: Sequence[RatFun]):
+    """(L, [L*e for e in exprs]): the monic lcm L of the denominators of
+    exprs (nonempty) and each expression over it, as polynomials."""
+    common = MPoly.const(exprs[0].vars, 1)
+    for den in dict.fromkeys(e.den for e in exprs):
+        common = poly_lcm(common, den)
+    return common, [e.num * common.try_divexact(e.den) for e in exprs]

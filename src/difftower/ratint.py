@@ -86,9 +86,8 @@ def has_rational_antiderivative(f: RatFun) -> bool:
     _, rem = _divmod_uni(num, den)
     if _deg(rem) < 0:
         return True
-    den_poly = f.den
-    dstar = poly_gcd(den_poly, _poly_from_coeffs(_diff_uni(den), zi, f.vars))
-    d2 = den_poly.try_divexact(dstar)
+    dstar = poly_gcd(f.den, f.den.partial(zi))
+    d2 = f.den.try_divexact(dstar)
     ds = _to_coeffs(dstar, zi)
     d2c = _to_coeffs(d2, zi)
     deg_a = _deg(ds)       # unknown a has degree < deg(dstar)
@@ -132,13 +131,3 @@ def has_rational_antiderivative(f: RatFun) -> bool:
         raise DiffTowerError("Horowitz system unexpectedly inconsistent")
     b_coeffs = particular[deg_a:]
     return all(c == 0 for c in b_coeffs)
-
-
-def _poly_from_coeffs(coeffs, zi, variables) -> MPoly:
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            exp = [0] * len(variables)
-            exp[zi] = k
-            terms[tuple(exp)] = c
-    return MPoly(variables, terms)

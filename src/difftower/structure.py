@@ -18,22 +18,19 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .ansatz import (Bounds, Found, Witness, _assemble_rows,
-                     clear_denominators, monomials_upto, subfield_membership)
+from .ansatz import (Bounds, Found, Witness, _assemble_rows, monomials_upto,
+                     subfield_membership)
 from .errors import (AlreadyInBase, DiffTowerError, MalformedAntiderivative,
                      NotAntiderivative, NotFlat, Unsupported)
-from .ratfun import MPoly, RatFun, poly_gcd
+from .ratfun import MPoly, RatFun, clear_denominators, poly_gcd
 from .tower import BASE_VAR, SubfieldSpec, Tower
 
 
 def formal_partial(u: RatFun, var: str) -> RatFun:
     """Partial derivative of u with respect to one tower variable."""
     i = u.vars.index(var)
-    num = RatFun.from_poly(u.num)
-    den = RatFun.from_poly(u.den)
-    dnum = RatFun.from_poly(u.num.partial(i))
-    dden = RatFun.from_poly(u.den.partial(i))
-    return (dnum * den - num * dden) / (den * den)
+    n, d = u.num, u.den
+    return RatFun(n.partial(i) * d - n * d.partial(i), d * d)
 
 
 def linearize(u: RatFun, tower: Tower):

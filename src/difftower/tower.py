@@ -8,7 +8,10 @@ functions over the tower by the chain rule
     D(u) = du/dz + sum_i du/dzeta_i * zeta_i'
 
 together with the quotient rule, and maps the tower's function field into
-itself.
+itself.  It is computed cleared (Bronstein 2005, ch. 3): with L the monic
+lcm of the derivatives' denominators and images[i] = L*D(x_i), the
+polynomial L*D(p) = p.derivation(images) needs no gcd, and
+D(n/d) = (L*D(n)*d - n*L*D(d)) / (L*d^2) is reduced once.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import (DuplicateName, ForwardReference, InvalidTowerConstant,
                      UnknownSymbol)
-from .ratfun import MPoly, RatFun
+from .ratfun import RatFun, clear_denominators
 
 BASE_VAR = "z"
 
@@ -54,6 +57,7 @@ class Tower:
         # derivative table indexed like self.vars; z first with D(z) = 1
         self.derivatives = (RatFun.const(self.vars, 1),) + tuple(
             d for _, d in spec.generators)
+        self.lcm, self.images = clear_denominators(self.derivatives)
 
     @property
     def gen_names(self):
@@ -74,17 +78,12 @@ class Tower:
     # -- the derivation ---------------------------------------------------
 
     def differentiate(self, u: RatFun) -> RatFun:
-        def d_poly(p: MPoly) -> RatFun:
-            total = RatFun.const(self.vars, 0)
-            for i in p.used_indices():
-                part = p.partial(i)
-                total = total + RatFun.from_poly(part) * self.derivatives[i]
-            return total
-
-        dn = d_poly(u.num)
-        dd = d_poly(u.den)
-        den = RatFun.from_poly(u.den)
-        return (dn * den - RatFun.from_poly(u.num) * dd) / (den * den)
+        n, d = u.num, u.den
+        dn = n.derivation(self.images)
+        if d.is_const():
+            return RatFun(dn, self.lcm)
+        return RatFun(dn * d - n * d.derivation(self.images),
+                      self.lcm * d * d)
 
     def nth_derivative(self, u: RatFun, n: int) -> RatFun:
         if n < 0:

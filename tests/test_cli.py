@@ -76,6 +76,15 @@ class TestParseExpr:
             parse_expr("(z", ("z",))
         assert e.value.position is not None
 
+    def test_deep_nesting_is_syntax_error(self):
+        v = ("z",)
+        assert parse_expr("(" * 100 + "z" + ")" * 100, v) == parse_expr("z", v)
+        # the cap is on depth, not on the number of parentheses
+        assert parse_expr("*".join(["(z)"] * 150), v) == parse_expr("z^150", v)
+        with pytest.raises(ExprSyntaxError) as e:
+            parse_expr("(" * 300 + "z" + ")" * 300, v)
+        assert e.value.position == 100
+
     def test_trailing_garbage(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("z )", ("z",))
@@ -142,6 +151,11 @@ class TestTowerFile:
         with pytest.raises(UnknownSymbol):
             parse_tower_file("base z\ngen a ; D(a) = q\n")
 
+    def test_deeply_nested_derivative(self):
+        deep = "(" * 300 + "1/z" + ")" * 300
+        with pytest.raises(TowerFileError):
+            parse_tower_file(f"base z\ngen a ; D(a) = {deep}\n")
+
 
 class TestCli:
     def test_validate(self, log_file):
@@ -167,6 +181,15 @@ class TestCli:
     def test_syntax_error_is_input_error(self, log_file):
         code, out = run(["derive", "--tower", log_file, "(z"])
         assert code == 3 and "error=ExprSyntaxError" in out
+
+    def test_deep_nesting_is_input_error(self, log_file, tmp_path):
+        deep = "(" * 300 + "z" + ")" * 300
+        code, out = run(["derive", "--tower", log_file, deep])
+        assert code == 3 and "error=ExprSyntaxError" in out
+        p = tmp_path / "deep.twr"
+        p.write_text(f"base z\ngen a ; D(a) = 1/{deep}\n")
+        code, out = run(["validate", "--tower", str(p)])
+        assert code == 3 and "error=TowerFileError" in out
 
     def test_missing_file(self):
         code, _ = run(["validate", "--tower", "/nonexistent/x.twr"])
@@ -207,6 +230,10 @@ class TestCli:
     def test_aut_bad_alpha_is_input_error(self, log_file):
         code, out = run(["aut", "--tower", log_file, "--alpha", "1/0"])
         assert code == 3 and "error=DivisionByZero" in out
+
+    def test_aut_empty_alpha_is_input_error(self, log_file):
+        code, out = run(["aut", "--tower", log_file, "--alpha", ""])
+        assert code == 3 and "error=ValueError" in out
 
     def test_max_cells_applies_to_one_run(self, log_file, monkeypatch):
         monkeypatch.delenv("DIFFIELD_MAX_CELLS", raising=False)

@@ -56,6 +56,17 @@ class TestMPoly:
         assert p.partial(0) == P("3*x^2*y + 2")
         assert p.partial(1) == P("x^3")
 
+    def test_derivation_with_unit_images_is_partial(self):
+        rng = random.Random(331)
+        from difftower.randexpr import random_mpoly
+        for _ in range(20):
+            p = random_mpoly(rng, V3, max_deg=4)
+            for i in range(len(V3)):
+                unit = [MPoly.const(V3, int(j == i)) for j in range(len(V3))]
+                assert p.derivation(unit) == p.partial(i)
+        ones = [MPoly.const(V3, 1)] * len(V3)
+        assert MPoly.const(V3, 5).derivation(ones) == MPoly.zero(V3)
+
     def test_try_divexact(self):
         p = P("x^2 - y^2")
         assert p.try_divexact(P("x + y")) == P("x - y")
@@ -448,6 +459,23 @@ class TestRatFun:
 
     def test_negative_power(self):
         assert R("x") ** -2 == R("1/x^2")
+
+    def test_scale_keeps_the_reduced_form(self, monkeypatch):
+        rng = random.Random(53)
+        from difftower.randexpr import random_ratfun
+        samples = [random_ratfun(rng, V2, max_deg=3) for _ in range(20)]
+        calls = []
+        _spy(monkeypatch, "poly_gcd", calls)
+        for u in samples:
+            for c in (Fraction(-3, 7), 2, Fraction(1, 5)):
+                got = u.scale(c)
+                assert not calls
+                assert got == RatFun(u.num.scale(c), u.den)
+                calls.clear()
+            zero = u.scale(0)
+            assert not calls
+            assert zero == RatFun.const(V2, 0)
+            assert zero.den == MPoly.const(V2, 1)
 
     def test_substitute(self):
         u = R("x^2 + y")

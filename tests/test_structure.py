@@ -11,6 +11,8 @@ from difftower.ansatz import Bounds, Witness
 from difftower.errors import (AlreadyInBase, MalformedAntiderivative,
                               NotAntiderivative, NotFlat)
 from difftower.parser import format_ratfun, parse_expr
+from difftower.randexpr import random_ratfun
+from difftower.ratfun import RatFun
 from difftower.structure import (Independent, LinearField, NotLinearField,
                                  Relation, antiderivative_decompose,
                                  compositum_basis, minimal_shift,
@@ -35,6 +37,32 @@ def loglog_tower():
     v = ("z", "zeta1", "zeta2")
     return tower_from_pairs([("zeta1", parse_expr("1/z", v)),
                              ("zeta2", parse_expr("1/(zeta1*z)", v))])
+
+
+class TestFormalPartial:
+    def test_matches_sympy_diff(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(271)
+        v = ("z", "zeta1", "zeta2")
+        symbols = sympy.symbols(v)
+
+        def expr(w):
+            return sympy.sympify(format_ratfun(w).replace("^", "**"),
+                                 locals=dict(zip(v, symbols)))
+
+        def poly(e):
+            return sympy.Poly(e, *symbols, domain="QQ")
+
+        for _ in range(30):
+            u = random_ratfun(rng, v, max_deg=3)
+            for name, s in zip(v, symbols):
+                got = structure.formal_partial(u, name)
+                n, d = sympy.fraction(sympy.cancel(sympy.diff(expr(u), s)))
+                num = poly(expr(RatFun.from_poly(got.num)))
+                den = poly(expr(RatFun.from_poly(got.den)))
+                # both reduced: the denominators agree up to a constant
+                assert den.monic() == poly(d).monic()
+                assert num * poly(d) == poly(n) * den
 
 
 class TestLinearField:

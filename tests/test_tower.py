@@ -1,13 +1,15 @@
 """Tower validation and the derivation: chain rule, Leibniz, constants."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from difftower.errors import (DuplicateName, ForwardReference,
                               InvalidTowerConstant, UnknownSymbol)
 from difftower.parser import parse_expr
-from difftower.randexpr import random_ratfun, random_tower
+from difftower.randexpr import random_mpoly, random_ratfun, random_tower
+from difftower.ratfun import RatFun
 from difftower.tower import (SubfieldSpec, TowerSpec, base_subfield,
                              tower_from_pairs, validate_tower)
 
@@ -99,6 +101,42 @@ class TestDerivation:
         from difftower.tower import Tower
         with pytest.raises(TypeError):
             Tower(TowerSpec(generators=()))
+
+
+def _reference_differentiate(T, u):
+    """The chain and quotient rule over reduced RatFun operations, each step
+    reduced on its own: the derivation before it was computed cleared."""
+    def d_poly(p):
+        total = RatFun.const(T.vars, 0)
+        for i in p.used_indices():
+            total = total + RatFun.from_poly(p.partial(i)) * T.derivatives[i]
+        return total
+
+    num, den = RatFun.from_poly(u.num), RatFun.from_poly(u.den)
+    return (d_poly(u.num) * den - num * d_poly(u.den)) / (den * den)
+
+
+class TestClearedDerivation:
+    def test_images_are_the_cleared_derivatives(self):
+        T = loglog_tower()
+        assert T.lcm == parse_expr("zeta1*z", T).num
+        for image, d in zip(T.images, T.derivatives):
+            assert RatFun(image, T.lcm) == d
+
+    def test_matches_the_reduced_chain_rule(self):
+        rng = random.Random(8191)
+        for _ in range(40):
+            T = random_tower(rng, depth=rng.randint(1, 3), max_deg=2)
+            samples = [
+                random_ratfun(rng, T.vars, max_deg=2),
+                RatFun.from_poly(random_mpoly(rng, T.vars, max_deg=3)),
+                RatFun.const(T.vars, Fraction(rng.randint(1, 9), 7)),
+                RatFun.const(T.vars, 0),
+            ]
+            for u in samples:
+                assert T.differentiate(u) == _reference_differentiate(T, u)
+            assert T.differentiate(samples[2]).is_zero()
+            assert T.differentiate(samples[3]).is_zero()
 
 
 def _sympy_poly(p, symbols):
