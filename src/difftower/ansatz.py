@@ -3,6 +3,8 @@
 Membership questions, linear relations and first-order equations all reduce
 to the same move: clear denominators, match coefficients of every monomial
 in the tower variables, and solve the resulting exact linear system over Q.
+The membership and ODE columns are built as polynomials over one fixed
+denominator: den(u)*L^D for a membership rung of degree D over values N/L.
 Searches are three-valued by design: a Found result always carries a
 substitution-verified witness, and a miss only ever means "not within these
 bounds".
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import BoundsExceeded, DiffTowerError
@@ -130,14 +132,35 @@ def _closure_values(gens: Sequence[RatFun], tower: Tower, order: int) -> List[Ra
     return out
 
 
-def _membership_at(u: RatFun, values: Sequence[RatFun],
-                   num_deg: int, den_deg: int) -> Optional[RatFun]:
-    """Fixed-degree bilinear ansatz u*Q(values) - P(values) = 0.
+def _cleared_levels(values: Sequence[RatFun]) -> Iterator[Dict[tuple, MPoly]]:
+    """Yields {e: N^e * L^(D-|e|) for |e| <= D} for D = 1, 2, ..., where
+    values = N/L is cleared once.  Each level is built from the one before
+    at one product per entry: B_e = B'_(e-1_i) * N_i, and B_0 = B'_0 * L."""
+    if not values:
+        return
+    lcm, nums = clear_denominators(values)
+    level = {(0,) * len(values): MPoly.const(lcm.vars, 1)}
+    for d in itertools.count(1):
+        below, level = level, {}
+        for e in monomials_upto(len(values), d):
+            i = next((i for i, k in enumerate(e) if k), None)
+            level[e] = (below[e] * lcm if i is None
+                        else below[e[:i] + (e[i] - 1,) + e[i + 1:]] * nums[i])
+        yield level
 
-    Returns the canonical formal witness P/Q, selected deterministically:
-    the RREF of the kernel (denominator coefficients first, deglex
-    descending) and, among rows with a nonzero denominator block, the one
-    whose denominator has the deglex-least leading monomial.
+
+def _membership_at(u: RatFun, values: Sequence[RatFun], num_deg: int,
+                   den_deg: int, powers: Dict[tuple, MPoly]) -> Optional[RatFun]:
+    """Fixed-degree bilinear ansatz u*Q(values) - P(values) = 0, cleared
+    as den(u)*L^D*(u*Q(values) - P(values)) for values = N/L, where powers
+    = {e: B_e = N^e*L^(D-|e|)} is a level of _cleared_levels with
+    D >= max(num_deg, den_deg): the Q-columns are num(u)*B_e and the
+    P-columns -den(u)*B_e, all with the same nonzero factor, so the kernel
+    is unchanged.
+
+    Returns the canonical formal witness P/Q: in the RREF of the kernel
+    (denominator coefficients first, deglex descending), the row with
+    Q != 0 and Q(values) != 0 whose Q has the deglex-least leading monomial.
     """
     m = len(values)
     if m == 0:
@@ -145,22 +168,10 @@ def _membership_at(u: RatFun, values: Sequence[RatFun],
     xvars = tuple(f"x{i}" for i in range(m))
     monoms_q = monomials_upto(m, den_deg)
     monoms_p = monomials_upto(m, num_deg)
-    cache = {}
-
-    def value_of(exp) -> RatFun:
-        if exp in cache:
-            return cache[exp]
-        acc = RatFun.const(u.vars, 1)
-        for i, k in enumerate(exp):
-            for _ in range(k):
-                acc = acc * values[i]
-        cache[exp] = acc
-        return acc
-
-    exprs = [u * value_of(e) for e in monoms_q]
-    exprs += [-value_of(e) for e in monoms_p]
-    n_cols = len(exprs)
-    rows = _assemble_rows(clear_denominators(exprs)[1])
+    cols = [u.num * powers[e] for e in monoms_q]
+    cols += [-u.den * powers[e] for e in monoms_p]
+    n_cols = len(cols)
+    rows = _assemble_rows(cols)
     linalg.check_size(len(rows), n_cols)
     kernel = linalg.nullspace(rows, n_cols)
     if not kernel:
@@ -171,18 +182,14 @@ def _membership_at(u: RatFun, values: Sequence[RatFun],
     candidates = [(p, row) for row, p in zip(reduced, pivots) if p < nq]
     # Largest pivot column = deglex-least leading denominator monomial.
     for _, row in sorted(candidates, key=lambda t: -t[0]):
-        q_poly = MPoly(xvars, {monoms_q[c]: v for c, v in row.items() if c < nq})
-        if value_of_poly(q_poly, values, u.vars).is_zero():
+        q_terms = {monoms_q[c]: v for c, v in row.items() if c < nq}
+        # L^D*Q(values) = sum q_e*B_e is zero exactly when Q(values) is
+        if sum((powers[e].scale(v) for e, v in q_terms.items()),
+               MPoly.zero(u.vars)).is_zero():
             continue
         p_poly = MPoly(xvars, {monoms_p[c - nq]: v for c, v in row.items() if c >= nq})
-        witness = RatFun(p_poly, q_poly)
-        return witness
+        return RatFun(p_poly, MPoly(xvars, q_terms))
     return None
-
-
-def value_of_poly(p: MPoly, values: Sequence[RatFun], target_vars) -> RatFun:
-    mapping = {f"x{i}": v for i, v in enumerate(values)}
-    return RatFun.from_poly(p).substitute(mapping, target_vars)
 
 
 def _degree_ladder(bounds: Bounds):
@@ -203,13 +210,16 @@ def subfield_membership(u: RatFun, K: SubfieldSpec, tower: Tower,
     """Search for u as a rational expression in K's generators and their
     derivatives.  Ascending effort ladder, so a Found witness is the one at
     the least (degree, order) bound."""
-    closures = {}
+    closures = {}   # order -> (values, their cleared levels)
     for num_deg, den_deg, order in _degree_ladder(bounds):
         if order not in closures:
-            closures[order] = _closure_values(K.generators, tower, order)
-        values = closures[order]
+            values = _closure_values(K.generators, tower, order)
+            closures[order] = values, _cleared_levels(values)
+        values, levels = closures[order]
+        # the ladder asks each order for max(num_deg, den_deg) = 1, 2, ...
+        powers = next(levels, None)
         try:
-            expr = _membership_at(u, values, num_deg, den_deg)
+            expr = _membership_at(u, values, num_deg, den_deg, powers)
         except BoundsExceeded:
             # rung too large for the cell cap; the miss stays bounded-honest
             continue
@@ -229,7 +239,6 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
     """
     variables = tower.vars
     denom, _, target, column = _ode_ansatz(f, g, tower, bounds)
-    denom_rf = RatFun.from_poly(denom)
     cap_num, _ = bounds.escalated_degrees()
 
     # the caps bound w itself; the fixed denominator shifts the numerator
@@ -247,12 +256,13 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
             continue
         if not sols:
             continue
-        w = _vec_to_ratfun(sols[0], monoms, variables) / denom_rf
+        w = RatFun(MPoly(variables, dict(zip(monoms, sols[0]))), denom)
         if g.is_zero() and not f.is_zero():
             # fix the antiderivative's free constant; for f = g = 0 the
             # nonzero constant is the answer
             w = w - _poly_part_constant(w)
-        _check_solution(w, f, g, tower)
+        if tower.differentiate(w) != f + g * w:
+            raise DiffTowerError("first-order solution failed verification")
         return Found(w)
     certified = (not tower.gen_names and g.is_zero()
                  and not has_rational_antiderivative(f))
@@ -285,16 +295,6 @@ def _ode_ansatz(f: RatFun, g: RatFun, tower: Tower, bounds: Bounds
         return m.derivation(lcm_d_nums) - m * shift
 
     return denom, lcm * lcm * denom, lcm * denom * f_num, column
-
-
-def _vec_to_ratfun(vec, monoms, variables) -> RatFun:
-    terms = {exp: c for exp, c in zip(monoms, vec) if c}
-    return RatFun.from_poly(MPoly(variables, terms))
-
-
-def _check_solution(w: RatFun, f: RatFun, g: RatFun, tower: Tower):
-    if tower.differentiate(w) != f + g * w:
-        raise DiffTowerError("first-order solution failed verification")
 
 
 def _poly_part_constant(w: RatFun) -> RatFun:

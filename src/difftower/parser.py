@@ -24,6 +24,8 @@ from .tower import BASE_VAR, SubfieldSpec, Tower, tower_from_pairs
 
 # deeper parentheses are refused before the recursive descent overflows
 _MAX_NESTING = 100
+# a power of a larger degree is refused before it is expanded
+_MAX_DEGREE = 1000
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
 
 
@@ -123,7 +125,13 @@ class _Parser:
                 raise ExprSyntaxError("expected integer exponent",
                                       position=pos, expected="integer")
             self.take()
-            acc = acc ** (sign * int(value))
+            k = sign * int(value)
+            degree = max(1, acc.num.total_degree(), acc.den.total_degree())
+            if abs(k) * degree > _MAX_DEGREE:
+                raise ExprSyntaxError(
+                    f"power of degree {abs(k) * degree} exceeds {_MAX_DEGREE}",
+                    position=pos, expected=f"degree at most {_MAX_DEGREE}")
+            acc = acc ** k
         return acc
 
     def base(self) -> RatFun:

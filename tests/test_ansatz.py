@@ -2,18 +2,26 @@
 equations.  A miss is always NoSolutionWithinBounds, never a nonexistence
 claim, except where the exact residue criterion certifies one."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import difftower
+from difftower import linalg
 from difftower.ansatz import (Bounds, Found, NoSolutionWithinBounds, Witness,
-                              _ode_ansatz, monomials_upto, solve_first_order,
+                              _assemble_rows, _cleared_levels,
+                              _closure_values, _membership_at, _ode_ansatz,
+                              monomials_upto, solve_first_order,
                               solve_linear_ansatz, subfield_membership)
 from difftower.errors import DiffTowerError
-from difftower.parser import parse_expr
-from difftower.randexpr import random_ratfun
-from difftower.ratfun import MPoly, RatFun
+from difftower.parser import format_ratfun, parse_expr
+from difftower.randexpr import random_ratfun, random_tower
+from difftower.ratfun import MPoly, RatFun, clear_denominators
 from difftower.tower import SubfieldSpec, base_subfield, tower_from_pairs
 
 SMALL = Bounds(3, 3, 2, escalation=())
@@ -213,3 +221,129 @@ class TestOdeColumns:
             w = RatFun.from_poly(MPoly(v, {exp: Fraction(1)})) / denom_rf
             assert RatFun(column(exp), common) \
                 == T.differentiate(w) - g * w
+
+
+def _reference_membership_at(u, values, num_deg, den_deg, skips):
+    """Reference rung over reduced RatFun columns: every column u*v^e and
+    -v^e a RatFun product, cleared per rung, and Q(values) tested by
+    substitution.  Appends to `skips` each candidate it passes over because
+    Q(values) = 0."""
+    m = len(values)
+    if m == 0:
+        return None
+    xvars = tuple(f"x{i}" for i in range(m))
+    monoms_q = monomials_upto(m, den_deg)
+    monoms_p = monomials_upto(m, num_deg)
+    cache = {}
+
+    def value_of(exp):
+        if exp not in cache:
+            acc = RatFun.const(u.vars, 1)
+            for i, k in enumerate(exp):
+                for _ in range(k):
+                    acc = acc * values[i]
+            cache[exp] = acc
+        return cache[exp]
+
+    exprs = [u * value_of(e) for e in monoms_q] + [-value_of(e) for e in monoms_p]
+    n_cols = len(exprs)
+    rows = _assemble_rows(clear_denominators(exprs)[1])
+    kernel = linalg.nullspace(rows, n_cols)
+    if not kernel:
+        return None
+    reduced, pivots = linalg.rref(
+        [{i: v for i, v in enumerate(vec) if v} for vec in kernel], n_cols)
+    nq = len(monoms_q)
+    candidates = [(p, row) for row, p in zip(reduced, pivots) if p < nq]
+    mapping = {f"x{i}": v for i, v in enumerate(values)}
+    for _, row in sorted(candidates, key=lambda t: -t[0]):
+        q_poly = MPoly(xvars, {monoms_q[c]: v for c, v in row.items() if c < nq})
+        if RatFun.from_poly(q_poly).substitute(mapping, u.vars).is_zero():
+            skips.append(q_poly)
+            continue
+        p_poly = MPoly(xvars, {monoms_p[c - nq]: v for c, v in row.items() if c >= nq})
+        return RatFun(p_poly, q_poly)
+    return None
+
+
+def _rung_cases():
+    """Seeded rungs (u, values, num_deg, den_deg) on random towers of depth
+    1-3: zero and constant targets, planted hits and random targets, plus
+    algebraically dependent values, where Q(values) can vanish."""
+    cases = []
+    for seed in range(32):
+        rng = random.Random(seed)
+        T = random_tower(rng, depth=1 + seed % 3, max_deg=2)
+        gens = [random_ratfun(rng, T.vars, max_deg=1 + seed % 2, max_terms=2)
+                for _ in range(1 + seed % 2)]
+        values = _closure_values(gens, T, seed % 2)
+        kind = seed % 4
+        if kind == 0:
+            u = RatFun.const(T.vars, 0)
+        elif kind == 1:
+            u = RatFun.const(T.vars, Fraction(seed - 7, 3))
+        elif kind == 2:   # planted: a rational function of the values
+            xvars = tuple(f"x{i}" for i in range(len(values)))
+            formal = random_ratfun(rng, xvars, max_deg=1, max_terms=2)
+            u = formal.substitute(dict(zip(xvars, values)), T.vars)
+        else:
+            u = random_ratfun(rng, T.vars, max_deg=2, max_terms=3)
+        cases.append((u, values, 1 + seed % 2, 1 + (seed // 2) % 2))
+    T = two_log_tower()
+    for text in ("zeta1", "zeta1/z", "z + zeta2"):
+        v = parse_expr(text, T)
+        for u in ("1/zeta1", "zeta1^2 + z", "3"):
+            cases.append((parse_expr(u, T), [v, v * v, v * v + v], 2, 2))
+    return cases
+
+
+class TestClearedRung:
+    def test_matches_reference_rung(self):
+        cases = _rung_cases()
+        assert len(cases) >= 30
+        skips, found = [], []
+        for u, values, num_deg, den_deg in cases:
+            want = _reference_membership_at(u, values, num_deg, den_deg, skips)
+            levels = _cleared_levels(values)
+            for _ in range(max(num_deg, den_deg)):
+                powers = next(levels, None)
+            got = _membership_at(u, values, num_deg, den_deg, powers)
+            assert got == want, (u, values, num_deg, den_deg)
+            found.append(got is not None)
+        assert any(found) and not all(found)
+        assert skips, "no case reached the Q(values) = 0 skip"
+
+
+# the membership answer on log_tower(), computed in a new interpreter
+FRESH_ANSWER = """
+from difftower.ansatz import Bounds, subfield_membership
+from difftower.parser import format_ratfun, parse_expr
+from difftower.tower import SubfieldSpec, tower_from_pairs
+T = tower_from_pairs([("zeta1", parse_expr("1/z", ("z", "zeta1")))])
+K = SubfieldSpec(generators=(parse_expr("zeta1/z", T),))
+out = subfield_membership(parse_expr("z", T), K, T, Bounds(3, 3, 2, escalation=()))
+print(format_ratfun(out.value.expr))
+print(";".join(format_ratfun(a) for a in out.value.args))
+"""
+
+
+class TestNoStateAcrossCalls:
+    @staticmethod
+    def answer(T):
+        K = SubfieldSpec(generators=(parse_expr("zeta1/z", T),))
+        out = subfield_membership(parse_expr("z", T), K, T, SMALL)
+        assert isinstance(out, Found)
+        return (format_ratfun(out.value.expr) + "\n"
+                + ";".join(format_ratfun(a) for a in out.value.args))
+
+    def test_towers_with_the_same_names_do_not_share_powers(self):
+        A = log_tower()
+        B = tower_from_pairs([("zeta1", parse_expr("1/(z+1)", A.vars))])
+        first, other, again = self.answer(A), self.answer(B), self.answer(A)
+        assert other != first
+        assert again == first
+        src = str(Path(difftower.__file__).resolve().parents[1])
+        fresh = subprocess.run([sys.executable, "-c", FRESH_ANSWER],
+                               env={**os.environ, "PYTHONPATH": src},
+                               capture_output=True, text=True, check=True)
+        assert fresh.stdout.strip() == first

@@ -3,6 +3,7 @@
 import io
 import os
 import random
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -84,6 +85,20 @@ class TestParseExpr:
         with pytest.raises(ExprSyntaxError) as e:
             parse_expr("(" * 300 + "z" + ")" * 300, v)
         assert e.value.position == 100
+
+    @pytest.mark.parametrize("text", ["(z+1)^3000", "((z+1)^100)^100",
+                                      "3^10000000", "(1/(z+1))^-1001"])
+    def test_oversized_power_is_syntax_error(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ExprSyntaxError):
+            parse_expr(text, ("z",))
+        assert time.perf_counter() - start < 2.0
+
+    def test_powers_up_to_the_degree_cap_parse(self):
+        v = ("z",)
+        assert parse_expr("z^150", v).num.total_degree() == 150
+        assert parse_expr("(z+1)^1000", v).num.total_degree() == 1000
+        assert parse_expr("(z+1)^-1000", v).den.total_degree() == 1000
 
     def test_trailing_garbage(self):
         with pytest.raises(ExprSyntaxError):
@@ -180,6 +195,10 @@ class TestCli:
 
     def test_syntax_error_is_input_error(self, log_file):
         code, out = run(["derive", "--tower", log_file, "(z"])
+        assert code == 3 and "error=ExprSyntaxError" in out
+
+    def test_oversized_power_is_input_error(self, log_file):
+        code, out = run(["derive", "--tower", log_file, "(z+1)^3000"])
         assert code == 3 and "error=ExprSyntaxError" in out
 
     def test_deep_nesting_is_input_error(self, log_file, tmp_path):
