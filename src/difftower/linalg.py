@@ -1,14 +1,18 @@
 """Exact sparse linear algebra over Q for the undetermined-coefficients engine.
 
-Rows are dicts {column index: Fraction}.  Everything reduces to the unique
-RREF, so results do not depend on pivot-selection heuristics; the heuristics
-only fight fill-in.
+Rows in and out are dicts {column index: Fraction}.  Everything reduces to
+the unique RREF, so results do not depend on pivot-selection heuristics; the
+heuristics only fight fill-in.  Inside ``rref`` each row is cleared once to
+integers and eliminated fraction-free (Bareiss-style cross multiplication,
+then division by the row's integer content); only the finished pivot rows
+become Fractions again, so the result is the same unique RREF.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BoundsExceeded
@@ -43,38 +47,69 @@ def check_size(n_rows: int, n_cols: int, cap: Optional[int] = None):
 
 
 def rref(rows: List[Row], n_cols: int) -> Tuple[List[Row], List[int]]:
-    """Reduced row echelon form.  Returns (rows, pivot column per row)."""
-    rows = [dict(r) for r in rows if r]
-    echelon: List[Row] = []
+    """Reduced row echelon form.  Returns (rows, pivot column per row).
+
+    Entries may be int or Fraction; the result is always Fraction, with each
+    pivot entry exactly 1."""
+    rows = [r for r in map(_cleared, rows) if r]
+    echelon: List[Dict[int, int]] = []
     pivots: List[int] = []
     for col in range(n_cols):
-        candidates = [r for r in rows if col in r]
-        if not candidates:
+        holding = [i for i, r in enumerate(rows) if col in r]
+        if not holding:
             continue
-        pivot = min(candidates, key=len)
-        rows.remove(pivot)
-        inv = 1 / pivot[col]
-        pivot = {c: v * inv for c, v in pivot.items()}
+        pivot = rows.pop(min(holding, key=lambda i: len(rows[i])))
+        pv = pivot[col]
         for target in (rows, echelon):
             for i, r in enumerate(target):
                 f = r.get(col)
-                if f is None:
-                    continue
-                new = dict(r)
-                for c, v in pivot.items():
-                    nv = new.get(c, 0) - f * v
-                    if nv == 0:
-                        new.pop(c, None)
-                    else:
-                        new[c] = nv
-                target[i] = new
+                if f is not None:
+                    target[i] = _eliminate(r, pivot, pv, f)
         rows = [r for r in rows if r]
         echelon.append(pivot)
         pivots.append(col)
         if not rows:
             break
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [echelon[i] for i in order], sorted(pivots)
+    red = []
+    for i in sorted(range(len(pivots)), key=pivots.__getitem__):
+        pv = echelon[i][pivots[i]]
+        red.append({c: Fraction(v, pv) for c, v in echelon[i].items()})
+    return red, sorted(pivots)
+
+
+def _cleared(row) -> Dict[int, int]:
+    """The row times the lcm of its denominators, divided by its content;
+    explicit zero entries are dropped."""
+    d = lcm(*[v.denominator for v in row.values()])
+    return _primitive({c: v.numerator * (d // v.denominator)
+                       for c, v in row.items() if v})
+
+
+def _eliminate(r, pivot, pv, f) -> Dict[int, int]:
+    """r*(pv/g) - pivot*(f/g) with g = gcd(pv, f), divided by its content;
+    r's keys keep their places, new keys follow in pivot order and zeros
+    are dropped.  r is a row owned by rref and may be updated in place."""
+    g = gcd(pv, f)
+    a, b = pv // g, f // g
+    if a != 1:
+        r = {c: a * v for c, v in r.items()}
+    for c, v in pivot.items():
+        nv = r.get(c, 0) - b * v
+        if nv:
+            r[c] = nv
+        else:
+            del r[c]
+    return _primitive(r)
+
+
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    """The row divided by its integer content; the gcd fold stops at 1."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def nullspace(rows: List[Row], n_cols: int) -> List[List[Fraction]]:

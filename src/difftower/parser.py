@@ -26,6 +26,8 @@ from .tower import BASE_VAR, SubfieldSpec, Tower, tower_from_pairs
 _MAX_NESTING = 100
 # a power of a larger degree is refused before it is expanded
 _MAX_DEGREE = 1000
+# a longer integer literal is refused before int() (Python stops at 4300)
+_MAX_DIGITS = 1000
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
 
 
@@ -67,6 +69,13 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def integer(self, digits: str, pos: int) -> int:
+        if len(digits) > _MAX_DIGITS:
+            raise ExprSyntaxError(
+                f"integer of {len(digits)} digits exceeds {_MAX_DIGITS}",
+                position=pos, expected=f"at most {_MAX_DIGITS} digits")
+        return int(digits)
 
     def expect_op(self, op: str):
         kind, value, pos = self.peek()
@@ -125,7 +134,7 @@ class _Parser:
                 raise ExprSyntaxError("expected integer exponent",
                                       position=pos, expected="integer")
             self.take()
-            k = sign * int(value)
+            k = sign * self.integer(value, pos)
             degree = max(1, acc.num.total_degree(), acc.den.total_degree())
             if abs(k) * degree > _MAX_DEGREE:
                 raise ExprSyntaxError(
@@ -137,7 +146,7 @@ class _Parser:
     def base(self) -> RatFun:
         kind, value, pos = self.take()
         if kind == "num":
-            return RatFun.const(self.vars, int(value))
+            return RatFun.const(self.vars, self.integer(value, pos))
         if kind == "name":
             if value not in self.vars:
                 raise UnknownSymbol(f"unknown symbol {value!r} at {pos}")

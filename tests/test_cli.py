@@ -15,6 +15,7 @@ from difftower.errors import (ExprSyntaxError, ForwardReference,
 from difftower.parser import (format_mpoly, format_ratfun, parse_expr,
                               parse_tower_file)
 from difftower.randexpr import random_ratfun, random_tower
+from difftower.ratfun import RatFun
 from difftower.tower import tower_from_pairs
 
 LOG_TWR = """base z
@@ -99,6 +100,16 @@ class TestParseExpr:
         assert parse_expr("z^150", v).num.total_degree() == 150
         assert parse_expr("(z+1)^1000", v).num.total_degree() == 1000
         assert parse_expr("(z+1)^-1000", v).den.total_degree() == 1000
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "z^" + "1" * 5000])
+    def test_oversized_integer_is_syntax_error(self, text):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text, ("z",))
+        assert info.value.position == text.index("1")
+
+    def test_integers_up_to_the_digit_cap_parse(self):
+        big = int("7" * 1000)
+        assert parse_expr("7" * 1000, ("z",)) == RatFun.const(("z",), big)
 
     def test_trailing_garbage(self):
         with pytest.raises(ExprSyntaxError):
@@ -199,6 +210,10 @@ class TestCli:
 
     def test_oversized_power_is_input_error(self, log_file):
         code, out = run(["derive", "--tower", log_file, "(z+1)^3000"])
+        assert code == 3 and "error=ExprSyntaxError" in out
+
+    def test_oversized_integer_is_input_error(self, log_file):
+        code, out = run(["derive", "--tower", log_file, "1" * 5000])
         assert code == 3 and "error=ExprSyntaxError" in out
 
     def test_deep_nesting_is_input_error(self, log_file, tmp_path):
