@@ -27,16 +27,18 @@ from .tower import SubfieldSpec, Tower
 @dataclass(frozen=True)
 class Bounds:
     """Search caps.  The escalation ladder multiplies the degree caps once
-    (by default) before a search gives up."""
+    (by default) before a search gives up.  max_cells caps the rows*cols of
+    every linear system a search builds; a rung over it is skipped."""
 
     max_num_degree: int = 8
     max_den_degree: int = 8
     max_derivative_order: int = 4
     escalation: Tuple[int, ...] = (2,)
+    max_cells: int = linalg.DEFAULT_MAX_CELLS
 
     def __post_init__(self):
         if min(self.max_num_degree, self.max_den_degree,
-               self.max_derivative_order) < 1:
+               self.max_derivative_order, self.max_cells) < 1:
             raise ValueError("bounds must be positive")
 
     def escalated_degrees(self) -> Tuple[int, int]:
@@ -83,22 +85,23 @@ def monomials_upto(n_vars: int, max_deg: int) -> List[tuple]:
     return out
 
 
-def _assemble_rows(cols: Sequence[MPoly]) -> List[linalg.Row]:
+def _assemble_rows(cols: Sequence[MPoly], max_cells: int) -> List[linalg.Row]:
     """Coefficient-matching rows of polynomial columns over one common
     denominator: one row per monomial, holding each column's coefficient of
-    that monomial."""
+    that monomial.  BoundsExceeded when the system has over max_cells cells."""
     by_monom = {}
     for col, p in enumerate(cols):
         for exp, c in p.terms.items():
             by_monom.setdefault(exp, {})[col] = c
+    linalg.check_size(len(by_monom), len(cols), max_cells)
     return [by_monom[key] for key in sorted(by_monom)]
 
 
-def _solve_columns(cols: Sequence[MPoly], target: MPoly) -> List[Tuple[Fraction, ...]]:
+def _solve_columns(cols: Sequence[MPoly], target: MPoly,
+                   max_cells: int) -> List[Tuple[Fraction, ...]]:
     """Solutions of sum_i c_i * cols_i = target, as for solve_linear_ansatz."""
     n = len(cols)
-    rows = _assemble_rows(list(cols) + [target])
-    linalg.check_size(len(rows), n + 1)
+    rows = _assemble_rows(list(cols) + [target], max_cells)
     rhs = [r.pop(n, Fraction(0)) for r in rows]
     particular, kernel = linalg.solve_affine(rows, rhs, n)
     if particular is None:
@@ -115,7 +118,7 @@ def solve_linear_ansatz(terms: Sequence[RatFun], target: RatFun) -> List[Tuple[F
     basis, or [] when inconsistent.  Ordering is deterministic.
     """
     _, cols = clear_denominators(list(terms) + [target])
-    return _solve_columns(cols[:-1], cols[-1])
+    return _solve_columns(cols[:-1], cols[-1], linalg.DEFAULT_MAX_CELLS)
 
 
 def _closure_values(gens: Sequence[RatFun], tower: Tower, order: int) -> List[RatFun]:
@@ -150,7 +153,8 @@ def _cleared_levels(values: Sequence[RatFun]) -> Iterator[Dict[tuple, MPoly]]:
 
 
 def _membership_at(u: RatFun, values: Sequence[RatFun], num_deg: int,
-                   den_deg: int, powers: Dict[tuple, MPoly]) -> Optional[RatFun]:
+                   den_deg: int, powers: Dict[tuple, MPoly],
+                   max_cells: int) -> Optional[RatFun]:
     """Fixed-degree bilinear ansatz u*Q(values) - P(values) = 0, cleared
     as den(u)*L^D*(u*Q(values) - P(values)) for values = N/L, where powers
     = {e: B_e = N^e*L^(D-|e|)} is a level of _cleared_levels with
@@ -171,8 +175,7 @@ def _membership_at(u: RatFun, values: Sequence[RatFun], num_deg: int,
     cols = [u.num * powers[e] for e in monoms_q]
     cols += [-u.den * powers[e] for e in monoms_p]
     n_cols = len(cols)
-    rows = _assemble_rows(cols)
-    linalg.check_size(len(rows), n_cols)
+    rows = _assemble_rows(cols, max_cells)
     kernel = linalg.nullspace(rows, n_cols)
     if not kernel:
         return None
@@ -219,7 +222,8 @@ def subfield_membership(u: RatFun, K: SubfieldSpec, tower: Tower,
         # the ladder asks each order for max(num_deg, den_deg) = 1, 2, ...
         powers = next(levels, None)
         try:
-            expr = _membership_at(u, values, num_deg, den_deg, powers)
+            expr = _membership_at(u, values, num_deg, den_deg, powers,
+                                  bounds.max_cells)
         except BoundsExceeded:
             # rung too large for the cell cap; the miss stays bounded-honest
             continue
@@ -245,13 +249,13 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
     offset = max(0, denom.total_degree())
     degrees = sorted({d + offset for d in range(1, bounds.max_num_degree + 1)}
                      | {cap_num + offset})
-    cap_cells = linalg.max_cells()
     for deg in degrees:
         monoms = monomials_upto(len(variables), deg)
-        if len(monoms) ** 2 > cap_cells:
+        if len(monoms) ** 2 > bounds.max_cells:
             continue
         try:
-            sols = _solve_columns([column(e) for e in monoms], target)
+            sols = _solve_columns([column(e) for e in monoms], target,
+                                  bounds.max_cells)
         except BoundsExceeded:
             continue
         if not sols:
@@ -264,8 +268,11 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
         if tower.differentiate(w) != f + g * w:
             raise DiffTowerError("first-order solution failed verification")
         return Found(w)
-    certified = (not tower.gen_names and g.is_zero()
-                 and not has_rational_antiderivative(f))
+    try:
+        certified = (not tower.gen_names and g.is_zero()
+                     and not has_rational_antiderivative(f, bounds.max_cells))
+    except BoundsExceeded:   # the residue system is over the cell cap
+        certified = False
     return NoSolutionWithinBounds(bounds, certified=certified)
 
 

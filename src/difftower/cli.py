@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from . import ansatz, autgroup, linalg, structure
+from . import ansatz, autgroup, structure
 from .ansatz import Bounds, Found
 from .errors import (AlreadyInBase, BoundsExceeded, DivisionByZero,
                      DuplicateName, ExprSyntaxError,
@@ -32,6 +32,7 @@ _INPUT_ERRORS = (TowerFileError, ExprSyntaxError, UnknownSymbol,
                  MalformedAntiderivative, Unsupported, ValueError)
 _DECISION_ERRORS = (NotAntiderivative, NotDifferential, NotTriangular,
                     AlreadyInBase)
+MAX_CELLS_ENV = "DIFFIELD_MAX_CELLS"
 
 
 def _emit(lines: List[str], kv: List[Tuple[str, str]]):
@@ -57,16 +58,25 @@ def _subfield(args, tower, subfields) -> SubfieldSpec:
 
 
 def _bounds(args) -> Bounds:
-    deg = getattr(args, "deg", None)
-    order = getattr(args, "order", None)
-    if deg is None and order is None:
-        return Bounds()
-    if deg is None:
-        return Bounds(max_derivative_order=order)
-    # explicit degree cap: search exactly up to it, no escalation
-    return Bounds(max_num_degree=deg, max_den_degree=deg,
-                  max_derivative_order=order if order is not None else 4,
-                  escalation=())
+    """Bounds from --deg and --order; the cell cap is --max-cells, else the
+    positive integer in DIFFIELD_MAX_CELLS (read here only), else default."""
+    caps = {}
+    value = os.environ.get(MAX_CELLS_ENV)
+    if args.max_cells is not None:
+        caps["max_cells"] = args.max_cells
+    elif value:
+        try:
+            caps["max_cells"] = _positive_int(value)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ValueError(f"{MAX_CELLS_ENV} must be a positive integer, "
+                             f"got {value!r}") from None
+    if args.deg is not None:
+        # explicit degree cap: search exactly up to it, no escalation
+        caps.update(max_num_degree=args.deg, max_den_degree=args.deg,
+                    escalation=())
+    if args.order is not None:
+        caps["max_derivative_order"] = args.order
+    return Bounds(**caps)
 
 
 def _fmt_fraction(f: Fraction) -> str:
@@ -371,9 +381,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 3 if e.code else 0
-    saved = os.environ.get(linalg.MAX_CELLS_ENV)
-    if args.max_cells is not None:
-        os.environ[linalg.MAX_CELLS_ENV] = str(args.max_cells)
     try:
         return args.func(args)
     except _DECISION_ERRORS as e:
@@ -391,12 +398,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as e:
         _emit([f"error: {e}"], [("status", "error"), ("error", "OSError")])
         return 3
-    finally:
-        # --max-cells applies to this invocation only
-        if saved is None:
-            os.environ.pop(linalg.MAX_CELLS_ENV, None)
-        else:
-            os.environ[linalg.MAX_CELLS_ENV] = saved
 
 
 def entrypoint():

@@ -6,41 +6,26 @@ heuristics only fight fill-in.  Inside ``rref`` each row is cleared once to
 integers and eliminated fraction-free (Bareiss-style cross multiplication,
 then division by the row's integer content); only the finished pivot rows
 become Fractions again, so the result is the same unique RREF.
+
+``check_size`` caps a system's cells at a bound its caller passes in (for
+the searches, ``Bounds.max_cells``); nothing here reads process-wide state.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import BoundsExceeded
 
 Row = Dict[int, Fraction]
 
 DEFAULT_MAX_CELLS = 500_000
-MAX_CELLS_ENV = "DIFFIELD_MAX_CELLS"
 
 
-def max_cells() -> int:
-    """The cell cap from the environment (unset or empty: the default);
-    ValueError unless it is a positive integer."""
-    value = os.environ.get(MAX_CELLS_ENV)
-    if not value:
-        return DEFAULT_MAX_CELLS
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        raise ValueError(
-            f"{MAX_CELLS_ENV} must be a positive integer, got {value!r}")
-    return cap
-
-
-def check_size(n_rows: int, n_cols: int, cap: Optional[int] = None):
-    cap = max_cells() if cap is None else cap
+def check_size(n_rows: int, n_cols: int, cap: int):
+    """BoundsExceeded when an n_rows x n_cols system has over cap cells."""
     if n_rows * n_cols > cap:
         raise BoundsExceeded(
             f"linear system of {n_rows}x{n_cols} exceeds cap {cap}")

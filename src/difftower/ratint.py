@@ -3,8 +3,8 @@
 A rational function has a rational antiderivative exactly when the
 logarithmic part of its Hermite/Ostrogradsky decomposition vanishes, i.e.
 when all residues at its poles are zero.  The decomposition itself is
-computed Horowitz-style as one exact linear solve, so the answer does not
-depend on any search bound.
+computed Horowitz-style as one exact linear solve, so the answer depends
+on no degree or order bound; only the cell cap applies to that solve.
 """
 
 from __future__ import annotations
@@ -71,11 +71,12 @@ def _diff_uni(a):
     return _trim([a[i] * i for i in range(1, len(a))])
 
 
-def has_rational_antiderivative(f: RatFun) -> bool:
+def has_rational_antiderivative(f: RatFun,
+                                max_cells: int = linalg.DEFAULT_MAX_CELLS) -> bool:
     """True iff f, an element of Q(z), equals D(g) for some g in Q(z).
 
     Raises when f involves tower generators; the criterion is exact over
-    the base field only.
+    the base field only.  BoundsExceeded when over max_cells cells.
     """
     if not f.used_vars() <= {BASE_VAR}:
         raise DiffTowerError("residue criterion applies over Q(z) only")
@@ -95,11 +96,12 @@ def has_rational_antiderivative(f: RatFun) -> bool:
     if deg_a <= 0:
         # squarefree denominator: proper part is pure log part
         return False
+    n_cols = deg_a + deg_b   # = deg(den): as many equations as unknowns
+    linalg.check_size(n_cols, n_cols + 1, max_cells)
     # r = a'*d2 - a*(dstar'*d2/dstar) + b*dstar,  unknowns a, b
     t, tr = _divmod_uni(_mul_uni(_diff_uni(ds), d2c), ds)
     if _deg(tr) >= 0:
         raise DiffTowerError("Hermite reduction invariant failed")
-    n_cols = deg_a + deg_b
     rows = {}
 
     def add(col, coeffs, sign=1):

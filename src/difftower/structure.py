@@ -299,8 +299,8 @@ class NormalTower:
 def normal_tower(tower: Tower, bounds: Bounds = Bounds()) -> NormalTower:
     """Iterated antiderivative closure: at each level adjoin every Q-linear
     combination of the not-yet-captured tower variables whose derivative
-    lies in the previous level's field.  The closure is exact; bounds is
-    accepted like the other structure queries' and has no effect."""
+    lies in the previous level's field.  The closure is exact; of bounds
+    only max_cells applies, and a level over it raises BoundsExceeded."""
     entries: List[RatFun] = []
     levels: List[Tuple[RatFun, ...]] = [()]
     partial = False
@@ -310,7 +310,7 @@ def normal_tower(tower: Tower, bounds: Bounds = Bounds()) -> NormalTower:
                     if not field.contains(tower.gen(v))]
         if not unplaced:
             break
-        new_exprs = _closure_step(tower, field, unplaced)
+        new_exprs = _closure_step(tower, field, unplaced, bounds)
         new_exprs = [e for e in new_exprs if not field.contains(e)]
         if not new_exprs:
             partial = True
@@ -320,8 +320,8 @@ def normal_tower(tower: Tower, bounds: Bounds = Bounds()) -> NormalTower:
     return NormalTower(levels=tuple(levels), partial=partial)
 
 
-def _closure_step(tower: Tower, field: LinearField,
-                  unplaced: List[str]) -> List[RatFun]:
+def _closure_step(tower: Tower, field: LinearField, unplaced: List[str],
+                  bounds: Bounds) -> List[RatFun]:
     """All normalized Q-linear combinations of the unplaced variables whose
     derivative lies in the current field, via one exact linear solve."""
     derivs = [field.rewrite(tower.deriv_of(v)) for v in unplaced]
@@ -338,9 +338,8 @@ def _closure_step(tower: Tower, field: LinearField,
     n_alpha = len(unplaced)
     cols = nums + [-(pp * MPoly(field.ext_vars, {exp: Fraction(1)}))
                    for exp in beta_monoms]
-    rows = _assemble_rows(cols)
+    rows = _assemble_rows(cols, bounds.max_cells)
     n_cols = len(cols)
-    linalg.check_size(len(rows), n_cols)
     kernel = linalg.nullspace(rows, n_cols)
     alpha_rows = [{i: v for i, v in enumerate(vec[:n_alpha]) if v}
                   for vec in kernel]

@@ -46,6 +46,15 @@ class TestBounds:
         assert Bounds(4, 3, 2, escalation=(2,)).escalated_degrees() == (8, 6)
         assert Bounds(4, 3, 2, escalation=()).escalated_degrees() == (4, 3)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cell_cap_positive(self, cap):
+        with pytest.raises(ValueError):
+            Bounds(max_cells=cap)
+
+    def test_cell_cap_default(self):
+        assert Bounds().max_cells == linalg.DEFAULT_MAX_CELLS
+        assert Bounds(2, 2, 1, escalation=()).max_cells == linalg.DEFAULT_MAX_CELLS
+
 
 class TestWitness:
     def test_verified_at_construction(self):
@@ -134,6 +143,41 @@ class TestMembership:
             out = subfield_membership(target, K, T, SMALL)
             assert isinstance(out, Found)
             assert out.value.substituted() == target
+
+
+class TestCellCap:
+    """The cap reaches every search through Bounds and holds for that call
+    only."""
+
+    TINY = Bounds(3, 3, 2, escalation=(), max_cells=1)
+
+    def test_membership_hit_becomes_miss(self):
+        T = log_tower()
+        K = SubfieldSpec(generators=(parse_expr("zeta1/z", T),))
+        u = parse_expr("z", T)
+        assert isinstance(subfield_membership(u, K, T, SMALL), Found)
+        out = subfield_membership(u, K, T, self.TINY)
+        assert isinstance(out, NoSolutionWithinBounds)
+        assert not out.certified and out.bounds.max_cells == 1
+        assert isinstance(subfield_membership(u, K, T, SMALL), Found)
+
+    def test_first_order_misses(self):
+        T = log_tower()
+        f, g = parse_expr("1/z", T), parse_expr("0", T)
+        assert isinstance(solve_first_order(f, g, T, SMALL), Found)
+        out = solve_first_order(f, g, T, self.TINY)
+        assert isinstance(out, NoSolutionWithinBounds)
+        assert not out.certified
+
+    def test_residue_certification_is_capped(self):
+        T = tower_from_pairs([])
+        f, g = parse_expr("1/(z^2 + 1)^2", T), parse_expr("0", T)
+        out = solve_first_order(f, g, T, Bounds(1, 1, 1, escalation=()))
+        assert isinstance(out, NoSolutionWithinBounds) and out.certified
+        # 19 cells hold neither the 6x7 rung nor the 4x5 Horowitz system
+        out = solve_first_order(f, g, T, Bounds(1, 1, 1, escalation=(),
+                                                max_cells=19))
+        assert isinstance(out, NoSolutionWithinBounds) and not out.certified
 
 
 class TestFirstOrder:
@@ -247,7 +291,8 @@ def _reference_membership_at(u, values, num_deg, den_deg, skips):
 
     exprs = [u * value_of(e) for e in monoms_q] + [-value_of(e) for e in monoms_p]
     n_cols = len(exprs)
-    rows = _assemble_rows(clear_denominators(exprs)[1])
+    rows = _assemble_rows(clear_denominators(exprs)[1],
+                          linalg.DEFAULT_MAX_CELLS)
     kernel = linalg.nullspace(rows, n_cols)
     if not kernel:
         return None
@@ -307,7 +352,8 @@ class TestClearedRung:
             levels = _cleared_levels(values)
             for _ in range(max(num_deg, den_deg)):
                 powers = next(levels, None)
-            got = _membership_at(u, values, num_deg, den_deg, powers)
+            got = _membership_at(u, values, num_deg, den_deg, powers,
+                                 linalg.DEFAULT_MAX_CELLS)
             assert got == want, (u, values, num_deg, den_deg)
             found.append(got is not None)
         assert any(found) and not all(found)

@@ -288,13 +288,28 @@ class TestCli:
                          "--max-cells", cap])
         assert code == 3 and out == ""
 
-    @pytest.mark.parametrize("cap", ["-5", "0", "abc"])
+    @pytest.mark.parametrize("cap", ["-5", "0", "abc", "2.5"])
     def test_max_cells_env_must_be_positive(self, cap, monkeypatch):
         # the cap from the environment is input too: exit 3, not a miss
         monkeypatch.setenv("DIFFIELD_MAX_CELLS", cap)
         output, code = corpus.run_case(corpus.load_case("log-recover"))
         assert code == 3 and "error=ValueError" in output
         assert "DIFFIELD_MAX_CELLS" in output
+
+    def test_max_cells_env_caps_the_search(self, monkeypatch):
+        # every rung of log-recover is over one cell: a bounded miss
+        monkeypatch.setenv("DIFFIELD_MAX_CELLS", "1")
+        output, code = corpus.run_case(corpus.load_case("log-recover"))
+        assert code == 1 and "status=no-solution" in output
+        monkeypatch.delenv("DIFFIELD_MAX_CELLS")
+        assert corpus.run_case(corpus.load_case("log-recover"))[1] == 0
+
+    def test_max_cells_flag_wins_over_env(self, log_file, monkeypatch):
+        monkeypatch.setenv("DIFFIELD_MAX_CELLS", "abc")
+        code, out = run(["recover", "--tower", log_file, "--from", "zeta1/z",
+                         "--target", "z", "--deg", "3", "--order", "2",
+                         "--max-cells", "1"])
+        assert code == 1 and "status=no-solution" in out
 
     def test_bad_subfield_name(self, log_file):
         code, _ = run(["member", "--tower", log_file, "--subfield", "nope",

@@ -228,14 +228,7 @@ class TestSizeCap:
         with pytest.raises(BoundsExceeded):
             linalg.check_size(1000, 1000, cap=10)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("DIFFIELD_MAX_CELLS", "42")
-        assert linalg.max_cells() == 42
+    def test_cap_is_inclusive(self):
+        linalg.check_size(7, 7, 49)
         with pytest.raises(BoundsExceeded):
-            linalg.check_size(7, 7)
-
-    @pytest.mark.parametrize("value", ["-5", "0", "abc", "2.5"])
-    def test_env_must_be_positive_integer(self, monkeypatch, value):
-        monkeypatch.setenv("DIFFIELD_MAX_CELLS", value)
-        with pytest.raises(ValueError, match="DIFFIELD_MAX_CELLS"):
-            linalg.max_cells()
+            linalg.check_size(7, 7, 48)

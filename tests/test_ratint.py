@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from difftower.errors import DiffTowerError
+from difftower.errors import BoundsExceeded, DiffTowerError
 from difftower.parser import parse_expr
 from difftower.ratint import has_rational_antiderivative
 from difftower.tower import tower_from_pairs
@@ -40,6 +40,12 @@ class TestCriterion:
         u = R("z/(z^2+1)")
         T = tower_from_pairs([])
         assert has_rational_antiderivative(T.differentiate(u))
+
+    def test_horowitz_system_is_capped(self):
+        f = R("1/(z^2 + 1)^2")   # a 4x5 Horowitz system
+        assert not has_rational_antiderivative(f, max_cells=20)
+        with pytest.raises(BoundsExceeded):
+            has_rational_antiderivative(f, max_cells=19)
 
     def test_generators_rejected(self):
         T = tower_from_pairs([("zeta1", parse_expr("1/z", ("z", "zeta1")))])

@@ -8,8 +8,9 @@ import pytest
 
 from difftower import structure
 from difftower.ansatz import Bounds, Witness
-from difftower.errors import (AlreadyInBase, MalformedAntiderivative,
-                              NotAntiderivative, NotFlat)
+from difftower.errors import (AlreadyInBase, BoundsExceeded,
+                              MalformedAntiderivative, NotAntiderivative,
+                              NotFlat)
 from difftower.parser import format_ratfun, parse_expr
 from difftower.randexpr import random_ratfun
 from difftower.ratfun import RatFun
@@ -196,6 +197,11 @@ class TestNormalTower:
         nt = normal_tower(T, SMALL)
         rendered = [[format_ratfun(e) for e in lvl] for lvl in nt.levels]
         assert rendered == [[], ["z"], ["zeta1", "zeta3"], ["zeta2"]]
+
+    def test_cell_cap_applies(self):
+        with pytest.raises(BoundsExceeded):
+            normal_tower(loglog_tower(), Bounds(max_cells=1))
+        assert not normal_tower(loglog_tower(), SMALL).partial
 
     def test_levels_strictly_grow(self):
         nt = normal_tower(loglog_tower(), SMALL)
