@@ -5,6 +5,11 @@ to the same move: clear denominators, match coefficients of every monomial
 in the tower variables, and solve the resulting exact linear system over Q.
 The membership and ODE columns are built as polynomials over one fixed
 denominator: den(u)*L^D for a membership rung of degree D over values N/L.
+_assemble_rows turns every system of polynomial columns into rows; the
+inhomogeneous ones (ODE rungs, solve_linear_ansatz and ratint's Horowitz
+system) are solved by _solve_columns.  The one division with remainder
+over Q is MPoly.divmod_lead; _poly_part_constant reads the constant term of
+its quotient.
 Searches are three-valued by design: a Found result always carries a
 substitution-verified witness, and a miss only ever means "not within these
 bounds".
@@ -15,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -242,17 +248,20 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
     equation (f = 0, g != 0) the trivial solution w = 0 is excluded.
     """
     variables = tower.vars
-    denom, _, target, column = _ode_ansatz(f, g, tower, bounds)
+    offset, build = _ode_ansatz(f, g, tower, bounds)
     cap_num, _ = bounds.escalated_degrees()
 
     # the caps bound w itself; the fixed denominator shifts the numerator
-    offset = max(0, denom.total_degree())
     degrees = sorted({d + offset for d in range(1, bounds.max_num_degree + 1)}
                      | {cap_num + offset})
-    for deg in degrees:
+    # the rungs whose N monomials pass the N*N <= max_cells pre-check; the
+    # columns are built only when there is one
+    fitting = [d for d in degrees
+               if comb(len(variables) + d, d) ** 2 <= bounds.max_cells]
+    if fitting:
+        denom, _, target, column = build()
+    for deg in fitting:
         monoms = monomials_upto(len(variables), deg)
-        if len(monoms) ** 2 > bounds.max_cells:
-            continue
         try:
             sols = _solve_columns([column(e) for e in monoms], target,
                                   bounds.max_cells)
@@ -277,53 +286,39 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
 
 
 def _ode_ansatz(f: RatFun, g: RatFun, tower: Tower, bounds: Bounds
-                ) -> Tuple[MPoly, MPoly, MPoly, Callable[[tuple], MPoly]]:
+                ) -> Tuple[int, Callable[[], tuple]]:
     """The linear system of D(w) = f + g*w for w = N/denom, cleared over a
     common denominator C.
 
     lcm covers the denominators of f, g and every tower derivative, and the
     fixed ansatz denominator is denom = lcm^power.  Then D(denom)/denom =
     power*D(lcm)/lcm, so C = lcm^2*denom clears every column.  Returns
-    (denom, C, C*f, column), where column(e) is the polynomial
-    C*(D(m/denom) - g*m/denom) for the monomial m = x^e, built by
-    MPoly.derivation over the polynomials lcm*D(x_i) with no gcd.
+    (deg(denom), build), the degree read off lcm before any product is
+    formed; build() returns (denom, C, C*f, column), where column(e) is the
+    polynomial C*(D(m/denom) - g*m/denom) for the monomial m = x^e, built
+    by MPoly.derivation over the polynomials lcm*D(x_i) with no gcd.
     """
     lcm, (f_num, g_num, *d_nums) = clear_denominators(
         [f, g, *tower.derivatives])
     power = max(1, bounds.max_den_degree // max(1, lcm.total_degree()))
-    denom = lcm ** power
 
-    # C*(D(m/denom) - g*m/denom) = lcm*(lcm*D(m)) - m*(power*lcm*D(lcm) + lcm*(lcm*g))
-    lcm_d_nums = [lcm * d for d in d_nums]
-    shift = lcm.derivation(d_nums).scale(power) + lcm * g_num
+    def build():
+        denom = lcm ** power
+        # C*(D(m/denom) - g*m/denom)
+        #   = lcm*(lcm*D(m)) - m*(power*lcm*D(lcm) + lcm*(lcm*g))
+        lcm_d_nums = [lcm * d for d in d_nums]
+        shift = lcm.derivation(d_nums).scale(power) + lcm * g_num
 
-    def column(exp: tuple) -> MPoly:
-        m = MPoly(tower.vars, {exp: Fraction(1)})
-        return m.derivation(lcm_d_nums) - m * shift
+        def column(exp: tuple) -> MPoly:
+            m = MPoly(tower.vars, {exp: Fraction(1)})
+            return m.derivation(lcm_d_nums) - m * shift
 
-    return denom, lcm * lcm * denom, lcm * denom * f_num, column
+        return denom, lcm * lcm * denom, lcm * denom * f_num, column
+
+    return power * lcm.total_degree(), build
 
 
 def _poly_part_constant(w: RatFun) -> RatFun:
     """Constant term of the polynomial part of w (deglex reduction)."""
-    num, den = w.num, w.den
-    const = Fraction(0)
-    le_d = den.leading_exp()
-    lc_d = den.terms[le_d]
-    rem = dict(num.terms)
-    while rem:
-        le = max(rem, key=lambda e: (sum(e), e))
-        diff = tuple(a - b for a, b in zip(le, le_d))
-        if any(x < 0 for x in diff):
-            break
-        c = rem[le] / lc_d
-        if sum(diff) == 0:
-            const += c
-        for e, v in den.terms.items():
-            tgt = tuple(a + b for a, b in zip(e, diff))
-            nv = rem.get(tgt, 0) - c * v
-            if nv == 0:
-                rem.pop(tgt, None)
-            else:
-                rem[tgt] = nv
-    return RatFun.const(w.vars, const)
+    quo, _ = w.num.divmod_lead(w.den)
+    return RatFun.const(w.vars, quo.terms.get((0,) * len(w.vars), 0))

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from .errors import NotDifferential, NotFlat, NotTriangular
 from .randexpr import random_ratfun
 from .ratfun import RatFun
-from .structure import formal_partial
+from .structure import linear_part
 from .tower import BASE_VAR, Tower
 
 
@@ -116,14 +116,12 @@ def verify_triangular(sigma: AutMap, tower: Tower) -> TriangularData:
     deltas = []
     shifts = []
     for i, name in enumerate(tower.vars):
-        image = sigma.assignments[i]
-        part = formal_partial(image, name)
-        if not part.is_const():
+        lin = linear_part(sigma.assignments[i], [name])
+        if lin is None:
             raise NotTriangular(f"sigma({name}) is not affine in {name}")
-        delta = part.const_value()
+        (delta,), shift = lin
         if delta == 0:
             raise NotTriangular(f"sigma({name}) drops {name}; not invertible")
-        shift = image - tower.gen(name).scale(delta)
         earlier = set(tower.vars[:i])
         if not shift.used_vars() <= earlier:
             raise NotTriangular(

@@ -279,6 +279,34 @@ class MPoly:
     def divides(self, other: "MPoly") -> bool:
         return other.try_divexact(self) is not None
 
+    def divmod_lead(self, other: "MPoly"):
+        """(q, r) with self = q*other + r: divide by other's deglex leading
+        term while it divides the leading term of r, then stop.  For
+        univariate input this is Euclidean division."""
+        self._check(other)
+        if other.is_zero():
+            raise DivisionByZero("division by the zero polynomial")
+        le_d = other.leading_exp()
+        lc_d = other.terms[le_d]
+        quo = {}
+        rem = dict(self.terms)
+        while rem:
+            le = max(rem, key=_deglex_key)
+            diff = tuple(map(sub, le, le_d))
+            if min(diff, default=0) < 0:
+                break
+            c = rem[le] / lc_d
+            # the leading terms of rem strictly fall, so each diff is new
+            quo[diff] = c
+            for e, v in other.terms.items():
+                tgt = tuple(map(add, e, diff))
+                nv = rem.get(tgt, 0) - c * v
+                if nv:
+                    rem[tgt] = nv
+                else:
+                    del rem[tgt]
+        return MPoly(self.vars, quo), MPoly(self.vars, rem)
+
     # -- dunder plumbing --------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -33,23 +33,33 @@ def formal_partial(u: RatFun, var: str) -> RatFun:
     return RatFun(n.partial(i) * d - n * d.partial(i), d * d)
 
 
+def linear_part(u: RatFun, names: Sequence[str]):
+    """Split u as sum(c_v * v for v in names) + rest with rational c_v, read
+    off the formal partials; None when one of them is not constant.  Over Q
+    a reduced fraction whose partial in v vanishes does not involve v, so
+    rest never uses names."""
+    coeffs = []
+    rest = u
+    for name in names:
+        part = formal_partial(u, name)
+        if not part.is_const():
+            return None
+        c = part.const_value()
+        coeffs.append(c)
+        if c:
+            rest = rest - RatFun.var(u.vars, name).scale(c)
+    return coeffs, rest
+
+
 def linearize(u: RatFun, tower: Tower):
     """Write u as sum(alpha_v * v) + rest with rational alpha and rest over
     Q(z); the z-linear part is folded into alpha.  None if u is not of this
     shape."""
-    coeffs = [Fraction(0)] * len(tower.vars)
-    rest = u
-    for i, name in enumerate(tower.vars):
-        if name == BASE_VAR:
-            continue
-        part = formal_partial(u, name)
-        if not part.is_const():
-            return None
-        coeffs[i] = part.const_value()
-        if coeffs[i]:
-            rest = rest - tower.gen(name).scale(coeffs[i])
-    if not rest.used_vars() <= {BASE_VAR}:
+    lin = linear_part(u, tower.gen_names)
+    if lin is None:
         return None
+    gen_coeffs, rest = lin
+    coeffs = [Fraction(0), *gen_coeffs]
     zpart = formal_partial(rest, BASE_VAR)
     if zpart.is_const() and rest.is_poly() and rest.num.total_degree() <= 1:
         coeffs[0] = zpart.const_value()
@@ -225,20 +235,13 @@ def ostrowski_relation(ws: Sequence[RatFun], K: SubfieldSpec, tower: Tower,
         status, _ = oracle.query(tower.differentiate(w))
         if status != IN:
             raise NotAntiderivative(f"derivative of argument {j} is not in K")
-        rewritten = field.rewrite(w)
-        remainder = rewritten
-        for o in outside:
-            part = formal_partial(rewritten, o)
-            if not part.is_const():
-                raise Unsupported(
-                    f"argument {j} is not Q-linear in the generators outside K")
-            c = part.const_value()
-            if c:
-                remainder = remainder - RatFun.var(field.ext_vars, o).scale(c)
-                coeff_rows.setdefault(o, {})[j] = c
-        if not remainder.used_vars() <= field.allowed:
+        lin = linear_part(field.rewrite(w), outside)
+        if lin is None:
             raise Unsupported(
                 f"argument {j} is not Q-linear in the generators outside K")
+        for o, c in zip(outside, lin[0]):
+            if c:
+                coeff_rows.setdefault(o, {})[j] = c
     rows = [coeff_rows[o] for o in outside if o in coeff_rows]
     kernel = linalg.nullspace(rows, len(ws))
     if not kernel:
@@ -269,19 +272,13 @@ def antiderivative_decompose(g: RatFun, tower: Tower):
     dg = tower.differentiate(g)
     if not dg.used_vars() <= {BASE_VAR}:
         raise NotAntiderivative(f"D(g) is not in Q(z): {dg!r}")
-    alphas = []
-    rest = g
-    for name in tower.gen_names:
-        part = formal_partial(g, name)
-        if not part.is_const():
-            raise MalformedAntiderivative(
-                f"D(g) lands in Q(z) but g is not linear in {name}")
-        c = part.const_value()
-        alphas.append(c)
-        if c:
-            rest = rest - tower.gen(name).scale(c)
-    if not rest.used_vars() <= {BASE_VAR}:
-        raise MalformedAntiderivative("nonlinear generator dependence")
+    lin = linear_part(g, tower.gen_names)
+    if lin is None:
+        name = next(v for v in tower.gen_names
+                    if not formal_partial(g, v).is_const())
+        raise MalformedAntiderivative(
+            f"D(g) lands in Q(z) but g is not linear in {name}")
+    alphas, rest = lin
     return tuple(alphas), rest
 
 

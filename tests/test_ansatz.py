@@ -16,7 +16,7 @@ from difftower import linalg
 from difftower.ansatz import (Bounds, Found, NoSolutionWithinBounds, Witness,
                               _assemble_rows, _cleared_levels,
                               _closure_values, _membership_at, _ode_ansatz,
-                              monomials_upto, solve_first_order,
+                              _poly_part_constant, monomials_upto, solve_first_order,
                               solve_linear_ansatz, subfield_membership)
 from difftower.errors import DiffTowerError
 from difftower.parser import format_ratfun, parse_expr
@@ -180,6 +180,27 @@ class TestCellCap:
         assert isinstance(out, NoSolutionWithinBounds) and not out.certified
 
 
+    def test_no_columns_when_no_rung_fits(self, monkeypatch):
+        calls = []
+        derivation = MPoly.derivation
+
+        def spy(self, images):
+            calls.append(self)
+            return derivation(self, images)
+
+        monkeypatch.setattr(MPoly, "derivation", spy)
+        T = tower_from_pairs([])
+        out = solve_first_order(parse_expr("1/(z^2 + 1)^2", T),
+                                parse_expr("0", T), T,
+                                Bounds(2, 2, 1, escalation=(), max_cells=1))
+        assert isinstance(out, NoSolutionWithinBounds) and not out.certified
+        assert calls == []
+        # the spy sees the columns once a rung fits
+        solve_first_order(parse_expr("1/(z^2 + 1)^2", T), parse_expr("0", T),
+                          T, Bounds(2, 2, 1, escalation=()))
+        assert calls
+
+
 class TestFirstOrder:
     def test_polynomial_antiderivative(self):
         T = tower_from_pairs([])
@@ -239,6 +260,23 @@ class TestFirstOrder:
             assert T.differentiate(out.value) == f + g * out.value
 
 
+class TestPolyPartConstant:
+    """The constant term of the quotient of num(w) by den(w)'s deglex
+    leading term, which stops at the first leading term it cannot divide."""
+
+    @pytest.mark.parametrize("text, const", [
+        # z*zeta1 divides z^2*zeta1, then z*zeta1; zeta1^2 + 1 is left over
+        ("((z*zeta1 + z + 1)*(z + 2) + zeta1^2 + 1)/(z*zeta1 + z + 1)", "2"),
+        # the leading term zeta1^3 is not divisible: the loop stops at once
+        ("(zeta1^3 + (z*zeta1 + z + 1)*(z + 2))/(z*zeta1 + z + 1)", "0"),
+        ("((2*z*zeta1 + 3*z + 5)*(z + 7/3) + zeta1^2 - 1)"
+         "/(2*z*zeta1 + 3*z + 5)", "7/3"),
+    ])
+    def test_multivariate_stop(self, text, const):
+        v = ("z", "zeta1")
+        assert _poly_part_constant(parse_expr(text, v)) == parse_expr(const, v)
+
+
 # log, arctangent, log-log and dilog towers
 ODE_TOWERS = {
     "log": ["1/z"],
@@ -257,8 +295,9 @@ class TestOdeColumns:
                               for name, d in zip(v[1:], derivs)])
         f = parse_expr("1/(z + 2)", T)
         g = parse_expr("3/(z + 1)", T)
-        denom, common, target, column = _ode_ansatz(
-            f, g, T, Bounds(2, 2, 1, escalation=()))
+        offset, build = _ode_ansatz(f, g, T, Bounds(2, 2, 1, escalation=()))
+        denom, common, target, column = build()
+        assert offset == denom.total_degree()
         denom_rf = RatFun.from_poly(denom)
         assert RatFun(target, common) == f
         for exp in monomials_upto(len(v), 2):

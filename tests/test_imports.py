@@ -1,6 +1,10 @@
-"""Every name a difftower module imports is used in that module."""
+"""Every name a difftower module imports is used in that module, and every
+module imports on its own."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,15 @@ def test_checker_flags_unused_names():
               "def f(x: List) -> None:\n"
               "    return os.getcwd()\n")
     assert unused_imports(source) == ["system (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_alone(path):
+    # a fresh interpreter, so an import cycle (ansatz and ratint import
+    # each other) cannot lean on a module some earlier import loaded
+    module = "difftower" if path.stem == "__init__" else f"difftower.{path.stem}"
+    done = subprocess.run([sys.executable, "-c", f"import {module}"],
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -169,6 +169,40 @@ class TestIntegerKernels:
         assert ratfun._divexact_int({(0, 1): 1}, b) is None
 
 
+class TestDivmodLead:
+    """MPoly.divmod_lead, the one division with remainder over Q."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mpolys, _mpolys)
+    @example(P("y^2 + x*y + x^2 + 1"), P("x*y + 1"))
+    def test_quotient_and_remainder(self, p, d):
+        if d.is_zero():
+            with pytest.raises(DivisionByZero):
+                p.divmod_lead(d)
+            return
+        q, r = p.divmod_lead(d)
+        assert q * d + r == p
+        # the division stops only at a leading term d's does not divide
+        assert r.is_zero() or any(
+            a < b for a, b in zip(r.leading_exp(), d.leading_exp()))
+
+    def test_univariate_matches_sympy_div(self):
+        sympy = pytest.importorskip("sympy")
+        from difftower.randexpr import random_mpoly
+        rng = random.Random(61)
+        cases = [(P("x^3 + 1", ("x",)), P("7/2", ("x",))),
+                 (P("x", ("x",)), P("x^2 + 1", ("x",)))]
+        for _ in range(30):
+            d = random_mpoly(rng, ("x",), max_deg=3)
+            if not d.is_zero():
+                cases.append((random_mpoly(rng, ("x",), max_deg=6,
+                                           max_terms=6), d))
+        for p, d in cases:
+            q, r = p.divmod_lead(d)
+            assert (_sympy_poly(q), _sympy_poly(r)) \
+                == sympy.div(_sympy_poly(p), _sympy_poly(d))
+
+
 class TestGcd:
     def test_univariate(self):
         assert poly_gcd(P("x^2 - 1"), P("x^2 - 2*x + 1")) == P("x - 1")

@@ -7,6 +7,7 @@ import pytest
 
 from difftower.errors import BoundsExceeded, DiffTowerError
 from difftower.parser import parse_expr
+from difftower.ratfun import RatFun
 from difftower.ratint import has_rational_antiderivative
 from difftower.tower import tower_from_pairs
 
@@ -86,14 +87,15 @@ def _sympy_expr(u, z):
 class TestRatintOracle:
     def test_matches_sympy_ratint(self):
         """On seeded f: True exactly when sympy's ratint(f) has no log or
-        atan part."""
+        atan part, also with a polynomial part and poles of multiplicity 3-4."""
         sympy = pytest.importorskip("sympy")
         from sympy.integrals.rationaltools import ratint
-        from difftower.randexpr import random_fraction, random_ratfun
+        from difftower.randexpr import (random_fraction, random_mpoly,
+                                        random_ratfun)
         rng = random.Random(2010)
         T = tower_from_pairs([])
         z = sympy.Symbol("z")
-        answers = []
+        cases = []
         for i in range(30):
             u = random_ratfun(rng, ("z",), max_deg=2)
             if i % 3 == 0:
@@ -104,6 +106,22 @@ class TestRatintOracle:
                     f"({random_fraction(rng)})/(z^2 + {rng.randint(1, 5)})")
             else:
                 f = u
+            cases.append(f)
+        # a polynomial part plus a pole of multiplicity k = 3 or 4: its
+        # numerator leaves no residue below degree k - 1, and may at k - 1
+        rng = random.Random(2011)
+        for i in range(12):
+            k = 3 + i % 2
+            top = k - 1 if i % 3 == 1 else k - 2
+            pole = RatFun.from_poly(random_mpoly(rng, ("z",), max_deg=top))
+            at = R("z") - RatFun.const(("z",), rng.randint(-3, 3))
+            f = (RatFun.from_poly(random_mpoly(rng, ("z",), max_deg=3))
+                 + pole / at ** k)
+            if i % 3 == 2:
+                f = f + R(f"({random_fraction(rng)})/(z^2 + {rng.randint(1, 5)})")
+            cases.append(f)
+        answers = []
+        for f in cases:
             ours = has_rational_antiderivative(f)
             theirs = ratint(_sympy_expr(f, z), z)
             assert ours == (not theirs.has(sympy.log, sympy.atan,

@@ -12,7 +12,7 @@ from difftower.errors import (AlreadyInBase, BoundsExceeded,
                               MalformedAntiderivative, NotAntiderivative,
                               NotFlat)
 from difftower.parser import format_ratfun, parse_expr
-from difftower.randexpr import random_ratfun
+from difftower.randexpr import random_fraction, random_ratfun
 from difftower.ratfun import RatFun
 from difftower.structure import (Independent, LinearField, NotLinearField,
                                  Relation, antiderivative_decompose,
@@ -64,6 +64,36 @@ class TestFormalPartial:
                 # both reduced: the denominators agree up to a constant
                 assert den.monic() == poly(d).monic()
                 assert num * poly(d) == poly(n) * den
+
+
+class TestLinearPart:
+    def test_rest_never_uses_names(self):
+        """Seeded: u = sum(c_v*v) + rest0 with rest0 free of names splits
+        back exactly; with noise added, a split, when there is one, still
+        rebuilds u and leaves names out of rest."""
+        rng = random.Random(433)
+        v = ("z", "zeta1", "zeta2", "zeta3")
+        noisy_splits = 0
+        for _ in range(60):
+            names = rng.sample(v, rng.randint(1, 3))
+            others = [x for x in v if x not in names]
+            rest0 = random_ratfun(rng, others, max_deg=2).extend_vars(v)
+            coeffs0 = [random_fraction(rng) for _ in names]
+            u = rest0
+            for name, c in zip(names, coeffs0):
+                u = u + RatFun.var(v, name).scale(c)
+            assert structure.linear_part(u, names) == (coeffs0, rest0)
+            noise = random_ratfun(rng, v, max_deg=1, max_terms=2)
+            lin = structure.linear_part(u + noise, names)
+            if lin is None:
+                continue
+            noisy_splits += 1
+            coeffs, rest = lin
+            assert not rest.used_vars() & set(names)
+            for name, c in zip(names, coeffs):
+                rest = rest + RatFun.var(v, name).scale(c)
+            assert rest == u + noise
+        assert 0 < noisy_splits < 60
 
 
 class TestLinearField:
@@ -170,6 +200,15 @@ class TestDecompose:
         T = two_log_tower()
         with pytest.raises(NotAntiderivative):
             antiderivative_decompose(parse_expr("zeta1*zeta2", T), T)
+
+    def test_nonlinear_antiderivative_rejected(self):
+        v = ("z", "zeta1", "zeta2")
+        T = tower_from_pairs([("zeta1", parse_expr("1/z", v)),
+                              ("zeta2", parse_expr("1/z", v))])
+        # D((zeta1 - zeta2)^2) = 0 lies in Q(z), yet g is not linear
+        with pytest.raises(MalformedAntiderivative,
+                           match="g is not linear in zeta1$"):
+            antiderivative_decompose(parse_expr("(zeta1 - zeta2)^2", T), T)
 
     def test_requires_flat(self):
         with pytest.raises(NotFlat):
