@@ -33,6 +33,7 @@ _INPUT_ERRORS = (TowerFileError, ExprSyntaxError, UnknownSymbol,
 _DECISION_ERRORS = (NotAntiderivative, NotDifferential, NotTriangular,
                     AlreadyInBase)
 MAX_CELLS_ENV = "DIFFIELD_MAX_CELLS"
+ALL_BOUNDS = ("--deg", "--order", "--max-cells")
 
 
 def _emit(lines: List[str], kv: List[Tuple[str, str]]):
@@ -58,8 +59,9 @@ def _subfield(args, tower, subfields) -> SubfieldSpec:
 
 
 def _bounds(args) -> Bounds:
-    """Bounds from --deg and --order; the cell cap is --max-cells, else the
-    positive integer in DIFFIELD_MAX_CELLS (read here only), else default."""
+    """Bounds from the --deg and --order the subcommand takes; the cell cap
+    is --max-cells, else the positive integer in DIFFIELD_MAX_CELLS (read
+    here only), else default."""
     caps = {}
     value = os.environ.get(MAX_CELLS_ENV)
     if args.max_cells is not None:
@@ -70,11 +72,11 @@ def _bounds(args) -> Bounds:
         except (ValueError, argparse.ArgumentTypeError):
             raise ValueError(f"{MAX_CELLS_ENV} must be a positive integer, "
                              f"got {value!r}") from None
-    if args.deg is not None:
+    if getattr(args, "deg", None) is not None:
         # explicit degree cap: search exactly up to it, no escalation
         caps.update(max_num_degree=args.deg, max_den_degree=args.deg,
                     escalation=())
-    if args.order is not None:
+    if getattr(args, "order", None) is not None:
         caps["max_derivative_order"] = args.order
     return Bounds(**caps)
 
@@ -145,7 +147,7 @@ def _cmd_ostrowski(args) -> int:
     tower, subfields = _load(args)
     K = _subfield(args, tower, subfields)
     ws = [parse_expr(t, tower) for t in args.w]
-    outcome = structure.ostrowski_relation(ws, K, tower, _bounds(args))
+    outcome = structure.ostrowski_relation(ws, K, tower)
     if isinstance(outcome, structure.Independent):
         _emit(["independent"], [("status", "independent")])
         return 1
@@ -302,14 +304,13 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="difftower")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, subfield=False, bounds=False):
+    def common(p, subfield=False, bounds=()):
         p.add_argument("--tower", required=True, help="tower definition file")
         if subfield:
             p.add_argument("--subfield", help="named subfield from the file")
-        if bounds:
-            p.add_argument("--deg", type=int)
-            p.add_argument("--order", type=int)
-        p.add_argument("--max-cells", type=_positive_int, dest="max_cells")
+        for flag in bounds:   # only the search bounds the subcommand reads
+            p.add_argument(flag, type=_positive_int
+                           if flag == "--max-cells" else int)
 
     p = sub.add_parser("validate")
     common(p)
@@ -332,32 +333,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("ostrowski")
-    common(p, subfield=True, bounds=True)
+    common(p, subfield=True)
     p.add_argument("--w", action="append", required=True,
                    help="antiderivative expression; repeatable")
     p.set_defaults(func=_cmd_ostrowski)
 
     p = sub.add_parser("normal-tower")
-    common(p, bounds=True)
+    common(p, bounds=("--max-cells",))
     p.set_defaults(func=_cmd_normal_tower)
 
     p = sub.add_parser("basis")
-    common(p, subfield=True, bounds=True)
+    common(p, subfield=True, bounds=ALL_BOUNDS)
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("member")
-    common(p, subfield=True, bounds=True)
+    common(p, subfield=True, bounds=ALL_BOUNDS)
     p.add_argument("expr")
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("solve-ode")
-    common(p, bounds=True)
+    common(p, bounds=("--deg", "--max-cells"))
     p.add_argument("--f", required=True)
     p.add_argument("--g")
     p.set_defaults(func=_cmd_solve_ode)
 
     p = sub.add_parser("recover")
-    common(p, bounds=True)
+    common(p, bounds=ALL_BOUNDS)
     p.add_argument("--from", required=True, dest="from")
     p.add_argument("--target", required=True)
     p.set_defaults(func=_cmd_recover)
@@ -370,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_aut)
 
     p = sub.add_parser("structure")
-    common(p, subfield=True, bounds=True)
+    common(p, subfield=True, bounds=ALL_BOUNDS)
     p.set_defaults(func=_cmd_structure)
     return top
 

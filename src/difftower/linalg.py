@@ -1,5 +1,9 @@
 """Exact sparse linear algebra over Q for the undetermined-coefficients engine.
 
+``rref`` is the one Gaussian elimination in difftower: ``nullspace``,
+``solve_affine``, ``structure.LinearField`` and every other solve in
+``ansatz`` and ``structure`` reduce through it.
+
 Rows in and out are dicts {column index: Fraction}.  Everything reduces to
 the unique RREF, so results do not depend on pivot-selection heuristics; the
 heuristics only fight fill-in.  Inside ``rref`` each row is cleared once to

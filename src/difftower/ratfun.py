@@ -463,13 +463,17 @@ def _heu_gcd_int(a: dict, b: dict):
     return None
 
 
-def _content_in(p: MPoly, i: int) -> MPoly:
-    """Monic gcd of p's coefficients in vars[i], to the first unit."""
-    coeffs: dict = {}
+def _content_over(p: MPoly, kept) -> MPoly:
+    """Largest divisor of p lying in the subring of the variables whose
+    indices are in kept: the monic gcd of p's coefficients grouped by the
+    exponents of the other variables, folded to the first unit."""
+    groups: dict = {}
     for e, c in p.terms.items():
-        coeffs.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+        outer = tuple(0 if i in kept else k for i, k in enumerate(e))
+        inner = tuple(k if i in kept else 0 for i, k in enumerate(e))
+        groups.setdefault(outer, {})[inner] = c
     cont = MPoly.zero(p.vars)
-    for terms in coeffs.values():
+    for terms in groups.values():
         cont = poly_gcd(cont, MPoly(p.vars, terms))
         if cont.is_const():
             break
@@ -505,8 +509,9 @@ def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
         return g.monic()
     # both operands have two terms or more, so some variable occurs
     i = max(p.used_indices() | q.used_indices())
-    cont_p = _content_in(p, i)
-    cont_q = _content_in(q, i)
+    others = set(range(len(p.vars))) - {i}   # contents in the main variable
+    cont_p = _content_over(p, others)
+    cont_q = _content_over(q, others)
     g_cont = poly_gcd(cont_p, cont_q)
     a = _primitive_scale(p.try_divexact(cont_p))
     b = _primitive_scale(q.try_divexact(cont_q))
@@ -518,9 +523,9 @@ def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
         if r.is_zero():
             b = r
         else:
-            b = _primitive_scale(r.try_divexact(_content_in(r, i)))
+            b = _primitive_scale(r.try_divexact(_content_over(r, others)))
     if a.degree_in(i) > 0:
-        a = a.try_divexact(_content_in(a, i))
+        a = a.try_divexact(_content_over(a, others))
     return (g_cont * a).monic()
 
 

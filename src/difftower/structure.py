@@ -22,8 +22,17 @@ from .ansatz import (Bounds, Found, Witness, _assemble_rows, monomials_upto,
                      subfield_membership)
 from .errors import (AlreadyInBase, DiffTowerError, MalformedAntiderivative,
                      NotAntiderivative, NotFlat, Unsupported)
-from .ratfun import MPoly, RatFun, clear_denominators, poly_gcd
+from .ratfun import (MPoly, RatFun, _content_over, clear_denominators,
+                     poly_gcd)
 from .tower import BASE_VAR, SubfieldSpec, Tower
+
+__all__ = [  # with poly_gcd, a binding the layer-trace test of bench/ reads
+    "formal_partial", "linear_part", "linearize", "NotLinearField",
+    "LinearField", "MembershipOracle", "IN", "OUT", "UNKNOWN", "Independent",
+    "Relation", "ostrowski_relation", "antiderivative_decompose",
+    "NormalTower", "normal_tower", "CompositumBasis", "compositum_basis",
+    "minimal_shift", "StructureGenerator", "StructureReport",
+    "subfield_structure", "poly_gcd"]
 
 
 def formal_partial(u: RatFun, var: str) -> RatFun:
@@ -73,12 +82,20 @@ class NotLinearField(DiffTowerError):
 
 class LinearField:
     """Exact membership oracle for F = Q(entries) where each entry is a
-    Q-linear combination of tower variables plus a Q(z) shift."""
+    Q-linear combination of tower variables plus a Q(z) shift.
+
+    The change of generators is one linalg.rref of the rows [coeffs |
+    identity]: the identity part of a pivot row is the combination of
+    entries, and so of shifts, that it stands for, and a row pivoting in the
+    identity block is a dependency.  The identity columns run in reverse
+    entry order so that the pivot rows draw only on the entries independent
+    greedily in input order; in natural order a pivot row may draw on a
+    later dependent entry, whose shift can differ by a constant, and move a
+    synthetic coordinate by that constant."""
 
     def __init__(self, tower: Tower, entries: Sequence[RatFun]):
-        self.tower = tower
         nv = len(tower.vars)
-        rows = []  # [coeff list, rest, expr]
+        coeff_rows, rests = [], []
         for expr in entries:
             lin = linearize(expr, tower)
             if lin is None:
@@ -88,77 +105,52 @@ class LinearField:
                 if rest.is_const():
                     continue
                 raise NotLinearField(f"pure base element: {expr!r}")
-            rows.append([list(coeffs), rest, expr])
-        # exact RREF over the coefficient columns, carrying rest and expr
-        reduced = []  # (pivot column, [coeffs, rest, expr])
-        for col in range(nv):
-            pivot = next((r for r in rows if r[0][col] != 0), None)
-            if pivot is None:
-                continue
-            rows.remove(pivot)
-            inv = 1 / pivot[0][col]
-            pivot = [[c * inv for c in pivot[0]],
-                     pivot[1].scale(inv), pivot[2].scale(inv)]
-            for r in rows + [row for _, row in reduced]:
-                f = r[0][col]
-                if f:
-                    r[0][:] = [a - f * b for a, b in zip(r[0], pivot[0])]
-                    r[1] = r[1] - pivot[1].scale(f)
-                    r[2] = r[2] - pivot[2].scale(f)
-            reduced.append((col, pivot))
-            rows = [r for r in rows if any(r[0]) or not r[1].is_const()]
-        for r in rows:
-            if any(r[0]) or not r[1].is_const():
+            coeff_rows.append(coeffs)
+            rests.append(rest)
+        last = nv + len(rests) - 1   # identity column of entry k: last - k
+        red, pivots = linalg.rref(
+            [{**dict(enumerate(coeffs)), last - k: 1}
+             for k, coeffs in enumerate(coeff_rows)], last + 1)
+        rows = []  # (pivot column, coeffs, rest), RREF over the coeffs
+        for row, col in zip(red, pivots):
+            rest = RatFun.const(tower.vars, 0)
+            for c, w in row.items():
+                if c >= nv:
+                    rest = rest + rests[last - c].scale(w)
+            if col < nv:
+                rows.append((col, [row.get(j, 0) for j in range(nv)], rest))
+            elif not rest.is_const():
                 # leftover pure-z dependency like z**2; not representable
                 raise NotLinearField("generators hide a nonlinear base element")
-        self.rows = reduced
         zi = tower.vars.index(BASE_VAR)
-        self.z_in_field = any(
-            col == zi and _is_unit(row[0], col) and row[1].is_const()
-            for col, row in reduced)
-        if not self.z_in_field:
-            for col, row in reduced:
-                if col == zi and _is_unit(row[0], col):
+        z_in_field = any(col == zi and _is_unit(coeffs, col) and rest.is_const()
+                         for col, coeffs, rest in rows)
+        if not z_in_field:
+            for col, coeffs, _ in rows:
+                if col == zi and _is_unit(coeffs, col):
                     raise NotLinearField("z entangled with a base shift")
-        z_pivot_combo = any(col == zi and not _is_unit(row[0], col)
-                            for col, row in reduced)
-        if z_pivot_combo and any(not row[1].is_const() for _, row in reduced):
+        z_pivot_combo = any(col == zi and not _is_unit(coeffs, col)
+                            for col, coeffs, _ in rows)
+        if z_pivot_combo and any(not rest.is_const() for _, _, rest in rows):
             raise NotLinearField("z pivoted inside a combination with shifts")
-        self._build_coordinates()
-
-    def _build_coordinates(self):
-        tower = self.tower
-        synth = []
-        self.names = []       # field coordinate names, placement order
-        self.pretty = {}      # coordinate name -> defining expr over tower
-        plan = []
-        for col, (coeffs, rest, expr) in self.rows:
-            var = tower.vars[col]
-            unit = _is_unit(coeffs, col)
-            if unit and (rest.is_const() or self.z_in_field):
-                self.names.append(var)
-                self.pretty[var] = tower.gen(var)
-                continue
-            name = f"~{len(synth)}"
-            synth.append(name)
-            self.names.append(name)
-            self.pretty[name] = expr
-            plan.append((col, coeffs, rest, name))
-        self.ext_vars = tower.vars + tuple(synth)
-        if self.z_in_field and BASE_VAR not in self.names:
-            self.names.insert(0, BASE_VAR)
-            self.pretty[BASE_VAR] = tower.gen(BASE_VAR)
-        subst = {}
-        for col, coeffs, rest, name in plan:
+        self.allowed = {BASE_VAR} if z_in_field else set()
+        plan = []   # the rows that get a synthetic coordinate
+        for col, coeffs, rest in rows:
+            if _is_unit(coeffs, col) and (rest.is_const() or z_in_field):
+                self.allowed.add(tower.vars[col])
+            else:
+                plan.append((col, coeffs, rest))
+        synth = tuple(f"~{k}" for k in range(len(plan)))
+        self.allowed.update(synth)
+        self.ext_vars = tower.vars + synth
+        self.subst = {}
+        for name, (col, coeffs, rest) in zip(synth, plan):
             # entry = var + sum(c_j var_j) + rest  ->  var = name - sum - rest
             value = RatFun.var(self.ext_vars, name)
             for j, c in enumerate(coeffs):
                 if j != col and c:
                     value = value - RatFun.var(self.ext_vars, tower.vars[j]).scale(c)
-            value = value - rest.extend_vars(self.ext_vars)
-            subst[tower.vars[col]] = value
-        self.subst = subst
-        self.allowed = set(self.names)
+            self.subst[tower.vars[col]] = value - rest.extend_vars(self.ext_vars)
 
     def rewrite(self, u: RatFun) -> RatFun:
         ext = u.extend_vars(self.ext_vars)
@@ -348,23 +340,6 @@ def _closure_step(tower: Tower, field: LinearField, unplaced: List[str],
             expr = expr + tower.gen(unplaced[i]).scale(c)
         out.append(expr)
     return out
-
-
-def _content_over(p: MPoly, allowed_idx) -> MPoly:
-    """Largest divisor of p lying in the subring generated by the allowed
-    variables: gcd of the allowed-variable coefficients grouped by the
-    exponent pattern of the other variables."""
-    groups = {}
-    for e, c in p.terms.items():
-        outer = tuple(0 if i in allowed_idx else k for i, k in enumerate(e))
-        inner = tuple(k if i in allowed_idx else 0 for i, k in enumerate(e))
-        groups.setdefault(outer, {})[inner] = c
-    cont = MPoly.zero(p.vars)
-    for terms in groups.values():
-        cont = poly_gcd(cont, MPoly(p.vars, terms))
-        if cont.is_const() and not cont.is_zero():
-            break
-    return cont
 
 
 # -- compositum basis -----------------------------------------------------------

@@ -9,7 +9,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from difftower import corpus
-from difftower.cli import main
+from difftower.cli import _build_parser, main
 from difftower.errors import (ExprSyntaxError, ForwardReference,
                               TowerFileError, UnknownSymbol)
 from difftower.parser import (format_mpoly, format_ratfun, parse_expr,
@@ -241,14 +241,12 @@ class TestCli:
         assert code == 1 and "status=no-solution" in out
 
     def test_normal_tower(self, loglog_file):
-        code, out = run(["normal-tower", "--tower", loglog_file,
-                         "--deg", "2", "--order", "2"])
+        code, out = run(["normal-tower", "--tower", loglog_file])
         assert code == 0
         assert "level 3: zeta2" in out
 
     def test_ostrowski_independent_exit(self, log_file):
-        code, out = run(["ostrowski", "--tower", log_file, "--w", "zeta1",
-                         "--deg", "2", "--order", "1"])
+        code, out = run(["ostrowski", "--tower", log_file, "--w", "zeta1"])
         assert code == 1 and "status=independent" in out
 
     def test_member_found(self, log_file):
@@ -272,14 +270,16 @@ class TestCli:
     def test_max_cells_applies_to_one_run(self, log_file, monkeypatch):
         monkeypatch.delenv("DIFFIELD_MAX_CELLS", raising=False)
         before = dict(os.environ)
-        assert run(["derive", "--tower", log_file, "zeta1",
-                    "--max-cells", "10"])[0] == 0
+        capped = ["recover", "--tower", log_file, "--from", "zeta1/z",
+                  "--target", "z", "--deg", "2", "--order", "2",
+                  "--max-cells", "10"]
+        assert run(capped)[0] == 1
         output, code = corpus.run_case(corpus.load_case("log-recover"))
         assert code == 0
         assert "witness=(x0*x1 + x2)/(x0*x2 - 3*x1^2)" in output
         assert dict(os.environ) == before
         monkeypatch.setenv("DIFFIELD_MAX_CELLS", "400000")
-        run(["derive", "--tower", log_file, "zeta1", "--max-cells", "10"])
+        run(capped)
         assert os.environ["DIFFIELD_MAX_CELLS"] == "400000"
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
@@ -321,3 +321,49 @@ class TestCli:
         p.write_text("base z\ngen a ; D(a) = 1/z\ngen b ; D(b) = 2/z\n")
         code, out = run(["const", "--tower", str(p), "2*a-b"])
         assert code == 3 and "error=InvalidTowerConstant" in out
+
+
+# the options each subcommand takes; an option a subcommand would accept and
+# ignore does not belong here
+SUBCOMMAND_OPTIONS = {
+    "validate": {"--tower"},
+    "derive": {"--tower", "--order"},
+    "const": {"--tower"},
+    "decompose": {"--tower"},
+    "ostrowski": {"--tower", "--subfield", "--w"},
+    "normal-tower": {"--tower", "--max-cells"},
+    "basis": {"--tower", "--subfield", "--deg", "--order", "--max-cells"},
+    "member": {"--tower", "--subfield", "--deg", "--order", "--max-cells"},
+    "solve-ode": {"--tower", "--deg", "--max-cells", "--f", "--g"},
+    "recover": {"--tower", "--deg", "--order", "--max-cells", "--from",
+                "--target"},
+    "aut": {"--tower", "--alpha", "--apply", "--probe"},
+    "structure": {"--tower", "--subfield", "--deg", "--order", "--max-cells"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    top = _build_parser()
+    sub, = (a for a in top._actions if a.choices and a.dest == "command")
+    taken = {name: {s for a in p._actions for s in a.option_strings}
+             - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert taken == SUBCOMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["validate"], "--max-cells"),
+    (["derive", "zeta1"], "--max-cells"),
+    (["const", "zeta1"], "--max-cells"),
+    (["decompose", "zeta1"], "--max-cells"),
+    (["aut"], "--max-cells"),
+    (["normal-tower"], "--deg"),
+    (["normal-tower"], "--order"),
+    (["solve-ode", "--f", "1/z"], "--order"),
+    (["ostrowski", "--w", "zeta1"], "--deg"),
+    (["ostrowski", "--w", "zeta1"], "--order"),
+    (["ostrowski", "--w", "zeta1"], "--max-cells"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_removed_option_is_input_error(log_file, argv, option):
+    argv = [argv[0], "--tower", log_file, *argv[1:]]
+    assert run(argv)[0] != 3
+    assert run(argv + [option, "2"]) == (3, "")

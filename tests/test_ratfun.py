@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -251,12 +252,36 @@ class TestGcd:
         expected = [poly_gcd(a, b) for a, b in pairs]
         prem_calls, contents = [], []
         _spy(monkeypatch, "_prem", prem_calls)
-        _spy(monkeypatch, "_content_in", contents,
+        _spy(monkeypatch, "_content_over", contents,
              lambda args, out: not out.is_const())
         monkeypatch.setattr(ratfun, "_heu_gcd", lambda p, q: None)
         assert [poly_gcd(a, b) for a, b in pairs] == expected
         assert len(prem_calls) >= 10
         assert contents
+
+    def test_prs_fallback_runs_where_gcdheu_gives_up(self, monkeypatch):
+        # b(2) is a nonzero multiple of xi - 2 at each of GCDHEU's six
+        # points, so there gcd(a(xi), b(xi)) = xi - 2 lifts to x - 2, which
+        # does not divide b: every point fails and the primitive PRS runs
+        x = ("x",)
+        big = 1000
+        xi = 2 * big + 29   # the schedule of _heu_gcd_int; big is b's bound
+        modulus = 1
+        for _ in range(6):
+            modulus = lcm(modulus, xi - 2)
+            xi = xi * 73 // 32 + 31
+        top = modulus.bit_length()
+        low = -big * 2 ** top % modulus
+        a = P("x - 2", x)
+        b = MPoly(x, {(top,): big,
+                      **{(j,): 1 for j in range(top) if low >> j & 1}})
+        assert b.eval_rat({"x": 2}) % modulus == 0
+        assert ratfun._heu_gcd(a, b) is None
+        prem_calls = []
+        _spy(monkeypatch, "_prem", prem_calls)
+        assert poly_gcd(a, b) == MPoly.const(x, 1)
+        assert prem_calls
+        _assert_sympy_gcd(a, b)
 
     def test_heu_gcd_discards_a_false_candidate(self, monkeypatch):
         # a lifted candidate that fails trial division is dropped and the

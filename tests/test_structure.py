@@ -135,6 +135,124 @@ class TestLinearField:
         with pytest.raises(NotLinearField):
             LinearField(T, (parse_expr("z^2", T),))
 
+    def test_matches_the_reference_elimination(self):
+        # generator sets with planted dependencies c*e_i + e_j + shift; the
+        # shift is mostly a constant, sometimes z-dependent (an error)
+        v = ("z", "zeta1", "zeta2", "zeta3")
+        T = tower_from_pairs([("zeta1", parse_expr("1/z", v)),
+                              ("zeta2", parse_expr("1/(z+1)", v)),
+                              ("zeta3", parse_expr("1/(zeta1*z)", v))])
+        shifts = [parse_expr(s, v) for s in
+                  ("0", "3/2", "z", "z^2", "1/(z+2)", "(z-1)/(z^2+3)")]
+        rng = random.Random(1106)
+        outcomes = set()
+        for _ in range(300):
+            entries = []
+            for _ in range(rng.randint(1, 5)):
+                if len(entries) >= 2 and rng.random() < 0.5:
+                    ei, ej = rng.sample(entries, 2)
+                    extra = RatFun.const(v, random_fraction(rng)) \
+                        if rng.random() < 0.9 else rng.choice(shifts)
+                    entries.append(ei.scale(random_fraction(rng)) + ej + extra)
+                    continue
+                e = rng.choice(shifts)
+                for name in rng.sample(v, rng.randint(1, 2)):
+                    e = e + RatFun.var(v, name).scale(random_fraction(rng))
+                entries.append(e)
+            probes = [RatFun.var(v, n) for n in v] + entries \
+                + [random_ratfun(rng, v, max_deg=2, max_terms=3)]
+            outcomes.add(_compare_fields(T, entries, probes))
+        assert outcomes == {"field", "NotLinearField"}
+
+
+def _compare_fields(tower, entries, probes):
+    """The same field or the same error from LinearField and the reference;
+    returns which it was."""
+    try:
+        ref = ReferenceLinearField(tower, entries)
+    except NotLinearField as e:
+        with pytest.raises(NotLinearField) as got:
+            LinearField(tower, entries)
+        assert str(got.value) == str(e)
+        return "NotLinearField"
+    field = LinearField(tower, entries)
+    assert field.allowed == ref.allowed
+    assert field.ext_vars == ref.ext_vars
+    assert field.subst == ref.subst
+    for u in probes:
+        assert field.rewrite(u) == ref.rewrite(u)
+    return "field"
+
+
+class ReferenceLinearField:
+    """LinearField by an elimination loop of its own: Gauss-Jordan over the
+    coefficient columns in order, each pivot the first row left that holds
+    the column, carrying the rows' shifts."""
+
+    def __init__(self, tower, entries):
+        nv = len(tower.vars)
+        rows = []  # [coeff list, rest]
+        for expr in entries:
+            lin = structure.linearize(expr, tower)
+            if lin is None:
+                raise NotLinearField(f"not linear over the tower: {expr!r}")
+            coeffs, rest = lin
+            if not any(coeffs):
+                if rest.is_const():
+                    continue
+                raise NotLinearField(f"pure base element: {expr!r}")
+            rows.append([list(coeffs), rest])
+        reduced = []  # (pivot column, [coeffs, rest])
+        for col in range(nv):
+            pivot = next((r for r in rows if r[0][col] != 0), None)
+            if pivot is None:
+                continue
+            rows.remove(pivot)
+            inv = 1 / pivot[0][col]
+            pivot = [[c * inv for c in pivot[0]], pivot[1].scale(inv)]
+            for r in rows + [row for _, row in reduced]:
+                f = r[0][col]
+                if f:
+                    r[0][:] = [a - f * b for a, b in zip(r[0], pivot[0])]
+                    r[1] = r[1] - pivot[1].scale(f)
+            reduced.append((col, pivot))
+            rows = [r for r in rows if any(r[0]) or not r[1].is_const()]
+        if rows:
+            raise NotLinearField("generators hide a nonlinear base element")
+        zi = tower.vars.index("z")
+        unit = structure._is_unit
+        z_in_field = any(col == zi and unit(row[0], col) and row[1].is_const()
+                         for col, row in reduced)
+        if not z_in_field and any(col == zi and unit(row[0], col)
+                                  for col, row in reduced):
+            raise NotLinearField("z entangled with a base shift")
+        if any(col == zi and not unit(row[0], col) for col, row in reduced) \
+                and any(not row[1].is_const() for _, row in reduced):
+            raise NotLinearField("z pivoted inside a combination with shifts")
+        names, plan = [], []
+        for col, (coeffs, rest) in reduced:
+            if unit(coeffs, col) and (rest.is_const() or z_in_field):
+                names.append(tower.vars[col])
+                continue
+            names.append(f"~{len(plan)}")
+            plan.append((col, coeffs, rest, names[-1]))
+        self.ext_vars = tower.vars + tuple(name for *_, name in plan)
+        self.allowed = set(names) | ({"z"} if z_in_field else set())
+        self.subst = {}
+        for col, coeffs, rest, name in plan:
+            value = RatFun.var(self.ext_vars, name)
+            for j, c in enumerate(coeffs):
+                if j != col and c:
+                    value = value - RatFun.var(
+                        self.ext_vars, tower.vars[j]).scale(c)
+            value = value - rest.extend_vars(self.ext_vars)
+            self.subst[tower.vars[col]] = value
+
+    def rewrite(self, u):
+        ext = u.extend_vars(self.ext_vars)
+        return ext.substitute(self.subst, self.ext_vars) if self.subst \
+            else ext
+
 
 class TestOstrowski:
     def test_independent_pair(self):
