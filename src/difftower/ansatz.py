@@ -259,7 +259,7 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
     fitting = [d for d in degrees
                if comb(len(variables) + d, d) ** 2 <= bounds.max_cells]
     if fitting:
-        denom, _, target, column = build()
+        denom, target, column = build()
     for deg in fitting:
         monoms = monomials_upto(len(variables), deg)
         try:
@@ -294,7 +294,7 @@ def _ode_ansatz(f: RatFun, g: RatFun, tower: Tower, bounds: Bounds
     fixed ansatz denominator is denom = lcm^power.  Then D(denom)/denom =
     power*D(lcm)/lcm, so C = lcm^2*denom clears every column.  Returns
     (deg(denom), build), the degree read off lcm before any product is
-    formed; build() returns (denom, C, C*f, column), where column(e) is the
+    formed; build() returns (denom, C*f, column), where column(e) is the
     polynomial C*(D(m/denom) - g*m/denom) for the monomial m = x^e, built
     by MPoly.derivation over the polynomials lcm*D(x_i) with no gcd.
     """
@@ -313,7 +313,7 @@ def _ode_ansatz(f: RatFun, g: RatFun, tower: Tower, bounds: Bounds
             m = MPoly(tower.vars, {exp: Fraction(1)})
             return m.derivation(lcm_d_nums) - m * shift
 
-        return denom, lcm * lcm * denom, lcm * denom * f_num, column
+        return denom, lcm * denom * f_num, column
 
     return power * lcm.total_degree(), build
 

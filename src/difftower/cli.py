@@ -22,7 +22,8 @@ from .errors import (AlreadyInBase, BoundsExceeded, DivisionByZero,
                      NotDifferential, NotFlat, NotTriangular, TowerFileError,
                      UnknownSymbol, Unsupported, VariableMismatch,
                      ZeroDenominator)
-from .parser import format_ratfun, parse_expr, parse_tower_file
+from .parser import (format_fraction, format_ratfun, parse_expr,
+                     parse_tower_file)
 from .ratfun import RatFun
 from .tower import SubfieldSpec, Tower, base_subfield
 
@@ -81,12 +82,8 @@ def _bounds(args) -> Bounds:
     return Bounds(**caps)
 
 
-def _fmt_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _fmt_alpha(alpha) -> str:
-    return ",".join(_fmt_fraction(a) for a in alpha)
+    return ",".join(format_fraction(a) for a in alpha)
 
 
 def _fmt_witness_like(w) -> str:
@@ -136,7 +133,7 @@ def _cmd_decompose(args) -> int:
     tower, _ = _load(args)
     g = parse_expr(args.expr, tower)
     alpha, a = structure.antiderivative_decompose(g, tower)
-    _emit([f"alpha = ({', '.join(_fmt_fraction(x) for x in alpha)})",
+    _emit([f"alpha = ({', '.join(format_fraction(x) for x in alpha)})",
            f"a = {format_ratfun(a)}"],
           [("status", "found"), ("alpha", _fmt_alpha(alpha)),
            ("a", format_ratfun(a))])
@@ -151,7 +148,7 @@ def _cmd_ostrowski(args) -> int:
     if isinstance(outcome, structure.Independent):
         _emit(["independent"], [("status", "independent")])
         return 1
-    _emit([f"alpha = ({', '.join(_fmt_fraction(x) for x in outcome.alpha)})",
+    _emit([f"alpha = ({', '.join(format_fraction(x) for x in outcome.alpha)})",
            f"a = {format_ratfun(outcome.remainder)}"],
           [("status", "relation"), ("alpha", _fmt_alpha(outcome.alpha)),
            ("a", format_ratfun(outcome.remainder))])

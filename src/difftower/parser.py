@@ -173,7 +173,7 @@ def parse_expr(text: str, context) -> RatFun:
 
 # -- canonical printing ---------------------------------------------------------
 
-def _format_coeff(c: Fraction) -> str:
+def format_fraction(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
@@ -197,11 +197,11 @@ def format_mpoly(p: MPoly) -> str:
         mono = _format_monomial(p.vars, exp)
         mag = abs(c)
         if not mono:
-            body = _format_coeff(mag)
+            body = format_fraction(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_format_coeff(mag)}*{mono}"
+            body = f"{format_fraction(mag)}*{mono}"
         if not out:
             out.append(body if c > 0 else f"-{body}")
         else:

@@ -276,9 +276,6 @@ class MPoly:
         return MPoly._over(self.vars, {e: c * d2 for e, c in quo.items()},
                            d1 * cont)
 
-    def divides(self, other: "MPoly") -> bool:
-        return other.try_divexact(self) is not None
-
     def divmod_lead(self, other: "MPoly"):
         """(q, r) with self = q*other + r: divide by other's deglex leading
         term while it divides the leading term of r, then stop.  For
@@ -611,21 +608,18 @@ class RatFun:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "RatFun") -> "RatFun":
-        # both operands reduced, so only the denominator gcd can cancel
+        # both operands reduced, so only the denominator gcd can cancel; a
+        # zero sum means other = -self, whose denominator is self's
         if self.den == other.den:
             return RatFun(self.num + other.num, self.den)
         g = poly_gcd(self.den, other.den)
         if g.is_const():
             num = self.num * other.den + other.num * self.den
             den = self.den * other.den
-            if num.is_zero():
-                return RatFun.const(self.vars, 0)
             return RatFun(num, den, _canonical=True)
         r = other.den.try_divexact(g)
         num = self.num * r + other.num * self.den.try_divexact(g)
         den = self.den * r
-        if num.is_zero():
-            return RatFun.const(self.vars, 0)
         g2 = poly_gcd(num, g)
         if not g2.is_const():
             num = num.try_divexact(g2)
@@ -684,12 +678,6 @@ class RatFun:
         if c == 0:
             return RatFun.const(self.vars, 0)
         return RatFun(self.num.scale(c), self.den, _canonical=True)
-
-    def eval_rat(self, point: Mapping[str, Rat]) -> Rat:
-        d = self.den.eval_rat(point)
-        if d == 0:
-            raise ZeroDenominator(f"denominator vanishes at {point!r}")
-        return self.num.eval_rat(point) / d
 
     def substitute(self, mapping: Mapping[str, "RatFun"],
                    target_vars: Sequence[str]) -> "RatFun":

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .ansatz import (Bounds, Found, Witness, _assemble_rows, monomials_upto,
-                     subfield_membership)
+from .ansatz import (Bounds, Found, Witness, _assemble_rows, _closure_values,
+                     monomials_upto, subfield_membership)
 from .errors import (AlreadyInBase, DiffTowerError, MalformedAntiderivative,
                      NotAntiderivative, NotFlat, Unsupported)
 from .ratfun import (MPoly, RatFun, _content_over, clear_denominators,
@@ -216,16 +216,18 @@ def ostrowski_relation(ws: Sequence[RatFun], K: SubfieldSpec, tower: Tower,
                        bounds: Bounds = Bounds()):
     """Either the given antiderivatives of K are (pairwise jointly)
     independent over K, or a rational linear combination of them lands in
-    K; returns the deglex-least normalized relation in the latter case."""
-    oracle = MembershipOracle(tower, K, bounds)
-    if oracle.field is None:
-        raise Unsupported("K does not admit the exact coordinate treatment")
-    field = oracle.field
+    K; returns the deglex-least normalized relation in the latter case.
+    Membership in K is decided exactly, so no bound is read; bounds is kept
+    for callers that pass it."""
+    try:
+        field = LinearField(tower, K.generators)
+    except NotLinearField:
+        raise Unsupported(
+            "K does not admit the exact coordinate treatment") from None
     outside = [v for v in field.ext_vars if v not in field.allowed]
     coeff_rows = {}
     for j, w in enumerate(ws):
-        status, _ = oracle.query(tower.differentiate(w))
-        if status != IN:
+        if not field.contains(tower.differentiate(w)):
             raise NotAntiderivative(f"derivative of argument {j} is not in K")
         lin = linear_part(field.rewrite(w), outside)
         if lin is None:
@@ -243,8 +245,7 @@ def ostrowski_relation(ws: Sequence[RatFun], K: SubfieldSpec, tower: Tower,
     for a, w in zip(alpha, ws):
         if a:
             remainder = remainder + w.scale(a)
-    status, _ = oracle.query(remainder)
-    if status != IN:
+    if not field.contains(remainder):
         raise DiffTowerError("relation remainder failed the membership check")
     return Relation(alpha=tuple(alpha), remainder=remainder)
 
@@ -410,50 +411,42 @@ def subfield_structure(K: SubfieldSpec, tower: Tower,
                        bounds: Bounds = Bounds()) -> StructureReport:
     """Greedy ascent per the structure theorem: repeatedly adjoin an
     antiderivative of the current field F* that lies in K but not in F*,
-    then check that every K generator is expressible over the result."""
-    fstar: List[StructureGenerator] = []
-
-    def fstar_contains(u: RatFun):
-        exprs = tuple(g.expr for g in fstar)
-        if not exprs:
-            if u.is_const():
-                return IN, u
-            return OUT, None
-        oracle = MembershipOracle(
-            tower, SubfieldSpec(generators=exprs), bounds)
-        return oracle.query(u)
-
+    then check that every K generator is expressible over the result.
+    F* is fixed within one ascent step, so each step builds one
+    MembershipOracle; over F* = Q it answers IN for rational constants and
+    OUT for everything else."""
     candidates = [tower.gen(v) for v in tower.vars]
-    for g in K.generators:
-        cur = g
-        for _ in range(3):
-            if cur not in candidates:
-                candidates.append(cur)
-            cur = tower.differentiate(cur)
+    candidates += [c for c in _closure_values(K.generators, tower, 2)
+                   if c not in candidates]
     if tower.gen_names:
         top = tower.gen_names[-1]
         for g in K.generators:
             try:
                 shift = minimal_shift(g, tower, top)
-            except (AlreadyInBase, DiffTowerError):
+            except DiffTowerError:
                 continue
             if shift not in candidates:
                 candidates.append(shift)
 
+    fstar: List[StructureGenerator] = []
     max_gens = len(tower.vars) + len(K.generators)
     progress = True
     while progress and len(fstar) < max_gens:
         progress = False
+        oracle = MembershipOracle(
+            tower, SubfieldSpec(generators=tuple(g.expr for g in fstar)),
+            bounds)
         for cand in candidates:
-            status, _ = fstar_contains(cand)
+            status, _ = oracle.query(cand)
             if status != OUT:
                 continue
-            dstatus, dwit = fstar_contains(tower.differentiate(cand))
+            dstatus, dwit = oracle.query(tower.differentiate(cand))
             if dstatus != IN:
                 continue
             outcome = subfield_membership(cand, K, tower, bounds)
             if not isinstance(outcome, Found):
                 continue
+            # F* grows, so this step ends and the next builds a new oracle
             fstar.append(StructureGenerator(
                 expr=cand, derivative_witness=dwit,
                 membership_witness=outcome.value))

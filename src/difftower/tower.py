@@ -152,17 +152,8 @@ class SubfieldSpec:
     """Differential generators g_1..g_s of K = F<g_1,...,g_s> over a tower."""
 
     generators: tuple  # tuple[RatFun, ...]
-    names: tuple = ()
-
-    def __post_init__(self):
-        if not self.names:
-            object.__setattr__(
-                self, "names",
-                tuple(f"g{i}" for i in range(len(self.generators))))
-        if len(self.names) != len(self.generators):
-            raise ValueError("names/generators length mismatch")
 
 
 def base_subfield(tower: Tower) -> SubfieldSpec:
     """K = Q(z), the base field as a subfield spec."""
-    return SubfieldSpec(generators=(tower.gen(BASE_VAR),), names=(BASE_VAR,))
+    return SubfieldSpec(generators=(tower.gen(BASE_VAR),))

@@ -296,8 +296,10 @@ class TestOdeColumns:
         f = parse_expr("1/(z + 2)", T)
         g = parse_expr("3/(z + 1)", T)
         offset, build = _ode_ansatz(f, g, T, Bounds(2, 2, 1, escalation=()))
-        denom, common, target, column = build()
+        denom, target, column = build()
         assert offset == denom.total_degree()
+        lcm, _ = clear_denominators([f, g, *T.derivatives])
+        common = lcm * lcm * denom
         denom_rf = RatFun.from_poly(denom)
         assert RatFun(target, common) == f
         for exp in monomials_upto(len(v), 2):

@@ -311,6 +311,20 @@ class TestCli:
                          "--max-cells", "1"])
         assert code == 1 and "status=no-solution" in out
 
+    @pytest.mark.parametrize("gens, code, status, chosen", [
+        ("z^2", 2, "partial", "zeta1"),
+        ("z^2, z^2*zeta1", 0, "complete", ""),
+    ])
+    def test_basis(self, tmp_path, gens, code, status, chosen):
+        p = tmp_path / "basis.twr"
+        p.write_text(f"base z\ngen zeta1 ; D(zeta1) = 1/z\n"
+                     f"subfield K = [{gens}]\n")
+        got, out = run(["basis", "--tower", str(p), "--subfield", "K",
+                        "--deg", "3", "--order", "2"])
+        assert got == code
+        assert out.split("---\n")[1] \
+            == f"status={status}\nchosen={chosen}\n"
+
     def test_bad_subfield_name(self, log_file):
         code, _ = run(["member", "--tower", log_file, "--subfield", "nope",
                        "z", "--deg", "2", "--order", "1"])

@@ -408,6 +408,28 @@ class TestCompositumBasis:
         out = compositum_basis(K, T, SMALL)
         assert out.chosen == ("zeta1",) and not out.partial
 
+    def test_unknown_membership_is_partial(self):
+        # z^2 is a pure base element, so the oracle falls back to the
+        # ansatz, which cannot write zeta1 over Q<z^2>
+        T = log_tower()
+        K = SubfieldSpec(generators=(parse_expr("z^2", T),))
+        out = compositum_basis(K, T, SMALL)
+        assert out.chosen == ("zeta1",) and out.partial
+
+    def test_ansatz_fallback_finds_generator(self):
+        # z^2*zeta1 is not linear over the tower; the ansatz writes zeta1
+        # as (z^2*zeta1)/z^2
+        T = log_tower()
+        K = SubfieldSpec(generators=(parse_expr("z^2", T),
+                                     parse_expr("z^2*zeta1", T)))
+        oracle = structure.MembershipOracle(T, K, SMALL)
+        assert oracle.field is None
+        status, witness = oracle.query(T.gen("zeta1"))
+        assert status == structure.IN and isinstance(witness, Witness)
+        assert witness.substituted() == T.gen("zeta1")
+        out = compositum_basis(K, T, SMALL)
+        assert out.chosen == () and not out.partial
+
 
 class TestMinimalShift:
     def test_affine(self):
@@ -480,3 +502,43 @@ class TestSubfieldStructure:
                 out = subfield_membership(
                     d, SubfieldSpec(generators=prev), T, SMALL)
                 assert isinstance(out, Found)
+
+
+class CountingLinearField(LinearField):
+    built = 0
+
+    def __init__(self, tower, entries):
+        CountingLinearField.built += 1
+        super().__init__(tower, entries)
+
+
+class TestOneOraclePerStep:
+    @pytest.mark.parametrize("c", [-3, 0, 2])
+    def test_subfield_structure(self, monkeypatch, c):
+        # the structure workload's K = Q((zeta1 + c)/y) over log(y)
+        v = ("z", "zeta1")
+        T = tower_from_pairs([("zeta1", parse_expr("1/(z + 1)", v))])
+        K = SubfieldSpec(generators=(
+            (T.gen("zeta1") + RatFun.const(T.vars, c)) / parse_expr("z + 1", T),))
+        monkeypatch.setattr(CountingLinearField, "built", 0)
+        monkeypatch.setattr(structure, "LinearField", CountingLinearField)
+        report = subfield_structure(K, T, SMALL)
+        assert tuple(g.expr for g in report.generators) \
+            == (T.gen("z"), T.gen("zeta1"))
+        # one ascent step per generator, and the step that finds none
+        assert CountingLinearField.built == len(report.generators) + 1
+
+    def test_ostrowski_relation_uses_the_field_alone(self, monkeypatch):
+        def no_oracle(*args):
+            raise AssertionError("ostrowski_relation built a MembershipOracle")
+
+        T = two_log_tower()
+        ws = [T.gen("zeta1"), T.gen("zeta2"),
+              parse_expr("zeta1 - 2*zeta2 + z^2", T)]
+        monkeypatch.setattr(CountingLinearField, "built", 0)
+        monkeypatch.setattr(structure, "LinearField", CountingLinearField)
+        monkeypatch.setattr(structure, "MembershipOracle", no_oracle)
+        out = ostrowski_relation(ws, base_subfield(T), T)
+        assert out == Relation(alpha=(1, -2, -1),
+                               remainder=parse_expr("-z^2", T))
+        assert CountingLinearField.built == 1

@@ -10,8 +10,8 @@ from difftower.errors import (DuplicateName, ForwardReference,
 from difftower.parser import parse_expr
 from difftower.randexpr import random_mpoly, random_ratfun, random_tower
 from difftower.ratfun import RatFun
-from difftower.tower import (SubfieldSpec, TowerSpec, base_subfield,
-                             tower_from_pairs, validate_tower)
+from difftower.tower import (TowerSpec, base_subfield, tower_from_pairs,
+                             validate_tower)
 
 
 def log_tower():
@@ -173,13 +173,7 @@ class TestDifferentiateOracle:
 
 
 class TestSubfieldSpec:
-    def test_default_names(self):
-        T = log_tower()
-        K = SubfieldSpec(generators=(parse_expr("zeta1/z", T),))
-        assert K.names == ("g0",)
-
     def test_base_subfield(self):
         T = log_tower()
         K = base_subfield(T)
-        assert K.names == ("z",)
         assert K.generators == (parse_expr("z", T),)
