@@ -2,12 +2,12 @@
 
 from .ansatz import Bounds, Found, NoSolutionWithinBounds, Witness
 from .ratfun import MPoly, RatFun
-from .tower import SubfieldSpec, Tower, TowerSpec, tower_from_pairs, validate_tower
+from .tower import SubfieldSpec, Tower, tower_from_pairs
 
 __all__ = [
     "Bounds", "Found", "NoSolutionWithinBounds", "Witness",
     "MPoly", "RatFun",
-    "SubfieldSpec", "Tower", "TowerSpec", "tower_from_pairs", "validate_tower",
+    "SubfieldSpec", "Tower", "tower_from_pairs",
 ]
 
 __version__ = "0.1.0"

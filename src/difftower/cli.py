@@ -3,6 +3,12 @@
 Every subcommand prints a short human-readable report, a `---` separator and
 a machine-readable key=value block, deterministically.  Exit codes: 0 found
 or true, 1 false or negative decision, 2 unknown or partial, 3 input error.
+
+There is one report path: `main` loads the tower file, calls the
+subcommand's handler with `(args, tower, subfields)`, and prints the
+`(lines, kv, code)` it returns.  A library error becomes the same kind of
+report in `main`: exit 1 for NotAntiderivative, 2 for BoundsExceeded and 3
+for any other error.
 """
 
 from __future__ import annotations
@@ -15,26 +21,17 @@ from typing import Dict, List, Optional, Tuple
 
 from . import ansatz, autgroup, structure
 from .ansatz import Bounds, Found
-from .errors import (AlreadyInBase, BoundsExceeded, DivisionByZero,
-                     DuplicateName, ExprSyntaxError,
-                     ForwardReference, InvalidTowerConstant,
-                     MalformedAntiderivative, NotAntiderivative,
-                     NotDifferential, NotFlat, NotTriangular, TowerFileError,
-                     UnknownSymbol, Unsupported, VariableMismatch,
-                     ZeroDenominator)
+from .errors import (BoundsExceeded, DiffTowerError, DivisionByZero,
+                     NotAntiderivative, TowerFileError)
 from .parser import (format_fraction, format_ratfun, parse_expr,
                      parse_tower_file)
 from .ratfun import RatFun
 from .tower import SubfieldSpec, Tower, base_subfield
 
-_INPUT_ERRORS = (TowerFileError, ExprSyntaxError, UnknownSymbol,
-                 DuplicateName, ForwardReference, InvalidTowerConstant,
-                 VariableMismatch, ZeroDenominator, DivisionByZero, NotFlat,
-                 MalformedAntiderivative, Unsupported, ValueError)
-_DECISION_ERRORS = (NotAntiderivative, NotDifferential, NotTriangular,
-                    AlreadyInBase)
 MAX_CELLS_ENV = "DIFFIELD_MAX_CELLS"
 ALL_BOUNDS = ("--deg", "--order", "--max-cells")
+
+Report = Tuple[List[str], List[Tuple[str, str]], int]  # lines, kv, exit code
 
 
 def _emit(lines: List[str], kv: List[Tuple[str, str]]):
@@ -82,152 +79,128 @@ def _bounds(args) -> Bounds:
     return Bounds(**caps)
 
 
-def _fmt_alpha(alpha) -> str:
-    return ",".join(format_fraction(a) for a in alpha)
+def _bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _fmt_alpha(alpha, sep: str = ",") -> str:
+    return sep.join(format_fraction(a) for a in alpha)
 
 
 def _fmt_witness_like(w) -> str:
-    if isinstance(w, ansatz.Witness):
-        return format_ratfun(w.expr)
-    return format_ratfun(w)
+    return format_ratfun(w.expr if isinstance(w, ansatz.Witness) else w)
+
+
+def _alpha_report(status: str, alpha, a: RatFun) -> Report:
+    """The alpha / remainder block of decompose and ostrowski."""
+    return ([f"alpha = ({_fmt_alpha(alpha, ', ')})", f"a = {format_ratfun(a)}"],
+            [("status", status), ("alpha", _fmt_alpha(alpha)),
+             ("a", format_ratfun(a))], 0)
+
+
+def _membership_report(outcome, human) -> Report:
+    """The found / no-solution block of member and recover."""
+    if not isinstance(outcome, Found):
+        return ["no solution within bounds"], [("status", "no-solution")], 1
+    w = outcome.value
+    return human(w), [("status", "found"), ("witness", format_ratfun(w.expr)),
+                      ("args", ";".join(format_ratfun(a) for a in w.args))], 0
 
 
 # -- subcommands ----------------------------------------------------------------
 
-def _cmd_validate(args) -> int:
-    tower, subfields = _load(args)
-    lines = [f"tower: {', '.join(tower.vars)}"]
-    for name in tower.gen_names:
-        lines.append(f"D({name}) = {format_ratfun(tower.deriv_of(name))}")
-    flat = tower.is_flat()
-    lines.append(f"flat: {'true' if flat else 'false'}")
-    kv = [("status", "ok"),
-          ("generators", ",".join(tower.gen_names)),
-          ("flat", "true" if flat else "false")]
+def _cmd_validate(args, tower, subfields) -> Report:
+    lines = [f"tower: {', '.join(tower.vars)}"] + [
+        f"D({name}) = {format_ratfun(tower.deriv_of(name))}"
+        for name in tower.gen_names]
+    flat = _bool(tower.is_flat())
+    lines.append(f"flat: {flat}")
+    kv = [("status", "ok"), ("generators", ",".join(tower.gen_names)),
+          ("flat", flat)]
     if subfields:
         kv.append(("subfields", ",".join(subfields)))
-    _emit(lines, kv)
-    return 0
+    return lines, kv, 0
 
 
-def _cmd_derive(args) -> int:
-    tower, _ = _load(args)
+def _cmd_derive(args, tower, subfields) -> Report:
     u = parse_expr(args.expr, tower)
-    n = args.order if args.order is not None else 1
-    result = tower.nth_derivative(u, n)
-    _emit([f"D^{n}({args.expr}) = {format_ratfun(result)}"],
-          [("status", "ok"), ("result", format_ratfun(result))])
-    return 0
+    result = format_ratfun(tower.nth_derivative(u, args.order))
+    return ([f"D^{args.order}({args.expr}) = {result}"],
+            [("status", "ok"), ("result", result)], 0)
 
 
-def _cmd_const(args) -> int:
-    tower, _ = _load(args)
-    u = parse_expr(args.expr, tower)
-    answer = tower.is_constant(u)
-    _emit([f"constant: {'true' if answer else 'false'}"],
-          [("status", "true" if answer else "false")])
-    return 0 if answer else 1
+def _cmd_const(args, tower, subfields) -> Report:
+    answer = tower.is_constant(parse_expr(args.expr, tower))
+    return ([f"constant: {_bool(answer)}"], [("status", _bool(answer))],
+            0 if answer else 1)
 
 
-def _cmd_decompose(args) -> int:
-    tower, _ = _load(args)
+def _cmd_decompose(args, tower, subfields) -> Report:
     g = parse_expr(args.expr, tower)
-    alpha, a = structure.antiderivative_decompose(g, tower)
-    _emit([f"alpha = ({', '.join(format_fraction(x) for x in alpha)})",
-           f"a = {format_ratfun(a)}"],
-          [("status", "found"), ("alpha", _fmt_alpha(alpha)),
-           ("a", format_ratfun(a))])
-    return 0
+    return _alpha_report("found", *structure.antiderivative_decompose(g, tower))
 
 
-def _cmd_ostrowski(args) -> int:
-    tower, subfields = _load(args)
+def _cmd_ostrowski(args, tower, subfields) -> Report:
     K = _subfield(args, tower, subfields)
     ws = [parse_expr(t, tower) for t in args.w]
     outcome = structure.ostrowski_relation(ws, K, tower)
     if isinstance(outcome, structure.Independent):
-        _emit(["independent"], [("status", "independent")])
-        return 1
-    _emit([f"alpha = ({', '.join(format_fraction(x) for x in outcome.alpha)})",
-           f"a = {format_ratfun(outcome.remainder)}"],
-          [("status", "relation"), ("alpha", _fmt_alpha(outcome.alpha)),
-           ("a", format_ratfun(outcome.remainder))])
-    return 0
+        return ["independent"], [("status", "independent")], 1
+    return _alpha_report("relation", outcome.alpha, outcome.remainder)
 
 
-def _cmd_normal_tower(args) -> int:
-    tower, _ = _load(args)
+def _cmd_normal_tower(args, tower, subfields) -> Report:
     result = structure.normal_tower(tower, _bounds(args))
     lines = ["level 0: Q"]
     kv = [("status", "partial" if result.partial else "complete"),
           ("levels", str(len(result.levels) - 1))]
     for j, level in enumerate(result.levels[1:], start=1):
-        rendered = ", ".join(format_ratfun(e) for e in level)
-        lines.append(f"level {j}: {rendered}")
-        kv.append((f"level{j}", ";".join(format_ratfun(e) for e in level)))
-    _emit(lines, kv)
-    return 2 if result.partial else 0
+        rendered = [format_ratfun(e) for e in level]
+        lines.append(f"level {j}: {', '.join(rendered)}")
+        kv.append((f"level{j}", ";".join(rendered)))
+    return lines, kv, 2 if result.partial else 0
 
 
-def _cmd_basis(args) -> int:
-    tower, subfields = _load(args)
+def _cmd_basis(args, tower, subfields) -> Report:
     K = _subfield(args, tower, subfields)
     result = structure.compositum_basis(K, tower, _bounds(args))
     chosen = ", ".join(result.chosen) if result.chosen else "(none)"
-    _emit([f"basis: {chosen}"],
-          [("status", "partial" if result.partial else "complete"),
-           ("chosen", ",".join(result.chosen))])
-    return 2 if result.partial else 0
+    return ([f"basis: {chosen}"],
+            [("status", "partial" if result.partial else "complete"),
+             ("chosen", ",".join(result.chosen))],
+            2 if result.partial else 0)
 
 
-def _cmd_member(args) -> int:
-    tower, subfields = _load(args)
+def _cmd_member(args, tower, subfields) -> Report:
     K = _subfield(args, tower, subfields)
     u = parse_expr(args.expr, tower)
     outcome = ansatz.subfield_membership(u, K, tower, _bounds(args))
-    if isinstance(outcome, Found):
-        w = outcome.value
-        args_line = ", ".join(
-            f"x{i} = {format_ratfun(a)}" for i, a in enumerate(w.args))
-        _emit([f"witness: {format_ratfun(w.expr)}", f"args: {args_line}"],
-              [("status", "found"), ("witness", format_ratfun(w.expr)),
-               ("args", ";".join(format_ratfun(a) for a in w.args))])
-        return 0
-    _emit(["no solution within bounds"], [("status", "no-solution")])
-    return 1
+    return _membership_report(outcome, lambda w: [
+        f"witness: {format_ratfun(w.expr)}",
+        "args: " + ", ".join(f"x{i} = {format_ratfun(a)}"
+                             for i, a in enumerate(w.args))])
 
 
-def _cmd_solve_ode(args) -> int:
-    tower, _ = _load(args)
+def _cmd_solve_ode(args, tower, subfields) -> Report:
     f = parse_expr(args.f, tower)
     g = parse_expr(args.g, tower) if args.g is not None \
         else RatFun.const(tower.vars, 0)
     outcome = ansatz.solve_first_order(f, g, tower, _bounds(args))
     if isinstance(outcome, Found):
-        _emit([f"w = {format_ratfun(outcome.value)}"],
-              [("status", "found"), ("w", format_ratfun(outcome.value))])
-        return 0
-    certified = "true" if outcome.certified else "false"
-    _emit(["no solution within bounds"
-           + (" (certified: no solution exists)" if outcome.certified else "")],
-          [("status", "no-solution"), ("certified", certified)])
-    return 1
+        w = format_ratfun(outcome.value)
+        return [f"w = {w}"], [("status", "found"), ("w", w)], 0
+    note = " (certified: no solution exists)" if outcome.certified else ""
+    return ([f"no solution within bounds{note}"],
+            [("status", "no-solution"),
+             ("certified", _bool(outcome.certified))], 1)
 
 
-def _cmd_recover(args) -> int:
-    tower, _ = _load(args)
+def _cmd_recover(args, tower, subfields) -> Report:
     source = parse_expr(getattr(args, "from"), tower)
     target = parse_expr(args.target, tower)
     K = SubfieldSpec(generators=(source,))
     outcome = ansatz.subfield_membership(target, K, tower, _bounds(args))
-    if isinstance(outcome, Found):
-        w = outcome.value
-        _emit([format_ratfun(w.expr)],
-              [("status", "found"), ("witness", format_ratfun(w.expr)),
-               ("args", ";".join(format_ratfun(a) for a in w.args))])
-        return 0
-    _emit(["no solution within bounds"], [("status", "no-solution")])
-    return 1
+    return _membership_report(outcome, lambda w: [format_ratfun(w.expr)])
 
 
 def _parse_alpha(text: str) -> List[Fraction]:
@@ -237,55 +210,43 @@ def _parse_alpha(text: str) -> List[Fraction]:
         raise DivisionByZero(f"--alpha {text!r} has a zero denominator") from None
 
 
-def _cmd_aut(args) -> int:
-    tower, _ = _load(args)
+def _cmd_aut(args, tower, subfields) -> Report:
     alpha = _parse_alpha(args.alpha) if args.alpha is not None \
         else [Fraction(0)] * len(tower.gen_names)
     sigma = autgroup.make_translation_aut(tower, alpha)
-    lines = []
+    lines = [f"sigma({name}) = {format_ratfun(sigma.image_of(name))}"
+             for name in tower.gen_names]
     kv = [("status", "ok"), ("alpha", _fmt_alpha(alpha))]
-    for name in tower.gen_names:
-        lines.append(f"sigma({name}) = {format_ratfun(sigma.image_of(name))}")
     code = 0
     if args.apply is not None:
         u = parse_expr(args.apply, tower)
-        image = autgroup.apply(sigma, u)
-        lines.append(f"sigma({args.apply}) = {format_ratfun(image)}")
-        kv.append(("image", format_ratfun(image)))
+        image = format_ratfun(autgroup.apply(sigma, u))
+        lines.append(f"sigma({args.apply}) = {image}")
+        kv.append(("image", image))
     if args.probe is not None:
         u = parse_expr(args.probe, tower)
         fixed = autgroup.fixed_field_probe([sigma], u)
-        lines.append(f"fixed: {'true' if fixed else 'false'}")
-        kv.append(("fixed", "true" if fixed else "false"))
+        lines.append(f"fixed: {_bool(fixed)}")
+        kv.append(("fixed", _bool(fixed)))
         code = 0 if fixed else 1
-    _emit(lines, kv)
-    return code
+    return lines, kv, code
 
 
-def _cmd_structure(args) -> int:
-    tower, subfields = _load(args)
+def _cmd_structure(args, tower, subfields) -> Report:
     K = _subfield(args, tower, subfields)
     report = structure.subfield_structure(K, tower, _bounds(args))
     lines = [f"status: {report.status}"]
-    kv = [("status", report.status)]
-    gen_strs = []
-    for i, gen in enumerate(report.generators):
-        expr = format_ratfun(gen.expr)
-        gen_strs.append(expr)
-        lines.append(f"eta{i} = {expr}")
-        lines.append(f"  derivative over previous: "
-                     f"{_fmt_witness_like(gen.derivative_witness)}")
-        lines.append(f"  over K: {_fmt_witness_like(gen.membership_witness)}")
-    kv.append(("generators", ";".join(gen_strs)))
+    gen_strs = [format_ratfun(gen.expr) for gen in report.generators]
+    for i, (expr, gen) in enumerate(zip(gen_strs, report.generators)):
+        lines += [f"eta{i} = {expr}", "  derivative over previous: "
+                  + _fmt_witness_like(gen.derivative_witness),
+                  f"  over K: {_fmt_witness_like(gen.membership_witness)}"]
+    kv = [("status", report.status), ("generators", ";".join(gen_strs))]
     for i, w in enumerate(report.input_witnesses):
-        if w is None:
-            lines.append(f"K generator {i}: unresolved")
-            kv.append((f"kgen{i}", "unresolved"))
-        else:
-            lines.append(f"K generator {i}: {_fmt_witness_like(w)}")
-            kv.append((f"kgen{i}", _fmt_witness_like(w)))
-    _emit(lines, kv)
-    return 0 if report.status == "resolved" else 2
+        rendered = "unresolved" if w is None else _fmt_witness_like(w)
+        lines.append(f"K generator {i}: {rendered}")
+        kv.append((f"kgen{i}", rendered))
+    return lines, kv, 0 if report.status == "resolved" else 2
 
 
 # -- wiring ----------------------------------------------------------------------
@@ -380,22 +341,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return 3 if e.code else 0
     try:
-        return args.func(args)
-    except _DECISION_ERRORS as e:
-        _emit([f"error: {type(e).__name__}: {e}"],
-              [("status", "error"), ("error", type(e).__name__)])
-        return 1
-    except BoundsExceeded as e:
-        _emit([f"error: BoundsExceeded: {e}"],
-              [("status", "error"), ("error", "BoundsExceeded")])
-        return 2
-    except _INPUT_ERRORS as e:
-        _emit([f"error: {type(e).__name__}: {e}"],
-              [("status", "error"), ("error", type(e).__name__)])
-        return 3
+        lines, kv, code = args.func(args, *_load(args))
+    except (DiffTowerError, ValueError) as e:
+        name = type(e).__name__
+        lines, kv = [f"error: {name}: {e}"], [("status", "error"),
+                                               ("error", name)]
+        code = 1 if isinstance(e, NotAntiderivative) \
+            else 2 if isinstance(e, BoundsExceeded) else 3
     except OSError as e:
-        _emit([f"error: {e}"], [("status", "error"), ("error", "OSError")])
-        return 3
+        lines, kv, code = [f"error: {e}"], [("status", "error"),
+                                            ("error", "OSError")], 3
+    _emit(lines, kv)
+    return code
 
 
 def entrypoint():

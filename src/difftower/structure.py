@@ -453,21 +453,14 @@ def subfield_structure(K: SubfieldSpec, tower: Tower,
             progress = True
             break
 
+    # over an empty F* the membership search has no values and misses
+    fstar_field = SubfieldSpec(generators=tuple(g.expr for g in fstar))
     input_witnesses: List[object] = []
-    resolved = bool(fstar) or not K.generators
-    exprs = tuple(g.expr for g in fstar)
     for g in K.generators:
-        if not exprs:
-            input_witnesses.append(None)
-            resolved = False
-            continue
-        outcome = subfield_membership(
-            g, SubfieldSpec(generators=exprs), tower, bounds)
-        if isinstance(outcome, Found):
-            input_witnesses.append(outcome.value)
-        else:
-            input_witnesses.append(None)
-            resolved = False
+        outcome = subfield_membership(g, fstar_field, tower, bounds)
+        input_witnesses.append(
+            outcome.value if isinstance(outcome, Found) else None)
+    resolved = all(w is not None for w in input_witnesses)
     return StructureReport(
         status="resolved" if resolved else "partial",
         generators=tuple(fstar),

@@ -23,45 +23,20 @@ from .errors import (DuplicateName, ForwardReference, InvalidTowerConstant,
 from .ratfun import RatFun, clear_denominators
 
 BASE_VAR = "z"
-
-
-@dataclass(frozen=True)
-class TowerSpec:
-    """Ordered generator declarations (name, derivative over the prefix).
-
-    The base variable z with D(z) = 1 is implicit and always present.
-    Derivatives are rational functions over the full variable list
-    (z, gen1, ..., gent); validation enforces that each one only uses z and
-    strictly earlier generators.
-    """
-
-    generators: tuple  # tuple[tuple[str, RatFun], ...]
-
-    @property
-    def names(self):
-        return tuple(name for name, _ in self.generators)
-
-    @property
-    def all_vars(self):
-        return (BASE_VAR,) + self.names
+_VALIDATED = object()
 
 
 class Tower:
-    """Validated tower; immutable.  Construct via validate_tower."""
+    """Validated tower; immutable.  Construct via tower_from_pairs."""
 
-    def __init__(self, spec: TowerSpec, _token=None):
+    def __init__(self, names, derivatives, _token=None):
         if _token is not _VALIDATED:
-            raise TypeError("construct towers via validate_tower()")
-        self.spec = spec
-        self.vars = spec.all_vars
+            raise TypeError("construct towers via tower_from_pairs()")
+        self.gen_names = tuple(names)
+        self.vars = (BASE_VAR,) + self.gen_names
         # derivative table indexed like self.vars; z first with D(z) = 1
-        self.derivatives = (RatFun.const(self.vars, 1),) + tuple(
-            d for _, d in spec.generators)
+        self.derivatives = (RatFun.const(self.vars, 1),) + tuple(derivatives)
         self.lcm, self.images = clear_denominators(self.derivatives)
-
-    @property
-    def gen_names(self):
-        return self.spec.names
 
     def gen(self, name: str) -> RatFun:
         if name not in self.vars:
@@ -112,39 +87,33 @@ class Tower:
         return f"Tower(z, {gens})" if gens else "Tower(z)"
 
 
-_VALIDATED = object()
+def tower_from_pairs(pairs) -> Tower:
+    """Check prefix closure of the declared (name, derivative RatFun) pairs
+    and build the tower.
 
-
-def validate_tower(spec: TowerSpec) -> Tower:
-    """Check prefix closure of the declared derivatives and build the tower.
-
-    Raises DuplicateName, UnknownSymbol (derivative over undeclared
-    symbols) or ForwardReference (derivative mentioning the generator
-    itself or a later one).
+    The base variable z with D(z) = 1 is implicit.  Each derivative is over
+    the full variable list (z, gen1, ..., gent) and may use only z and
+    strictly earlier generators.  Raises DuplicateName, UnknownSymbol
+    (derivative over undeclared symbols) or ForwardReference (derivative
+    mentioning the generator itself or a later one).
     """
-    names = []
-    for name, deriv in spec.generators:
-        if name == BASE_VAR or name in names:
+    pairs = tuple(pairs)
+    names = tuple(name for name, _ in pairs)
+    all_vars = (BASE_VAR,) + names
+    for i, (name, deriv) in enumerate(pairs):
+        if name == BASE_VAR or name in names[:i]:
             raise DuplicateName(name)
         if not name.isidentifier():
             raise UnknownSymbol(f"bad generator name {name!r}")
-        allowed = {BASE_VAR, *names}
-        if deriv.vars != spec.all_vars:
+        if deriv.vars != all_vars:
             raise UnknownSymbol(
                 f"derivative of {name} is over {deriv.vars!r}, "
-                f"expected {spec.all_vars!r}")
-        used = deriv.used_vars()
-        late = used - allowed
+                f"expected {all_vars!r}")
+        late = deriv.used_vars() - {BASE_VAR, *names[:i]}
         if late:
             raise ForwardReference(
                 f"derivative of {name} references {sorted(late)}")
-        names.append(name)
-    return Tower(spec, _token=_VALIDATED)
-
-
-def tower_from_pairs(pairs) -> Tower:
-    """Build and validate a tower from (name, derivative RatFun) pairs."""
-    return validate_tower(TowerSpec(generators=tuple(pairs)))
+    return Tower(names, (d for _, d in pairs), _token=_VALIDATED)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Parser, printer and CLI subcommands."""
 
+import ast
+import inspect
 import io
 import os
 import random
@@ -8,14 +10,17 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from difftower import corpus
+from difftower import cli, corpus
 from difftower.cli import _build_parser, main
-from difftower.errors import (ExprSyntaxError, ForwardReference,
-                              TowerFileError, UnknownSymbol)
+from difftower.errors import (BoundsExceeded, DiffTowerError,
+                              ExprSyntaxError, ForwardReference,
+                              NotAntiderivative, TowerFileError,
+                              UnknownSymbol)
 from difftower.parser import (format_mpoly, format_ratfun, parse_expr,
                               parse_tower_file)
 from difftower.randexpr import random_ratfun, random_tower
 from difftower.ratfun import RatFun
+from difftower.structure import NotLinearField
 from difftower.tower import tower_from_pairs
 
 LOG_TWR = """base z
@@ -27,6 +32,8 @@ LOGLOG_TWR = """base z
 gen zeta1 ; D(zeta1) = 1/z
 gen zeta2 ; D(zeta2) = 1/(zeta1*z)
 """
+
+BASE_TWR = "base z\n"
 
 
 def run(argv):
@@ -48,6 +55,21 @@ def loglog_file(tmp_path):
     p = tmp_path / "loglog.twr"
     p.write_text(LOGLOG_TWR)
     return str(p)
+
+
+@pytest.fixture
+def towers(tmp_path):
+    texts = {"log": LOG_TWR, "loglog": LOGLOG_TWR, "base": BASE_TWR,
+             "q2": "base z\ngen zeta1 ; D(zeta1) = 1/z\n"
+                   "subfield Q2 = [zeta1^2]\n",
+             "dup": LOG_TWR + "subfield K = [z]\n",
+             "empty": LOG_TWR + "subfield E = []\n"}
+    paths = {}
+    for name, text in texts.items():
+        p = tmp_path / f"{name}.twr"
+        p.write_text(text)
+        paths[name] = str(p)
+    return paths
 
 
 class TestParseExpr:
@@ -335,6 +357,91 @@ class TestCli:
         p.write_text("base z\ngen a ; D(a) = 1/z\ngen b ; D(b) = 2/z\n")
         code, out = run(["const", "--tower", str(p), "2*a-b"])
         assert code == 3 and "error=InvalidTowerConstant" in out
+
+
+# exact reports of branches the tests above do not reach: (tower, argv
+# without --tower, exit code, stdout)
+REPORTS = [
+    ("log", ["ostrowski", "--w", "zeta1", "--w", "2*zeta1 + z"], 0,
+     "alpha = (1, -1/2)\na = -1/2*z\n---\n"
+     "status=relation\nalpha=1,-1/2\na=-1/2*z\n"),
+    ("log", ["member", "--subfield", "K", "zeta1", "--deg", "1",
+             "--order", "1"], 1,
+     "no solution within bounds\n---\nstatus=no-solution\n"),
+    ("base", ["solve-ode", "--f", "1/z"], 1,
+     "no solution within bounds (certified: no solution exists)\n---\n"
+     "status=no-solution\ncertified=true\n"),
+    ("log", ["solve-ode", "--f", "0", "--g", "1"], 1,
+     "no solution within bounds\n---\n"
+     "status=no-solution\ncertified=false\n"),
+    ("log", ["aut", "--alpha", "1", "--apply", "zeta1^2"], 0,
+     "sigma(zeta1) = zeta1 + 1\nsigma(zeta1^2) = zeta1^2 + 2*zeta1 + 1\n"
+     "---\nstatus=ok\nalpha=1\nimage=zeta1^2 + 2*zeta1 + 1\n"),
+    ("log", ["structure", "--subfield", "K", "--deg", "1", "--order", "1"], 2,
+     "status: partial\nK generator 0: unresolved\n---\n"
+     "status=partial\ngenerators=\nkgen0=unresolved\n"),
+    ("log", ["decompose", "zeta1^2"], 1,
+     "error: NotAntiderivative: D(g) is not in Q(z): RatFun('2*zeta1/z')\n"
+     "---\nstatus=error\nerror=NotAntiderivative\n"),
+    ("loglog", ["normal-tower", "--max-cells", "1"], 2,
+     "error: BoundsExceeded: linear system of 3x4 exceeds cap 1\n---\n"
+     "status=error\nerror=BoundsExceeded\n"),
+    # input errors: exit 3
+    ("q2", ["ostrowski", "--subfield", "Q2", "--w", "zeta1"], 3,
+     "error: Unsupported: K does not admit the exact coordinate treatment\n"
+     "---\nstatus=error\nerror=Unsupported\n"),
+    ("log", ["derive", "zeta1", "--order", "-1"], 3,
+     "error: ValueError: derivative order must be nonnegative\n---\n"
+     "status=error\nerror=ValueError\n"),
+    ("dup", ["validate"], 3,
+     "error: TowerFileError: line 4: duplicate subfield 'K'\n---\n"
+     "status=error\nerror=TowerFileError\n"),
+    ("empty", ["validate"], 3,
+     "error: TowerFileError: line 4: empty subfield 'E'\n---\n"
+     "status=error\nerror=TowerFileError\n"),
+]
+
+
+@pytest.mark.parametrize("tower, argv, code, stdout", REPORTS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list)
+                         else None)
+def test_report(towers, tower, argv, code, stdout):
+    assert run([argv[0], "--tower", towers[tower], *argv[1:]]) \
+        == (code, stdout)
+
+
+@pytest.mark.parametrize("err, code", [
+    (NotAntiderivative("x"), 1),
+    (BoundsExceeded("x"), 2),
+    (TowerFileError("x"), 3),
+    (ValueError("x"), 3),
+    (NotLinearField("x"), 3),
+    (DiffTowerError("x"), 3),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_error_exit_codes(log_file, monkeypatch, err, code):
+    # any library error ends in a report, never a traceback
+    def boom(*_):
+        raise err
+    monkeypatch.setattr(cli, "_cmd_validate", boom)
+    got, out = run(["validate", "--tower", log_file])
+    assert got == code
+    assert out == (f"error: {type(err).__name__}: x\n---\n"
+                   f"status=error\nerror={type(err).__name__}\n")
+
+
+def test_one_report_path():
+    # print only in _emit, and _emit only from main: a handler returns its
+    # report and main prints it
+    tree = ast.parse(inspect.getsource(cli))
+    callers = {"print": set(), "_emit": set()}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Name) \
+                        and node.func.id in callers:
+                    callers[node.func.id].add(fn.name)
+    assert callers == {"print": {"_emit"}, "_emit": {"main"}}
 
 
 # the options each subcommand takes; an option a subcommand would accept and
