@@ -127,18 +127,16 @@ def solve_linear_ansatz(terms: Sequence[RatFun], target: RatFun) -> List[Tuple[F
     return _solve_columns(cols[:-1], cols[-1], linalg.DEFAULT_MAX_CELLS)
 
 
-def _closure_values(gens: Sequence[RatFun], tower: Tower, order: int) -> List[RatFun]:
-    """Generators plus derivatives up to the given order, constants and
-    duplicates dropped, in generator-major order."""
-    out: List[RatFun] = []
-    for g in gens:
-        cur = g
-        for j in range(order + 1):
-            if cur.used_vars() and cur not in out:
-                out.append(cur)
-            if j < order:
-                cur = tower.differentiate(cur)
-    return out
+def _closures(gens: Sequence[RatFun], tower: Tower) -> Iterator[List[RatFun]]:
+    """Yields, for order 0, 1, 2, ..., the generators plus derivatives up to
+    that order, constants and duplicates dropped, in generator-major order.
+    Each chain g, D(g), D^2(g), ... grows by one derivative per order."""
+    chains = [[g] for g in gens]
+    while True:
+        yield list(dict.fromkeys(
+            v for chain in chains for v in chain if v.used_vars()))
+        for chain in chains:
+            chain.append(tower.differentiate(chain[-1]))
 
 
 def _cleared_levels(values: Sequence[RatFun]) -> Iterator[Dict[tuple, MPoly]]:
@@ -219,11 +217,12 @@ def subfield_membership(u: RatFun, K: SubfieldSpec, tower: Tower,
     """Search for u as a rational expression in K's generators and their
     derivatives.  Ascending effort ladder, so a Found witness is the one at
     the least (degree, order) bound."""
-    closures = {}   # order -> (values, their cleared levels)
+    orders = _closures(K.generators, tower)
+    closures = []   # per order: (values, their cleared levels)
     for num_deg, den_deg, order in _degree_ladder(bounds):
-        if order not in closures:
-            values = _closure_values(K.generators, tower, order)
-            closures[order] = values, _cleared_levels(values)
+        if order == len(closures):   # the ladder reaches each order in turn
+            values = next(orders)
+            closures.append((values, _cleared_levels(values)))
         values, levels = closures[order]
         # the ladder asks each order for max(num_deg, den_deg) = 1, 2, ...
         powers = next(levels, None)

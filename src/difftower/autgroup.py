@@ -139,8 +139,7 @@ def invert(sigma: AutMap) -> AutMap:
     inverse: Dict[str, RatFun] = {}
     images = []
     for i, name in enumerate(tower.vars):
-        shifted = data.shifts[i].substitute(inverse, tower.vars) \
-            if inverse else data.shifts[i]
+        shifted = data.shifts[i].substitute(inverse, tower.vars)
         image = (tower.gen(name) - shifted).scale(1 / data.deltas[i])
         inverse[name] = image
         images.append(image)

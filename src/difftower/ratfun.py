@@ -9,14 +9,16 @@ function.
 Coefficients are stored as Fractions, but the hot loops (products, exact
 division and GCDHEU) run on cleared integer numerators: each operand is
 written once as {exponent: int} over the lcm of its denominators, and a
-Fraction is built only for each output term.
+Fraction is built only for each output term.  RatFun.substitute clears the
+same way: polynomial products over one denominator, then one reduction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .errors import DivisionByZero, VariableMismatch, ZeroDenominator
@@ -235,31 +237,6 @@ class MPoly:
             total += v
         return total
 
-    def substitute(self, mapping: Mapping[str, "RatFun"],
-                   target_vars: Sequence[str]) -> "RatFun":
-        """Simultaneous substitution; unmapped variables must appear in
-        target_vars and map to themselves."""
-        target_vars = tuple(target_vars)
-        images = {}
-        for name in self.vars:
-            if name in mapping:
-                images[name] = mapping[name]
-            else:
-                images[name] = RatFun.var(target_vars, name)
-        total = RatFun.const(target_vars, 0)
-        powers = {name: [RatFun.const(target_vars, 1)] for name in self.vars}
-        for e, c in self.sorted_terms():
-            term = RatFun.const(target_vars, c)
-            for i, k in enumerate(e):
-                if k:
-                    name = self.vars[i]
-                    cache = powers[name]
-                    while len(cache) <= k:
-                        cache.append(cache[-1] * images[name])
-                    term = term * cache[k]
-            total = total + term
-        return total
-
     # -- exact division and gcd ------------------------------------------
 
     def try_divexact(self, other: "MPoly"):
@@ -385,8 +362,6 @@ def _prem(p: MPoly, q: MPoly, i: int) -> MPoly:
 def _primitive_scale(p: MPoly) -> MPoly:
     """Scale to coprime integer coefficients with positive leading term.
     Pure Fraction PRS blows up numerically; this keeps coefficients small."""
-    if p.is_zero():
-        return p
     return MPoly._over(p.vars, _primitive(_cleared(p)[1])[1])
 
 
@@ -681,9 +656,36 @@ class RatFun:
 
     def substitute(self, mapping: Mapping[str, "RatFun"],
                    target_vars: Sequence[str]) -> "RatFun":
-        n = self.num.substitute(mapping, target_vars)
-        d = self.den.substitute(mapping, target_vars)
-        return n / d
+        """Simultaneous substitution; an unmapped variable must be in
+        target_vars and maps to itself.  With images n_i/d_i and D_i =
+        max(deg_i num, deg_i den), num and den both go over prod d_i^D_i as
+        sum c_e prod n_i^e_i d_i^(D_i-e_i), then one reduction."""
+        target_vars = tuple(target_vars)
+        one = MPoly.const(target_vars, 1)
+        tables = []   # (i, [n_i^k * d_i^(D_i - k) for k = 0..D_i])
+        for i, name in enumerate(self.vars):
+            image = (mapping[name] if name in mapping
+                     else RatFun.var(target_vars, name))
+            top = max(self.num.degree_in(i), self.den.degree_in(i))
+            if top > 0:
+                n_pows = list(accumulate([image.num] * top, mul, initial=one))
+                d_pows = list(accumulate([image.den] * top, mul, initial=one))
+                tables.append((i, [n * d for n, d in zip(n_pows, d_pows[::-1])]))
+
+        def cleared(p: MPoly) -> MPoly:
+            out: dict = {}
+            for e, c in p.terms.items():
+                term = one.scale(c)
+                for i, table in tables:
+                    term = term * table[e[i]]
+                for e2, v in term.terms.items():
+                    out[e2] = out.get(e2, 0) + v
+            return MPoly(target_vars, out)
+
+        den = cleared(self.den)
+        if den.is_zero():
+            raise DivisionByZero("division by the zero function")
+        return RatFun(cleared(self.num), den)
 
     def extend_vars(self, variables: Sequence[str]) -> "RatFun":
         """Reinterpret over a superset variable list."""

@@ -13,12 +13,13 @@ is reported as Partial when a query comes back unknown.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .ansatz import (Bounds, Found, Witness, _assemble_rows, _closure_values,
+from .ansatz import (Bounds, Found, Witness, _assemble_rows, _closures,
                      monomials_upto, subfield_membership)
 from .errors import (AlreadyInBase, DiffTowerError, MalformedAntiderivative,
                      NotAntiderivative, NotFlat, Unsupported)
@@ -153,10 +154,9 @@ class LinearField:
             self.subst[tower.vars[col]] = value - rest.extend_vars(self.ext_vars)
 
     def rewrite(self, u: RatFun) -> RatFun:
-        ext = u.extend_vars(self.ext_vars)
         if not self.subst:
-            return ext
-        return ext.substitute(self.subst, self.ext_vars)
+            return u.extend_vars(self.ext_vars)
+        return u.substitute(self.subst, self.ext_vars)
 
     def contains(self, u: RatFun) -> bool:
         return self.rewrite(u).used_vars() <= self.allowed
@@ -416,8 +416,8 @@ def subfield_structure(K: SubfieldSpec, tower: Tower,
     MembershipOracle; over F* = Q it answers IN for rational constants and
     OUT for everything else."""
     candidates = [tower.gen(v) for v in tower.vars]
-    candidates += [c for c in _closure_values(K.generators, tower, 2)
-                   if c not in candidates]
+    order2 = next(itertools.islice(_closures(K.generators, tower), 2, None))
+    candidates += [c for c in order2 if c not in candidates]
     if tower.gen_names:
         top = tower.gen_names[-1]
         for g in K.generators:

@@ -2,6 +2,7 @@
 equations.  A miss is always NoSolutionWithinBounds, never a nonexistence
 claim, except where the exact residue criterion certifies one."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -15,7 +16,7 @@ import difftower
 from difftower import linalg
 from difftower.ansatz import (Bounds, Found, NoSolutionWithinBounds, Witness,
                               _assemble_rows, _cleared_levels,
-                              _closure_values, _membership_at, _ode_ansatz,
+                              _closures, _membership_at, _ode_ansatz,
                               _poly_part_constant, monomials_upto, solve_first_order,
                               solve_linear_ansatz, subfield_membership)
 from difftower.errors import DiffTowerError
@@ -143,6 +144,22 @@ class TestMembership:
             out = subfield_membership(target, K, T, SMALL)
             assert isinstance(out, Found)
             assert out.value.substituted() == target
+
+
+class TestClosureChains:
+    def test_each_generator_differentiated_once_per_order(self, monkeypatch):
+        # zeta1 = log(z + 1) misses Q(z), so the ladder reaches order 2
+        from difftower.tower import Tower
+        v = ("z", "zeta1")
+        T = tower_from_pairs([("zeta1", parse_expr("1/(z + 1)", v))])
+        calls = []
+        real = Tower.differentiate
+        monkeypatch.setattr(Tower, "differentiate",
+                            lambda self, u: calls.append(u) or real(self, u))
+        out = subfield_membership(T.gen("zeta1"), base_subfield(T), T, SMALL)
+        assert isinstance(out, NoSolutionWithinBounds)
+        # z, D(z) = 1: one more derivative per order, none repeated
+        assert calls == [T.gen("z"), RatFun.const(T.vars, 1)]
 
 
 class TestCellCap:
@@ -362,7 +379,7 @@ def _rung_cases():
         T = random_tower(rng, depth=1 + seed % 3, max_deg=2)
         gens = [random_ratfun(rng, T.vars, max_deg=1 + seed % 2, max_terms=2)
                 for _ in range(1 + seed % 2)]
-        values = _closure_values(gens, T, seed % 2)
+        values = next(itertools.islice(_closures(gens, T), seed % 2, None))
         kind = seed % 4
         if kind == 0:
             u = RatFun.const(T.vars, 0)

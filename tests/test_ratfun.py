@@ -1,4 +1,5 @@
-"""Polynomial and rational-function arithmetic: canonical forms, gcd, division."""
+"""Polynomial and rational-function arithmetic: canonical forms, gcd, division,
+substitution."""
 
 import random
 from fractions import Fraction
@@ -555,3 +556,183 @@ class TestRatFun:
         # the four field operations only: no rational-function exponent
         with pytest.raises(TypeError):
             a ** b
+
+
+def _reference_substitute(u, mapping, target_vars):
+    """The term-by-term substitution the library used before the cleared
+    one, kept as a reference: each term of num and den is a chain of RatFun
+    products over cached powers of the images, the terms are added as
+    RatFuns, and the numerator's image is divided by the denominator's."""
+    target_vars = tuple(target_vars)
+
+    def poly(p):
+        images = {}
+        for name in p.vars:
+            if name in mapping:
+                images[name] = mapping[name]
+            else:
+                images[name] = RatFun.var(target_vars, name)
+        total = RatFun.const(target_vars, 0)
+        powers = {name: [RatFun.const(target_vars, 1)] for name in p.vars}
+        for e, c in p.sorted_terms():
+            term = RatFun.const(target_vars, c)
+            for i, k in enumerate(e):
+                if k:
+                    name = p.vars[i]
+                    cache = powers[name]
+                    while len(cache) <= k:
+                        cache.append(cache[-1] * images[name])
+                    term = term * cache[k]
+            total = total + term
+        return total
+
+    return poly(u.num) / poly(u.den)
+
+
+def _substitution_cases(seed, count):
+    """Seeded (u, mapping, target_vars, kinds): u over V2 or V3; each of its
+    variables maps to a RatFun with a nonconstant denominator, a constant,
+    zero, or is left unmapped, in which case target_vars (a superset of u's
+    variables, sometimes with an extra one) holds it."""
+    from difftower.randexpr import random_fraction, random_ratfun
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        variables = (V2, V3)[rng.randrange(2)]
+        target = variables + ("t",) * rng.randrange(2)
+        u = random_ratfun(rng, variables, max_deg=3)
+        mapping, kinds = {}, []
+        for name in variables:
+            kind = rng.choice(("ratfun", "ratfun", "const", "zero", "unmapped"))
+            if kind == "ratfun":
+                image = random_ratfun(rng, target, max_deg=2, max_terms=3)
+                while image.is_poly():
+                    image = random_ratfun(rng, target, max_deg=2, max_terms=3)
+                mapping[name] = image
+            elif kind == "const":
+                mapping[name] = RatFun.const(target, random_fraction(rng))
+            elif kind == "zero":
+                mapping[name] = RatFun.const(target, 0)
+            kinds.append(kind)
+        cases.append((u, mapping, target, kinds))
+    return cases
+
+
+def _outcome(substitute, u, mapping, target):
+    try:
+        return substitute(u, mapping, target)
+    except DivisionByZero as exc:
+        return DivisionByZero, str(exc)
+
+
+def _sympy_ratfun(u):
+    return _sympy_poly(u.num).as_expr() / _sympy_poly(u.den).as_expr()
+
+
+class TestSubstitute:
+    def test_matches_reference(self):
+        cases = _substitution_cases(61, 240)
+        seen = {kind for *_, kinds in cases for kind in kinds}
+        assert seen == {"ratfun", "const", "zero", "unmapped"}
+        errors = 0
+        for u, mapping, target, _ in cases:
+            got = _outcome(RatFun.substitute, u, mapping, target)
+            assert got == _outcome(_reference_substitute, u, mapping, target)
+            if isinstance(got, RatFun):
+                assert got.vars == target
+            else:
+                errors += 1
+        # the zero images make some denominators vanish, not most
+        assert 0 < errors < len(cases) // 4
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        checked = 0
+        for u, mapping, target, _ in _substitution_cases(67, 24):
+            got = _outcome(RatFun.substitute, u, mapping, target)
+            if not isinstance(got, RatFun):
+                continue
+            images = {sympy.Symbol(name): _sympy_ratfun(image)
+                      for name, image in mapping.items()}
+            theirs = sympy.cancel(
+                _sympy_ratfun(u).subs(images, simultaneous=True))
+            assert sympy.cancel(theirs - _sympy_ratfun(got)) == 0
+            checked += 1
+        assert checked >= 18
+
+    def test_exact_cases(self):
+        with pytest.raises(DivisionByZero, match="division by the zero function"):
+            R("1/(x - y)").substitute({"x": R("y")}, V2)
+        got = R("x/y").substitute({}, V3)
+        assert got.vars == V3 and got == R("x/y", V3)
+        with pytest.raises(ValueError):
+            # y is unmapped and target_vars does not hold it
+            R("x/y").substitute({"x": R("x", ("x",))}, ("x",))
+
+    def test_no_ratfun_arithmetic_and_one_reduction(self, monkeypatch):
+        cases = _substitution_cases(71, 30)
+        reductions = []
+        init = RatFun.__init__
+
+        def counting_init(self, num, den, _canonical=False):
+            if not _canonical:
+                reductions.append(num)
+            init(self, num, den, _canonical)
+
+        def forbidden(*args):
+            raise AssertionError("substitute used RatFun arithmetic")
+
+        for name in ("__add__", "__mul__", "__truediv__"):
+            monkeypatch.setattr(RatFun, name, forbidden)
+        monkeypatch.setattr(RatFun, "__init__", counting_init)
+        for u, mapping, target, _ in cases:
+            reductions.clear()
+            got = _outcome(RatFun.substitute, u, mapping, target)
+            assert len(reductions) == (1 if isinstance(got, RatFun) else 0)
+
+    def test_one_substitution(self):
+        import ast
+        from pathlib import Path
+        assert not hasattr(MPoly, "substitute")
+        src = Path(ratfun.__file__).parent
+        defs = [path.name for path in sorted(src.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "substitute"]
+        assert defs == ["ratfun.py"]
+
+
+class TestGuards:
+    """The error and edge branches of ratfun that no other test runs."""
+
+    def test_mpoly_edges(self):
+        assert MPoly.zero(V2).const_value() == 0
+        with pytest.raises(ValueError):
+            P("x + 1").const_value()
+        with pytest.raises(ValueError):
+            MPoly.zero(V2).leading_exp()
+        assert P("x*y + 1").scale(0) == MPoly.zero(V2)
+        with pytest.raises(ValueError):
+            P("x") ** -1
+
+    def test_mismatched_variables(self):
+        p, q = P("x"), P("x", V3)
+        with pytest.raises(VariableMismatch):
+            p + q
+        with pytest.raises(VariableMismatch):
+            poly_gcd(p, q)
+        with pytest.raises(VariableMismatch):
+            RatFun(p, q)
+
+    def test_lcm_with_zero(self):
+        assert poly_lcm(MPoly.zero(V2), P("x + y")) == MPoly.zero(V2)
+        assert poly_lcm(P("x + y"), MPoly.zero(V2)) == MPoly.zero(V2)
+
+    def test_ratfun_edges(self):
+        with pytest.raises(ValueError):
+            R("x/y").const_value()
+        with pytest.raises(DivisionByZero, match="negative power of zero"):
+            RatFun.const(V2, 0) ** -2
+        a, b = R("(x^2 - 1)/(2*y)"), R("(x + 1)*(x - 1)/(y + y)")
+        assert a is not b and hash(a) == hash(b)
+        assert len({a, b, R("x/y")}) == 2

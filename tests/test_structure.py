@@ -542,3 +542,19 @@ class TestOneOraclePerStep:
         assert out == Relation(alpha=(1, -2, -1),
                                remainder=parse_expr("-z^2", T))
         assert CountingLinearField.built == 1
+
+    def test_subfield_structure_differentiates_less(self, monkeypatch):
+        # the search workload's K = Q((zeta1 + 2)/(z + 1)) over log(z + 1)
+        from difftower.tower import Tower
+        v = ("z", "zeta1")
+        T = tower_from_pairs([("zeta1", parse_expr("1/(z + 1)", v))])
+        K = SubfieldSpec(generators=(parse_expr("(zeta1 + 2)/(z + 1)", T),))
+        calls = []
+        real = Tower.differentiate
+        monkeypatch.setattr(Tower, "differentiate",
+                            lambda self, u: calls.append(u) or real(self, u))
+        report = subfield_structure(K, T, SMALL)
+        assert report.status == "resolved"
+        # each membership search differentiates each K generator once per
+        # order it reaches
+        assert len(calls) == 8
