@@ -4,12 +4,13 @@ Membership questions, linear relations and first-order equations all reduce
 to the same move: clear denominators, match coefficients of every monomial
 in the tower variables, and solve the resulting exact linear system over Q.
 The membership and ODE columns are built as polynomials over one fixed
-denominator: den(u)*L^D for a membership rung of degree D over values N/L.
-_assemble_rows turns every system of polynomial columns into rows; the
-inhomogeneous ones (ODE rungs, solve_linear_ansatz and ratint's Horowitz
-system) are solved by _solve_columns.  The one division with remainder
-over Q is MPoly.divmod_lead; _poly_part_constant reads the constant term of
-its quotient.
+denominator: den(u)*L^D for a membership rung of degree D over values N/L,
+and lcm^2*denom for solve_first_order, which builds each monomial's column
+once per call.  _assemble_rows turns every system of polynomial columns
+into rows; the inhomogeneous ones (ODE rungs, solve_linear_ansatz and
+ratint's Horowitz system) are solved by _solve_columns.  The one division
+with remainder over Q is MPoly.divmod_lead; _poly_part_constant reads the
+constant term of its quotient.
 Searches are three-valued by design: a Found result always carries a
 substitution-verified witness, and a miss only ever means "not within these
 bounds".
@@ -21,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import BoundsExceeded, DiffTowerError
@@ -241,13 +242,22 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
                       bounds: Bounds = Bounds()) -> Found | NoSolutionWithinBounds:
     """Bounded search for w with D(w) = f + g*w.
 
-    The ansatz is w = N/d with unknown polynomial numerator and a fixed
-    candidate denominator built from the denominators of f, g and the tower
-    derivatives; only the numerator degree escalates.  For the homogeneous
-    equation (f = 0, g != 0) the trivial solution w = 0 is excluded.
+    The ansatz is w = N/denom with unknown polynomial numerator N and the
+    fixed denominator denom = lcm^power, where lcm covers the denominators
+    of f, g and every tower derivative; only the numerator degree escalates.
+    D(denom)/denom = power*D(lcm)/lcm, so C = lcm^2*denom clears every
+    column: for the monomial m = x^e, C*(D(m/denom) - g*m/denom) is
+    m.derivation(lcm*lcm*D(x_i)) - m*(power*lcm*D(lcm) + lcm*(lcm*g)),
+    with no gcd, and the target is C*f.  Each column is built once, on the
+    first rung that needs it, and shared by the rungs above.  For the
+    homogeneous equation (f = 0, g != 0) the trivial solution w = 0 is
+    excluded.
     """
     variables = tower.vars
-    offset, build = _ode_ansatz(f, g, tower, bounds)
+    lcm, (f_num, g_num, *d_nums) = clear_denominators(
+        [f, g, *tower.derivatives])
+    power = max(1, bounds.max_den_degree // max(1, lcm.total_degree()))
+    offset = power * lcm.total_degree()
     cap_num, _ = bounds.escalated_degrees()
 
     # the caps bound w itself; the fixed denominator shifts the numerator
@@ -258,11 +268,19 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
     fitting = [d for d in degrees
                if comb(len(variables) + d, d) ** 2 <= bounds.max_cells]
     if fitting:
-        denom, target, column = build()
+        denom = lcm ** power
+        target = lcm * denom * f_num
+        images = [lcm * d for d in d_nums]
+        shift = lcm.derivation(d_nums).scale(power) + lcm * g_num
+    columns: Dict[tuple, MPoly] = {}
     for deg in fitting:
         monoms = monomials_upto(len(variables), deg)
+        for e in monoms:
+            if e not in columns:
+                m = MPoly(variables, {e: Fraction(1)})
+                columns[e] = m.derivation(images) - m * shift
         try:
-            sols = _solve_columns([column(e) for e in monoms], target,
+            sols = _solve_columns([columns[e] for e in monoms], target,
                                   bounds.max_cells)
         except BoundsExceeded:
             continue
@@ -282,39 +300,6 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
     except BoundsExceeded:   # the residue system is over the cell cap
         certified = False
     return NoSolutionWithinBounds(bounds, certified=certified)
-
-
-def _ode_ansatz(f: RatFun, g: RatFun, tower: Tower, bounds: Bounds
-                ) -> Tuple[int, Callable[[], tuple]]:
-    """The linear system of D(w) = f + g*w for w = N/denom, cleared over a
-    common denominator C.
-
-    lcm covers the denominators of f, g and every tower derivative, and the
-    fixed ansatz denominator is denom = lcm^power.  Then D(denom)/denom =
-    power*D(lcm)/lcm, so C = lcm^2*denom clears every column.  Returns
-    (deg(denom), build), the degree read off lcm before any product is
-    formed; build() returns (denom, C*f, column), where column(e) is the
-    polynomial C*(D(m/denom) - g*m/denom) for the monomial m = x^e, built
-    by MPoly.derivation over the polynomials lcm*D(x_i) with no gcd.
-    """
-    lcm, (f_num, g_num, *d_nums) = clear_denominators(
-        [f, g, *tower.derivatives])
-    power = max(1, bounds.max_den_degree // max(1, lcm.total_degree()))
-
-    def build():
-        denom = lcm ** power
-        # C*(D(m/denom) - g*m/denom)
-        #   = lcm*(lcm*D(m)) - m*(power*lcm*D(lcm) + lcm*(lcm*g))
-        lcm_d_nums = [lcm * d for d in d_nums]
-        shift = lcm.derivation(d_nums).scale(power) + lcm * g_num
-
-        def column(exp: tuple) -> MPoly:
-            m = MPoly(tower.vars, {exp: Fraction(1)})
-            return m.derivation(lcm_d_nums) - m * shift
-
-        return denom, lcm * denom * f_num, column
-
-    return power * lcm.total_degree(), build
 
 
 def _poly_part_constant(w: RatFun) -> RatFun:

@@ -28,7 +28,7 @@ from .ratfun import (MPoly, RatFun, _content_over, clear_denominators,
 from .tower import BASE_VAR, SubfieldSpec, Tower
 
 __all__ = [  # with poly_gcd, a binding the layer-trace test of bench/ reads
-    "formal_partial", "linear_part", "linearize", "NotLinearField",
+    "linear_part", "linearize", "NotLinearField",
     "LinearField", "MembershipOracle", "IN", "OUT", "UNKNOWN", "Independent",
     "Relation", "ostrowski_relation", "antiderivative_decompose",
     "NormalTower", "normal_tower", "CompositumBasis", "compositum_basis",
@@ -36,45 +36,46 @@ __all__ = [  # with poly_gcd, a binding the layer-trace test of bench/ reads
     "subfield_structure", "poly_gcd"]
 
 
-def formal_partial(u: RatFun, var: str) -> RatFun:
-    """Partial derivative of u with respect to one tower variable."""
-    i = u.vars.index(var)
-    n, d = u.num, u.den
-    return RatFun(n.partial(i) * d - n * d.partial(i), d * d)
-
-
 def linear_part(u: RatFun, names: Sequence[str]):
-    """Split u as sum(c_v * v for v in names) + rest with rational c_v, read
-    off the formal partials; None when one of them is not constant.  Over Q
-    a reduced fraction whose partial in v vanishes does not involve v, so
-    rest never uses names."""
-    coeffs = []
-    rest = u
-    for name in names:
-        part = formal_partial(u, name)
-        if not part.is_const():
+    """Split u as sum(c_v * v for v in names) + rest with rational c_v and
+    rest free of names; None when there is no such split.  Read off the
+    canonical form n/d: the split exists exactly when d involves no name
+    and n = sum(c_v * v * d) + n0 with n0 free of names, and then
+    rest = n0/d is already canonical, as gcd(n0, d) = gcd(n, d) = 1."""
+    idx = [u.vars.index(v) for v in names]
+    n, d = u.num, u.den
+    if any(d.degree_in(i) > 0 for i in idx):
+        return None
+    parts = {i: {} for i in idx}   # i -> the terms of n linear in x_i, / x_i
+    rest = {}
+    for e, c in n.terms.items():
+        hit = [i for i in idx if e[i]]
+        if not hit:
+            rest[e] = c
+        elif len(hit) > 1 or e[hit[0]] > 1:
             return None
-        c = part.const_value()
-        coeffs.append(c)
-        if c:
-            rest = rest - RatFun.var(u.vars, name).scale(c)
-    return coeffs, rest
+        else:
+            i = hit[0]
+            parts[i][e[:i] + (0,) + e[i + 1:]] = c
+    lead = d.leading_exp()   # d is monic: c_v is the coefficient there
+    coeffs = [parts[i].get(lead, Fraction(0)) for i in idx]
+    if any(MPoly(u.vars, parts[i]) != d.scale(c) for i, c in zip(idx, coeffs)):
+        return None
+    return coeffs, RatFun(MPoly(u.vars, rest), d, _canonical=True)
 
 
 def linearize(u: RatFun, tower: Tower):
     """Write u as sum(alpha_v * v) + rest with rational alpha and rest over
-    Q(z); the z-linear part is folded into alpha.  None if u is not of this
-    shape."""
+    Q(z); alpha_z is nonzero only when u is linear in every variable, rest
+    then a constant.  None if u is not of this shape."""
+    lin = linear_part(u, tower.vars)
+    if lin is not None:
+        return lin
     lin = linear_part(u, tower.gen_names)
     if lin is None:
         return None
     gen_coeffs, rest = lin
-    coeffs = [Fraction(0), *gen_coeffs]
-    zpart = formal_partial(rest, BASE_VAR)
-    if zpart.is_const() and rest.is_poly() and rest.num.total_degree() <= 1:
-        coeffs[0] = zpart.const_value()
-        rest = rest - tower.gen(BASE_VAR).scale(coeffs[0])
-    return coeffs, rest
+    return [Fraction(0), *gen_coeffs], rest
 
 
 class NotLinearField(DiffTowerError):
@@ -268,7 +269,7 @@ def antiderivative_decompose(g: RatFun, tower: Tower):
     lin = linear_part(g, tower.gen_names)
     if lin is None:
         name = next(v for v in tower.gen_names
-                    if not formal_partial(g, v).is_const())
+                    if linear_part(g, [v]) is None)
         raise MalformedAntiderivative(
             f"D(g) lands in Q(z) but g is not linear in {name}")
     alphas, rest = lin

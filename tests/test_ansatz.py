@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 import difftower
-from difftower import linalg
+from difftower import ansatz, linalg
 from difftower.ansatz import (Bounds, Found, NoSolutionWithinBounds, Witness,
                               _assemble_rows, _cleared_levels,
-                              _closures, _membership_at, _ode_ansatz,
+                              _closures, _membership_at,
                               _poly_part_constant, monomials_upto, solve_first_order,
                               solve_linear_ansatz, subfield_membership)
 from difftower.errors import DiffTowerError
@@ -303,26 +303,72 @@ ODE_TOWERS = {
 }
 
 
+def _ode_tower(shape):
+    derivs = ODE_TOWERS[shape]
+    v = ("z", "zeta1", "zeta2")[:len(derivs) + 1]
+    return tower_from_pairs([(name, parse_expr(d, v))
+                             for name, d in zip(v[1:], derivs)])
+
+
 class TestOdeColumns:
+    """What solve_first_order hands to _solve_columns: for the ansatz
+    denominator denom = lcm^power and C = lcm^2*denom, the target C*f and,
+    in monomials_upto order, the columns C*(D(m/denom) - g*m/denom)."""
+
     @pytest.mark.parametrize("shape", sorted(ODE_TOWERS))
-    def test_column_is_cleared_derivative(self, shape):
-        derivs = ODE_TOWERS[shape]
-        v = ("z", "zeta1", "zeta2")[:len(derivs) + 1]
-        T = tower_from_pairs([(name, parse_expr(d, v))
-                              for name, d in zip(v[1:], derivs)])
+    def test_column_is_cleared_derivative(self, shape, monkeypatch):
+        T = _ode_tower(shape)
         f = parse_expr("1/(z + 2)", T)
         g = parse_expr("3/(z + 1)", T)
-        offset, build = _ode_ansatz(f, g, T, Bounds(2, 2, 1, escalation=()))
-        denom, target, column = build()
-        assert offset == denom.total_degree()
+        bounds = Bounds(2, 2, 1, escalation=())
+        calls = []
+        real = ansatz._solve_columns
+
+        def record(cols, target, max_cells):
+            calls.append((list(cols), target))
+            return real(cols, target, max_cells)
+
+        monkeypatch.setattr(ansatz, "_solve_columns", record)
+        assert isinstance(solve_first_order(f, g, T, bounds),
+                          NoSolutionWithinBounds)
         lcm, _ = clear_denominators([f, g, *T.derivatives])
+        denom = lcm ** max(1, bounds.max_den_degree
+                           // max(1, lcm.total_degree()))
         common = lcm * lcm * denom
         denom_rf = RatFun.from_poly(denom)
-        assert RatFun(target, common) == f
-        for exp in monomials_upto(len(v), 2):
-            w = RatFun.from_poly(MPoly(v, {exp: Fraction(1)})) / denom_rf
-            assert RatFun(column(exp), common) \
-                == T.differentiate(w) - g * w
+        # one rung per numerator degree offset + 1, offset + 2
+        assert len(calls) == 2
+        for deg, (cols, target) in enumerate(calls,
+                                             denom.total_degree() + 1):
+            assert RatFun(target, common) == f
+            monoms = monomials_upto(len(T.vars), deg)
+            assert len(cols) == len(monoms)
+            for exp, col in zip(monoms, cols):
+                w = RatFun.from_poly(MPoly(T.vars, {exp: Fraction(1)})) \
+                    / denom_rf
+                assert RatFun(col, common) == T.differentiate(w) - g * w
+
+    @pytest.mark.parametrize("shape, derivations", [
+        ("log", 16), ("arctan", 16), ("loglog", 36), ("dilog", 36)])
+    def test_each_column_is_built_once(self, shape, derivations,
+                                       monkeypatch):
+        """The exponential obstruction D(w) = w misses on both rungs: one
+        derivation for the shift and one per monomial of the top rung,
+        none again for the monomials the lower rung already built."""
+        T = _ode_tower(shape)
+        zero, one = RatFun.const(T.vars, 0), RatFun.const(T.vars, 1)
+        count = [0]
+        real = MPoly.derivation
+
+        def spy(self, images):
+            count[0] += 1
+            return real(self, images)
+
+        monkeypatch.setattr(MPoly, "derivation", spy)
+        assert isinstance(
+            solve_first_order(zero, one, T, Bounds(2, 2, 1, escalation=())),
+            NoSolutionWithinBounds)
+        assert count[0] == derivations
 
 
 def _reference_membership_at(u, values, num_deg, den_deg, skips):

@@ -139,6 +139,39 @@ class TestTriangularAndInverse:
         s = autgroup.make_translation_aut(T, (3, -2))
         assert autgroup.invert(s).alpha == (Fraction(-3), Fraction(2))
 
+    def test_dropped_generator_rejected(self):
+        T = two_log_tower()
+        s = autgroup.AutMap(tower=T, assignments=tuple(
+            parse_expr(e, T) for e in ("z", "z", "zeta2")))
+        with pytest.raises(NotTriangular, match="drops zeta1"):
+            autgroup.verify_triangular(s, T)
+
+    def test_shift_over_a_later_variable_rejected(self):
+        T = two_log_tower()
+        s = autgroup.AutMap(tower=T, assignments=tuple(
+            parse_expr(e, T) for e in ("z", "zeta1 + zeta2", "zeta2")))
+        with pytest.raises(NotTriangular, match="later variables"):
+            autgroup.verify_triangular(s, T)
+
+
+class TestBadArguments:
+    def test_alpha_length(self):
+        with pytest.raises(ValueError, match="one alpha per generator"):
+            autgroup.make_translation_aut(two_log_tower(), (1,))
+
+    def test_assignment_count(self):
+        T = two_log_tower()
+        with pytest.raises(ValueError, match="one assignment per"):
+            autgroup.verify_differential([parse_expr("z", T)], T, samples=0)
+
+    def test_compose_across_towers(self):
+        P = poly_tower()
+        a = autgroup.make_translation_aut(two_log_tower(), (1, 2))
+        b = autgroup.AutMap(tower=P, assignments=tuple(
+            parse_expr(v, P) for v in P.vars))
+        with pytest.raises(ValueError, match="different towers"):
+            autgroup.compose(a, b)
+
 
 class TestFixedField:
     def test_moved_element(self):

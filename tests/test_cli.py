@@ -133,6 +133,10 @@ class TestParseExpr:
         big = int("7" * 1000)
         assert parse_expr("7" * 1000, ("z",)) == RatFun.const(("z",), big)
 
+    def test_exponent_must_be_an_integer(self):
+        with pytest.raises(ExprSyntaxError, match="integer exponent"):
+            parse_expr("z^z", ("z",))
+
     def test_trailing_garbage(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("z )", ("z",))
@@ -176,6 +180,13 @@ class TestTowerFile:
         assert tower.gen_names == ("zeta1",)
         assert "K" in subfields
         assert subfields["K"].generators[0] == parse_expr("zeta1/z", tower)
+
+    def test_subfield_generator_list(self):
+        tower, subfields = parse_tower_file(
+            LOG_TWR + "subfield E = [z, (zeta1 + 1)/(z - 1), zeta1^2]\n")
+        assert subfields["E"].generators == tuple(
+            parse_expr(e, tower)
+            for e in ("z", "(zeta1 + 1)/(z - 1)", "zeta1^2"))
 
     def test_comments_and_blanks(self):
         text = "# header\nbase z\n\ngen a ; D(a) = 1/z  # log\n"

@@ -3,6 +3,7 @@
 import pytest
 
 from difftower import corpus
+from difftower.errors import DiffTowerError
 
 
 def test_cases_present():
@@ -19,6 +20,14 @@ def test_all_cases_tagged():
 @pytest.mark.parametrize("name", corpus.list_cases())
 def test_replay(name):
     corpus.replay(corpus.load_case(name))
+
+
+def test_bad_tag_rejected(tmp_path, monkeypatch):
+    (tmp_path / "untagged").mkdir()
+    (tmp_path / "untagged" / "meta.txt").write_text("tag = GUESSED\nexit = 0\n")
+    monkeypatch.setattr(corpus, "DATA_DIR", tmp_path)
+    with pytest.raises(DiffTowerError, match="bad tag 'GUESSED'"):
+        corpus.load_case("untagged")
 
 
 def test_mismatch_reports_diff(tmp_path):

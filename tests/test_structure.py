@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from difftower import structure
+from difftower import ratfun, structure
 from difftower.ansatz import Bounds, Witness
-from difftower.errors import (AlreadyInBase, BoundsExceeded,
+from difftower.errors import (AlreadyInBase, BoundsExceeded, DiffTowerError,
                               MalformedAntiderivative, NotAntiderivative,
-                              NotFlat)
+                              NotFlat, Unsupported)
 from difftower.parser import format_ratfun, parse_expr
 from difftower.randexpr import random_fraction, random_ratfun
 from difftower.ratfun import RatFun
@@ -40,30 +40,40 @@ def loglog_tower():
                              ("zeta2", parse_expr("1/(zeta1*z)", v))])
 
 
-class TestFormalPartial:
-    def test_matches_sympy_diff(self):
-        sympy = pytest.importorskip("sympy")
-        rng = random.Random(271)
-        v = ("z", "zeta1", "zeta2")
-        symbols = sympy.symbols(v)
+def _reference_formal_partial(u, var):
+    i = u.vars.index(var)
+    n, d = u.num, u.den
+    return RatFun(n.partial(i) * d - n * d.partial(i), d * d)
 
-        def expr(w):
-            return sympy.sympify(format_ratfun(w).replace("^", "**"),
-                                 locals=dict(zip(v, symbols)))
 
-        def poly(e):
-            return sympy.Poly(e, *symbols, domain="QQ")
+def _reference_linear_part(u, names):
+    """linear_part read off the formal partials, each a reduced quotient,
+    with rest = u - sum(c_v * v) in RatFun arithmetic."""
+    coeffs = []
+    rest = u
+    for name in names:
+        part = _reference_formal_partial(u, name)
+        if not part.is_const():
+            return None
+        c = part.const_value()
+        coeffs.append(c)
+        if c:
+            rest = rest - RatFun.var(u.vars, name).scale(c)
+    return coeffs, rest
 
-        for _ in range(30):
-            u = random_ratfun(rng, v, max_deg=3)
-            for name, s in zip(v, symbols):
-                got = structure.formal_partial(u, name)
-                n, d = sympy.fraction(sympy.cancel(sympy.diff(expr(u), s)))
-                num = poly(expr(RatFun.from_poly(got.num)))
-                den = poly(expr(RatFun.from_poly(got.den)))
-                # both reduced: the denominators agree up to a constant
-                assert den.monic() == poly(d).monic()
-                assert num * poly(d) == poly(n) * den
+
+def _reference_linearize(u, tower):
+    """linearize by the generator split, then the z-linear part of rest."""
+    lin = _reference_linear_part(u, tower.gen_names)
+    if lin is None:
+        return None
+    gen_coeffs, rest = lin
+    coeffs = [Fraction(0), *gen_coeffs]
+    zpart = _reference_formal_partial(rest, "z")
+    if zpart.is_const() and rest.is_poly() and rest.num.total_degree() <= 1:
+        coeffs[0] = zpart.const_value()
+        rest = rest - tower.gen("z").scale(coeffs[0])
+    return coeffs, rest
 
 
 class TestLinearPart:
@@ -94,6 +104,60 @@ class TestLinearPart:
                 rest = rest + RatFun.var(v, name).scale(c)
             assert rest == u + noise
         assert 0 < noisy_splits < 60
+
+    def test_matches_the_reference(self):
+        """Seeded: linear_part and linearize agree with the formal-partial
+        reference on clean and noisy splits, names in the denominator,
+        nonlinear terms and constants."""
+        v = ("z", "zeta1", "zeta2", "zeta3")
+        T = tower_from_pairs([("zeta1", parse_expr("1/z", v)),
+                              ("zeta2", parse_expr("1/(z+1)", v)),
+                              ("zeta3", parse_expr("1/(zeta1*z)", v))])
+        rng = random.Random(919)
+        kinds = ["split", "noisy", "denominator", "nonlinear", "constant"]
+        splits = 0
+        for k in range(250):
+            kind = kinds[k % len(kinds)]
+            names = rng.sample(v, rng.randint(1, 4))
+            others = [x for x in v if x not in names]
+            u = (random_ratfun(rng, others, max_deg=2).extend_vars(v)
+                 if others else RatFun.const(v, random_fraction(rng)))
+            for name in names:
+                u = u + RatFun.var(v, name).scale(random_fraction(rng))
+            if kind == "noisy":
+                u = u + random_ratfun(rng, v, max_deg=1, max_terms=2)
+            elif kind == "denominator":
+                u = u / (RatFun.var(v, rng.choice(names))
+                         + RatFun.const(v, random_fraction(rng)))
+            elif kind == "nonlinear":
+                a, b = rng.choice(names), rng.choice(v)
+                u = u + (RatFun.var(v, a) * RatFun.var(v, b)).scale(
+                    random_fraction(rng) or 1)
+            elif kind == "constant":
+                u = RatFun.const(v, random_fraction(rng))
+            want = _reference_linear_part(u, names)
+            assert structure.linear_part(u, names) == want
+            splits += want is not None
+            assert structure.linearize(u, T) == _reference_linearize(u, T)
+        assert 0 < splits < 250
+
+    def test_no_gcd(self, monkeypatch):
+        """The split is read off the canonical form, so no gcd runs."""
+        v = ("z", "zeta1", "zeta2")
+        u = parse_expr("3*zeta1 - zeta2/2 + (z^2 + 1)/(z - 4)", v)
+        calls = []
+        real = ratfun.poly_gcd
+
+        def spy(p, q):
+            calls.append((p, q))
+            return real(p, q)
+
+        monkeypatch.setattr(ratfun, "poly_gcd", spy)
+        monkeypatch.setattr(structure, "poly_gcd", spy)
+        coeffs, rest = structure.linear_part(u, ["zeta1", "zeta2"])
+        assert calls == []
+        assert coeffs == [3, Fraction(-1, 2)]
+        assert rest == parse_expr("(z^2 + 1)/(z - 4)", v)
 
 
 class TestLinearField:
@@ -290,6 +354,16 @@ class TestOstrowski:
             ostrowski_relation([parse_expr("zeta2", T)],
                                base_subfield(T), T, SMALL)
 
+    def test_nonlinear_argument_unsupported(self):
+        # D((zeta1 - zeta2)^2) = 0 lies in K = Q(z), but the argument is
+        # not Q-linear in the generators outside K
+        v = ("z", "zeta1", "zeta2")
+        T = tower_from_pairs([("zeta1", parse_expr("1/z", v)),
+                              ("zeta2", parse_expr("1/z", v))])
+        with pytest.raises(Unsupported, match="not Q-linear"):
+            ostrowski_relation([parse_expr("(zeta1 - zeta2)^2", T)],
+                               base_subfield(T), T, SMALL)
+
 
 class TestDecompose:
     def test_basic(self):
@@ -457,6 +531,11 @@ class TestMinimalShift:
         T = two_log_tower()
         with pytest.raises(AlreadyInBase):
             minimal_shift(parse_expr("zeta1 + z", T), T, "zeta2")
+
+    def test_unknown_generator(self):
+        T = two_log_tower()
+        with pytest.raises(DiffTowerError, match="unknown generator"):
+            minimal_shift(parse_expr("zeta1", T), T, "zeta9")
 
 
 class TestSubfieldStructure:

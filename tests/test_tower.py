@@ -53,6 +53,18 @@ class TestValidation:
         assert log_tower().is_flat()
         assert not loglog_tower().is_flat()
 
+    def test_bad_generator_name(self):
+        with pytest.raises(UnknownSymbol, match="bad generator name"):
+            tower_from_pairs([("1a", parse_expr("1/z", ("z", "a")))])
+
+    def test_unknown_gen(self):
+        with pytest.raises(UnknownSymbol):
+            log_tower().gen("w")
+
+    def test_repr(self):
+        assert repr(loglog_tower()) == "Tower(z, zeta1, zeta2)"
+        assert repr(tower_from_pairs([])) == "Tower(z)"
+
 
 class TestDerivation:
     def test_base_derivative(self):
