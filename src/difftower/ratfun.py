@@ -1,10 +1,11 @@
 """Exact multivariate polynomial and rational-function arithmetic over Q.
 
 Every value is immutable after construction and kept in a canonical form:
-polynomials store no zero coefficients, fractions are gcd-reduced and the
+polynomials store no zero coefficients, fractions are reduced and the
 denominator is deglex-monic.  Equality is structural equality of canonical
 forms, so two values compare equal exactly when they denote the same
-function.
+function.  Every cancellation goes through poly_gcd, which returns
+(g, p/g, q/g); GCDHEU reads p/g and q/g off its accepted trial divisions.
 
 Coefficients are stored as Fractions, but the hot loops (products, exact
 division and GCDHEU) run on cleared integer numerators: each operand is
@@ -397,25 +398,35 @@ def _lift_digits(gh: dict, i: int, xi: int) -> dict:
 
 
 def _heu_gcd(p: MPoly, q: MPoly):
-    """Heuristic gcd (GCDHEU, Char-Geddes-Gonnet) of nonzero polynomials
-    over Q: a gcd up to a rational constant, or None when every evaluation
-    point fails.  Works on the cleared integer numerators of p and q."""
-    g = _heu_gcd_int(_cleared(p)[1], _cleared(q)[1])
-    return None if g is None else MPoly._over(p.vars, g)
+    """GCDHEU (Char-Geddes-Gonnet) of nonzero p and q over Q: (g, p/g, q/g)
+    with g monic, or None when every evaluation point fails.  The cofactors
+    are the quotients of the trial divisions that accepted g over Z."""
+    (dp, a), (dq, b) = _cleared(p), _cleared(q)
+    got = _heu_gcd_int(a, b)
+    if got is None:
+        return None
+    g, ca, cb = got
+    if g.keys() == {(0,) * len(p.vars)}:
+        return MPoly.const(p.vars, 1), p, q
+    lc = g[max(g, key=_deglex_key)]
+    return (MPoly._over(p.vars, g, lc),
+            MPoly._over(p.vars, {e: c * lc for e, c in ca.items()}, dp),
+            MPoly._over(p.vars, {e: c * lc for e, c in cb.items()}, dq))
 
 
 def _heu_gcd_int(a: dict, b: dict):
-    """gcd over Z of nonzero integer polynomials: strip integer content,
-    evaluate one variable at a large integer, recurse, reconstruct from
-    balanced digits.  Candidates are only accepted after exact trial
-    division, so a non-None return is a true gcd over Z."""
+    """(g, a/g, b/g) over Z for nonzero integer polynomials, or None: strip
+    integer content, evaluate one variable at a large integer, recurse, lift
+    balanced digits.  g is accepted only when both trial divisions are
+    exact, so it is a true gcd over Z and the quotients are its cofactors."""
     cont_a, a = _primitive(a)
     cont_b, b = _primitive(b)
     cont = gcd(cont_a, cont_b)
+    ka, kb = cont_a // cont, cont_b // cont
     used = {j for e in (*a, *b) for j, k in enumerate(e) if k}
     zero = (0,) * len(next(iter(a)))
     if not used:
-        return {zero: cont}
+        return {zero: cont}, _times(a, ka), _times(b, kb)
     i = max(used)
     bound = max(max(map(abs, a.values())), max(map(abs, b.values())))
     xi = 2 * bound + 29
@@ -423,16 +434,22 @@ def _heu_gcd_int(a: dict, b: dict):
         ah = _eval_var_int(a, i, xi)
         bh = _eval_var_int(b, i, xi)
         if ah and bh:
-            gh = _heu_gcd_int(ah, bh)
-            if gh is not None:
-                g = _primitive(_lift_digits(gh, i, xi))[1]
+            got = _heu_gcd_int(ah, bh)
+            if got is not None:
+                g = _primitive(_lift_digits(got[0], i, xi))[1]
                 if g.keys() == {zero}:
-                    return {zero: cont}
-                if _divexact_int(a, g) is not None \
-                        and _divexact_int(b, g) is not None:
-                    return {e: c * cont for e, c in g.items()}
+                    return {zero: cont}, _times(a, ka), _times(b, kb)
+                qa = _divexact_int(a, g)
+                qb = None if qa is None else _divexact_int(b, g)
+                if qb is not None:
+                    return ({e: c * cont for e, c in g.items()},
+                            _times(qa, ka), _times(qb, kb))
         xi = xi * 73 // 32 + 31
     return None
+
+
+def _times(a: dict, k: int) -> dict:
+    return a if k == 1 else {e: c * k for e, c in a.items()}
 
 
 def _content_over(p: MPoly, kept) -> MPoly:
@@ -446,45 +463,24 @@ def _content_over(p: MPoly, kept) -> MPoly:
         groups.setdefault(outer, {})[inner] = c
     cont = MPoly.zero(p.vars)
     for terms in groups.values():
-        cont = poly_gcd(cont, MPoly(p.vars, terms))
+        cont = poly_gcd(cont, MPoly(p.vars, terms))[0]
         if cont.is_const():
             break
     return cont
 
 
-def _monomial_gcd(m: MPoly, q: MPoly) -> MPoly:
-    exp = next(iter(m.terms))
-    out = list(exp)
-    for e in q.terms:
-        out = [min(a, b) for a, b in zip(out, e)]
-    return MPoly(m.vars, {tuple(out): Fraction(1)})
+def _monomial_gcd(p: MPoly, q: MPoly) -> MPoly:
+    """Monic gcd when p or q is a monomial: least exponents over all terms."""
+    return MPoly(p.vars, {tuple(map(min, *p.terms, *q.terms)): Fraction(1)})
 
 
-def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
-    """Monic gcd, tried in order: a zero operand, equal up to a scalar, a
-    monomial operand, GCDHEU, and the primitive PRS in the main variable
-    when every GCDHEU evaluation point fails."""
-    if p.vars != q.vars:
-        raise VariableMismatch(f"{p.vars!r} vs {q.vars!r}")
-    if p.is_zero():
-        return q.monic()
-    if q.is_zero():
-        return p.monic()
-    if p.terms.keys() == q.terms.keys() and (m := p.monic()) == q.monic():
-        return m
-    if len(p.terms) == 1:
-        return _monomial_gcd(p, q)
-    if len(q.terms) == 1:
-        return _monomial_gcd(q, p)
-    g = _heu_gcd(p, q)
-    if g is not None:
-        return g.monic()
-    # both operands have two terms or more, so some variable occurs
+def _prs_gcd(p: MPoly, q: MPoly) -> MPoly:
+    """Monic gcd by the primitive PRS; p, q have two terms or more each."""
     i = max(p.used_indices() | q.used_indices())
     others = set(range(len(p.vars))) - {i}   # contents in the main variable
     cont_p = _content_over(p, others)
     cont_q = _content_over(q, others)
-    g_cont = poly_gcd(cont_p, cont_q)
+    g_cont = poly_gcd(cont_p, cont_q)[0]
     a = _primitive_scale(p.try_divexact(cont_p))
     b = _primitive_scale(q.try_divexact(cont_q))
     if a.degree_in(i) < b.degree_in(i):
@@ -501,11 +497,35 @@ def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
     return (g_cont * a).monic()
 
 
+def poly_gcd(p: MPoly, q: MPoly):
+    """(g, p/g, q/g) with g the monic gcd, or (0, 0, 0).  Tried in order: a
+    zero operand, equal up to a scalar, a monomial operand, GCDHEU, whose
+    trial divisions give the cofactors, then the primitive PRS.  Elsewhere
+    the cofactors are exact quotients, or p and q themselves when g is 1."""
+    if p.vars != q.vars:
+        raise VariableMismatch(f"{p.vars!r} vs {q.vars!r}")
+    if p.is_zero():
+        g = q.monic()
+    elif q.is_zero():
+        g = p.monic()
+    elif p.terms.keys() == q.terms.keys() and (m := p.monic()) == q.monic():
+        g = m
+    elif len(p.terms) == 1 or len(q.terms) == 1:
+        g = _monomial_gcd(p, q)
+    else:
+        got = _heu_gcd(p, q)
+        if got is not None:
+            return got
+        g = _prs_gcd(p, q)
+    if g.is_const():
+        return g, p, q
+    return g, p.try_divexact(g), q.try_divexact(g)
+
+
 def poly_lcm(p: MPoly, q: MPoly) -> MPoly:
     if p.is_zero() or q.is_zero():
         return MPoly.zero(p.vars)
-    g = poly_gcd(p, q)
-    return (p * q.try_divexact(g)).monic()
+    return (p * poly_gcd(p, q)[2]).monic()
 
 
 class RatFun:
@@ -526,10 +546,7 @@ class RatFun:
             if num.is_zero():
                 den = MPoly.const(num.vars, 1)
             else:
-                g = poly_gcd(num, den)
-                if not (g.is_const() and g.const_value() == 1):
-                    num = num.try_divexact(g)
-                    den = den.try_divexact(g)
+                _, num, den = poly_gcd(num, den)
                 lc = den.leading_coeff()
                 if lc != 1:
                     num = num.scale(1 / lc)
@@ -574,9 +591,6 @@ class RatFun:
             return Fraction(0)
         return self.num.const_value() / self.den.const_value()
 
-    def is_poly(self) -> bool:
-        return self.den.is_const()
-
     def used_vars(self) -> set:
         return self.num.used_vars() | self.den.used_vars()
 
@@ -587,19 +601,12 @@ class RatFun:
         # zero sum means other = -self, whose denominator is self's
         if self.den == other.den:
             return RatFun(self.num + other.num, self.den)
-        g = poly_gcd(self.den, other.den)
+        g, s, r = poly_gcd(self.den, other.den)
+        num = self.num * r + other.num * s
         if g.is_const():
-            num = self.num * other.den + other.num * self.den
-            den = self.den * other.den
-            return RatFun(num, den, _canonical=True)
-        r = other.den.try_divexact(g)
-        num = self.num * r + other.num * self.den.try_divexact(g)
-        den = self.den * r
-        g2 = poly_gcd(num, g)
-        if not g2.is_const():
-            num = num.try_divexact(g2)
-            den = den.try_divexact(g2)
-        return RatFun(num, den, _canonical=True)
+            return RatFun(num, s * r, _canonical=True)
+        _, num, g = poly_gcd(num, g)
+        return RatFun(num, s * g * r, _canonical=True)
 
     def __neg__(self) -> "RatFun":
         return RatFun(-self.num, self.den, _canonical=True)
@@ -625,14 +632,8 @@ class RatFun:
     def _reduced_product(n1: MPoly, d1: MPoly,
                          n2: MPoly, d2: MPoly) -> "RatFun":
         # cross-cancel reduced pairs; the result is then reduced as well
-        g = poly_gcd(n1, d2)
-        if not g.is_const():
-            n1 = n1.try_divexact(g)
-            d2 = d2.try_divexact(g)
-        g = poly_gcd(n2, d1)
-        if not g.is_const():
-            n2 = n2.try_divexact(g)
-            d1 = d1.try_divexact(g)
+        _, n1, d2 = poly_gcd(n1, d2)
+        _, n2, d1 = poly_gcd(n2, d1)
         num = n1 * n2
         den = d1 * d2
         lc = den.leading_coeff()

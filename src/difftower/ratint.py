@@ -33,8 +33,7 @@ def has_rational_antiderivative(f: RatFun,
     _, rem = f.num.divmod_lead(den)
     if rem.is_zero():
         return True
-    dstar = poly_gcd(den, den.partial(zi))
-    d2 = den.try_divexact(dstar)
+    dstar, d2, _ = poly_gcd(den, den.partial(zi))
     deg_a = dstar.degree_in(zi)   # unknown a has degree < deg(dstar)
     deg_b = d2.degree_in(zi)      # unknown b has degree < deg(d2)
     if deg_a <= 0:

@@ -207,31 +207,37 @@ class TestDivmodLead:
 
 class TestGcd:
     def test_univariate(self):
-        assert poly_gcd(P("x^2 - 1"), P("x^2 - 2*x + 1")) == P("x - 1")
+        assert poly_gcd(P("x^2 - 1"), P("x^2 - 2*x + 1")) \
+            == (P("x - 1"), P("x + 1"), P("x - 1"))
 
     def test_multivariate(self):
         g = P("x + y")
-        assert poly_gcd(g * P("x^2 + 3"), g * P("y - 1")) == g
+        assert poly_gcd(g * P("x^2 + 3"), g * P("y - 1"))[0] == g
 
     def test_three_vars(self):
         g = P("x*w + y", V3)
         a = g * P("x + 1", V3)
         b = g * P("w^2 - y", V3)
-        assert poly_gcd(a, b) == g
+        assert poly_gcd(a, b)[0] == g
 
     def test_coprime(self):
-        got = poly_gcd(P("x + 1"), P("y + 1"))
+        got = poly_gcd(P("x + 1"), P("y + 1"))[0]
         assert got.is_const() and got.const_value() == 1
-        # constant operands
+        # constant operands: the cofactors are the operands themselves
         one = MPoly.const(V2, 1)
-        assert poly_gcd(P("2"), P("3")) == one
-        assert poly_gcd(P("2"), P("x + 1")) == one
-        assert poly_gcd(P("x + 1"), P("3")) == one
+        assert poly_gcd(P("2"), P("3")) == (one, P("2"), P("3"))
+        assert poly_gcd(P("2"), P("x + 1")) == (one, P("2"), P("x + 1"))
+        assert poly_gcd(P("x + 1"), P("3")) == (one, P("x + 1"), P("3"))
 
     def test_zero_cases(self):
         z = MPoly.zero(V2)
-        assert poly_gcd(z, P("2*x")) == P("x")  # monic
-        assert poly_gcd(z, z).is_zero()
+        two = MPoly.const(V2, 2)
+        assert poly_gcd(z, P("2*x"))[0] == P("x")  # monic
+        assert poly_gcd(z, P("2*x")) == (P("x"), z, two)
+        assert poly_gcd(P("2*x"), z) == (P("x"), two, z)
+        assert poly_gcd(z, two) == (MPoly.const(V2, 1), z, two)
+        assert poly_gcd(z, z)[0].is_zero()
+        assert poly_gcd(z, z) == (z, z, z)
 
     def test_lcm(self):
         assert poly_lcm(P("x^2 - 1"), P("x - 1")) == P("x^2 - 1")
@@ -250,7 +256,10 @@ class TestGcd:
         pairs += _random_pairs(
             67, lambda free, full: (free() * full(), free() * full()),
             count=10)
+        # whole triples (g, a/g, b/g), with and without GCDHEU
         expected = [poly_gcd(a, b) for a, b in pairs]
+        assert all(g * ca == a and g * cb == b
+                   for (a, b), (g, ca, cb) in zip(pairs, expected))
         prem_calls, contents = [], []
         _spy(monkeypatch, "_prem", prem_calls)
         _spy(monkeypatch, "_content_over", contents,
@@ -280,7 +289,7 @@ class TestGcd:
         assert ratfun._heu_gcd(a, b) is None
         prem_calls = []
         _spy(monkeypatch, "_prem", prem_calls)
-        assert poly_gcd(a, b) == MPoly.const(x, 1)
+        assert poly_gcd(a, b) == (MPoly.const(x, 1), a, b)
         assert prem_calls
         _assert_sympy_gcd(a, b)
 
@@ -302,7 +311,7 @@ class TestGcd:
         x = ("x",)
         g = P("x + 1", x)
         p, q = g * P("x - 2", x), g * P("x + 3", x)
-        assert ratfun._heu_gcd(p, q).monic() == g
+        assert ratfun._heu_gcd(p, q) == (g, P("x - 2", x), P("x + 3", x))
         assert len(lifts) == 2
 
     @settings(max_examples=40, deadline=None)
@@ -312,10 +321,34 @@ class TestGcd:
         from difftower.randexpr import random_mpoly
         a = random_mpoly(rng, V2, max_deg=3)
         b = random_mpoly(rng, V2, max_deg=3)
-        g = poly_gcd(a, b)
+        g, ca, cb = poly_gcd(a, b)
         if not g.is_zero():
             assert a.try_divexact(g) is not None
             assert b.try_divexact(g) is not None
+        assert (g * ca, g * cb) == (a, b)
+
+    def test_reduction_divides_nothing_again(self, monkeypatch):
+        # GCDHEU's accepted trial divisions give the cofactors, so cancelling
+        # a nonconstant gcd runs no MPoly.try_divexact afterwards
+        g, h = P("x*y + 3"), P("x + y^2 + 1")
+        a, b = g * P("2*x - y^2"), g * P("x^2 + 3*y")
+        assert ratfun._heu_gcd(a, b)[0] == g.monic()
+        n2, d1 = h * P("y - 2"), h * P("x + 5")
+        want_quotient = RatFun(P("2*x - y^2"), P("x^2 + 3*y"))
+        want_product = RatFun(P("(2*x - y^2)*(y - 2)"),
+                              P("(x + 5)*(x^2 + 3*y)"))
+        calls = []
+        real = MPoly.try_divexact
+
+        def spy(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(MPoly, "try_divexact", spy)
+        assert RatFun(a, b) == want_quotient
+        assert calls == []
+        assert RatFun._reduced_product(a, d1, n2, b) == want_product
+        assert calls == []
 
 
 def _sympy_poly(p):
@@ -327,10 +360,12 @@ def _sympy_poly(p):
 
 def _assert_sympy_gcd(a, b):
     sympy = pytest.importorskip("sympy")
-    ours = poly_gcd(a, b)
+    ours, a_g, b_g = poly_gcd(a, b)
     theirs = sympy.gcd(_sympy_poly(a), _sympy_poly(b))
     # equal up to a rational constant
     assert _sympy_poly(ours).monic() == theirs.monic()
+    # and the cofactors are exact
+    assert ours * a_g == a and ours * b_g == b
 
 
 def _spy(monkeypatch, name, record, keep=lambda args, out: True):
@@ -402,7 +437,7 @@ class TestGcdOracle:
     def test_coprime_with_content(self, monkeypatch):
         V = ("y", "x")
         a, b = P("(y+1)*(x+1)", V), P("(y+1)*(x+2)", V)
-        assert poly_gcd(a, b) == P("y + 1", V)
+        assert poly_gcd(a, b)[0] == P("y + 1", V)
         pairs = [(a, b)] + _random_pairs(
             37, lambda free, full: (free() * full(), free() * full()))
         assert _reaches_heu_gcd(monkeypatch, pairs) >= len(pairs)
@@ -415,7 +450,7 @@ class TestGcdOracle:
             41, lambda free, full: (full(), None))
         for a, _ in pairs:
             b = a.scale(Fraction(-7, 3))
-            assert poly_gcd(a, b) == a.monic()
+            assert poly_gcd(a, b)[0] == a.monic()
             _assert_sympy_gcd(a, b)
         assert deeper == []
 
@@ -432,10 +467,12 @@ class TestGcdOracle:
             q = (g * b).scale(Fraction(15, 7))
             if p.is_zero() or q.is_zero():
                 continue
-            h = ratfun._heu_gcd(p, q)
-            assert h is not None
+            got = ratfun._heu_gcd(p, q)
+            assert got is not None
+            h, p_h, q_h = got
             theirs = sympy.gcd(_sympy_poly(p), _sympy_poly(q))
             assert _sympy_poly(h).monic() == theirs.monic()
+            assert h * p_h == p and h * q_h == q
 
     def test_poly_gcd_hands_heu_gcd_its_operands(self, monkeypatch):
         calls = []
@@ -443,7 +480,7 @@ class TestGcdOracle:
         g = P("x*y + 3")
         p = (g * P("2*x - y^2")).scale(Fraction(-5, 6))
         q = (g * P("x^2 + 3*y")).scale(Fraction(4, 9))
-        assert poly_gcd(p, q) == g.monic()
+        assert poly_gcd(p, q)[0] == g.monic()
         assert calls == [(p, q)]
 
     def test_lcm_matches_sympy(self):
@@ -606,7 +643,7 @@ def _substitution_cases(seed, count):
             kind = rng.choice(("ratfun", "ratfun", "const", "zero", "unmapped"))
             if kind == "ratfun":
                 image = random_ratfun(rng, target, max_deg=2, max_terms=3)
-                while image.is_poly():
+                while image.den.is_const():
                     image = random_ratfun(rng, target, max_deg=2, max_terms=3)
                 mapping[name] = image
             elif kind == "const":

@@ -70,7 +70,7 @@ def _reference_linearize(u, tower):
     gen_coeffs, rest = lin
     coeffs = [Fraction(0), *gen_coeffs]
     zpart = _reference_formal_partial(rest, "z")
-    if zpart.is_const() and rest.is_poly() and rest.num.total_degree() <= 1:
+    if zpart.is_const() and rest.den.is_const() and rest.num.total_degree() <= 1:
         coeffs[0] = zpart.const_value()
         rest = rest - tower.gen("z").scale(coeffs[0])
     return coeffs, rest
