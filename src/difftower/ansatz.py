@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -95,11 +95,15 @@ def monomials_upto(n_vars: int, max_deg: int) -> List[tuple]:
 def _assemble_rows(cols: Sequence[MPoly], max_cells: int) -> List[linalg.Row]:
     """Coefficient-matching rows of polynomial columns over one common
     denominator: one row per monomial, holding each column's coefficient of
-    that monomial.  BoundsExceeded when the system has over max_cells cells."""
+    that monomial times d, the lcm of the columns' denominators, so every
+    entry is an integer and each row keeps its solutions.  BoundsExceeded
+    when the system has over max_cells cells."""
+    d = lcm(*(p.den for p in cols))
     by_monom = {}
     for col, p in enumerate(cols):
-        for exp, c in p.terms.items():
-            by_monom.setdefault(exp, {})[col] = c
+        k = d // p.den
+        for exp, c in p.ints.items():
+            by_monom.setdefault(exp, {})[col] = c * k
     linalg.check_size(len(by_monom), len(cols), max_cells)
     return [by_monom[key] for key in sorted(by_monom)]
 
@@ -109,7 +113,7 @@ def _solve_columns(cols: Sequence[MPoly], target: MPoly,
     """Solutions of sum_i c_i * cols_i = target, as for solve_linear_ansatz."""
     n = len(cols)
     rows = _assemble_rows(list(cols) + [target], max_cells)
-    rhs = [r.pop(n, Fraction(0)) for r in rows]
+    rhs = [r.pop(n, 0) for r in rows]
     particular, kernel = linalg.solve_affine(rows, rhs, n)
     if particular is None:
         return []
@@ -305,4 +309,5 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
 def _poly_part_constant(w: RatFun) -> RatFun:
     """Constant term of the polynomial part of w (deglex reduction)."""
     quo, _ = w.num.divmod_lead(w.den)
-    return RatFun.const(w.vars, quo.terms.get((0,) * len(w.vars), 0))
+    return RatFun.const(w.vars,
+                        Fraction(quo.ints.get((0,) * len(w.vars), 0), quo.den))

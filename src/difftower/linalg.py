@@ -4,12 +4,14 @@
 ``solve_affine``, ``structure.LinearField`` and every other solve in
 ``ansatz`` and ``structure`` reduce through it.
 
-Rows in and out are dicts {column index: Fraction}.  Everything reduces to
-the unique RREF, so results do not depend on pivot-selection heuristics; the
-heuristics only fight fill-in.  Inside ``rref`` each row is cleared once to
-integers and eliminated fraction-free (Bareiss-style cross multiplication,
-then division by the row's integer content); only the finished pivot rows
-become Fractions again, so the result is the same unique RREF.
+Rows in are dicts {column index: int or Fraction}, rows out {column index:
+Fraction}.  Everything reduces to the unique RREF, so results do not depend
+on pivot-selection heuristics; the heuristics only fight fill-in.  Inside
+``rref`` each row is cleared once to integers (integer rows, as
+``ansatz._assemble_rows`` builds them, need no clearing) and eliminated
+fraction-free (Bareiss-style cross multiplication, then division by the
+row's integer content); only the finished pivot rows become Fractions
+again, so the result is the same unique RREF.
 
 ``check_size`` caps a system's cells at a bound its caller passes in (for
 the searches, ``Bounds.max_cells``); nothing here reads process-wide state.
@@ -68,7 +70,10 @@ def rref(rows: List[Row], n_cols: int) -> Tuple[List[Row], List[int]]:
 
 def _cleared(row) -> Dict[int, int]:
     """The row times the lcm of its denominators, divided by its content;
-    explicit zero entries are dropped."""
+    explicit zero entries are dropped.  Always a new dict, as rref updates
+    its rows in place."""
+    if all(type(v) is int for v in row.values()):
+        return _primitive({c: v for c, v in row.items() if v})
     d = lcm(*[v.denominator for v in row.values()])
     return _primitive({c: v.numerator * (d // v.denominator)
                        for c, v in row.items() if v})
@@ -117,7 +122,7 @@ def solve_affine(rows: List[Row], rhs: Sequence[Fraction], n_cols: int):
     for row, b in zip(rows, rhs):
         r = dict(row)
         if b != 0:
-            r[n_cols] = Fraction(b)
+            r[n_cols] = b
         aug.append(r)
     red, pivots = rref(aug, n_cols + 1)
     kernel = _kernel_from(red, pivots, n_cols)

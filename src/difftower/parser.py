@@ -213,11 +213,11 @@ def format_ratfun(u: RatFun) -> str:
     num = format_mpoly(u.num)
     if u.den.is_const():
         return num
-    if len(u.num.terms) > 1:
+    if len(u.num.ints) > 1:
         num = f"({num})"
     den = format_mpoly(u.den)
-    only = next(iter(u.den.terms))
-    if len(u.den.terms) > 1 or sum(1 for k in only if k) > 1:
+    only = next(iter(u.den.ints))
+    if len(u.den.ints) > 1 or sum(1 for k in only if k) > 1:
         den = f"({den})"
     return f"{num}/{den}"
 

@@ -7,11 +7,11 @@ forms, so two values compare equal exactly when they denote the same
 function.  Every cancellation goes through poly_gcd, which returns
 (g, p/g, q/g); GCDHEU reads p/g and q/g off its accepted trial divisions.
 
-Coefficients are stored as Fractions, but the hot loops (products, exact
-division and GCDHEU) run on cleared integer numerators: each operand is
-written once as {exponent: int} over the lcm of its denominators, and a
-Fraction is built only for each output term.  RatFun.substitute clears the
-same way: polynomial products over one denominator, then one reduction.
+A polynomial is stored as integer numerators over one denominator, unique
+per polynomial.  Every kernel (sums, products, exact division, GCDHEU,
+division with remainder, substitution) runs on those integers and builds no
+Fraction; one appears only where a caller reads a coefficient (terms,
+leading_coeff, const_value, eval_rat).
 """
 
 from __future__ import annotations
@@ -35,12 +35,14 @@ def _deglex_key(exp: Exponent):
 class MPoly:
     """Sparse multivariate polynomial over Q with a fixed variable list.
 
-    Terms map exponent tuples to nonzero Fraction coefficients.  The deglex
-    order (total degree first, then lexicographic in declared variable
-    order) fixes the leading term used for monic normalization.
+    Stored as ints / den: ints maps exponent tuples to nonzero integers, and
+    den > 0 with gcd(den, *ints) = 1 is the least common denominator of the
+    coefficients; terms is the {exponent: Fraction} view.  The deglex order
+    (total degree first, then lexicographic in declared variable order)
+    fixes the leading term used for monic normalization.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "ints", "den")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Rat]):
         self.vars = tuple(variables)
@@ -53,30 +55,41 @@ class MPoly:
             c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c:
                 clean[tuple(exp)] = c
-        self.terms = clean
+        # the least common denominator of reduced Fractions is coprime to
+        # the numerators it gives, so no gcd is needed here
+        d = lcm(*(c.denominator for c in clean.values()))
+        self.ints = {e: c.numerator * (d // c.denominator)
+                     for e, c in clean.items()}
+        self.den = d
 
     @classmethod
-    def _over(cls, variables: tuple, ints: Mapping[Exponent, int],
-              d: int = 1) -> "MPoly":
-        """The polynomial ints / d, from integer numerators whose exponents
-        already have the right length."""
+    def _over(cls, variables: tuple, ints: dict, d: int = 1) -> "MPoly":
+        """ints / d in the stored form, by one gcd: ints holds nonzero
+        integers under exponents of the right length, d is a nonzero
+        integer, and ints may be kept, so the caller must not change it."""
+        g = gcd(d, *ints.values())
+        if d < 0:
+            g = -g
         p = object.__new__(cls)
         p.vars = variables
-        p.terms = {e: Fraction(c, d) for e, c in ints.items() if c}
+        p.ints = ints if g == 1 else {e: c // g for e, c in ints.items()}
+        p.den = d // g
         return p
+
+    @property
+    def terms(self) -> dict:
+        """{exponent: Fraction coefficient}, a fresh dict on each read."""
+        return {e: Fraction(c, self.den) for e, c in self.ints.items()}
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "MPoly":
-        return cls(variables, {})
+        return cls._over(tuple(variables), {})
 
     @classmethod
     def const(cls, variables: Sequence[str], value) -> "MPoly":
-        c = Fraction(value)
-        if c == 0:
-            return cls.zero(variables)
-        return cls(variables, {(0,) * len(variables): c})
+        return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "MPoly":
@@ -84,36 +97,36 @@ class MPoly:
         i = variables.index(name)
         exp = [0] * len(variables)
         exp[i] = 1
-        return cls(variables, {tuple(exp): Fraction(1)})
+        return cls._over(variables, {tuple(exp): 1})
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def is_const(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.ints)
 
     def const_value(self) -> Rat:
         if self.is_zero():
             return Fraction(0)
         if not self.is_const():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.ints.values())), self.den)
 
     def total_degree(self) -> int:
         if self.is_zero():
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.ints)
 
     def degree_in(self, i: int) -> int:
         if self.is_zero():
             return -1
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.ints)
 
     def used_indices(self) -> set:
         used = set()
-        for e in self.terms:
+        for e in self.ints:
             for i, k in enumerate(e):
                 if k:
                     used.add(i)
@@ -127,20 +140,16 @@ class MPoly:
     def leading_exp(self) -> Exponent:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=_deglex_key)
+        return max(self.ints, key=_deglex_key)
 
     def leading_coeff(self) -> Rat:
-        return self.terms[self.leading_exp()]
+        return Fraction(self.ints[self.leading_exp()], self.den)
 
     def coeff_in(self, i: int, k: int) -> "MPoly":
         """Coefficient of vars[i]**k, as a polynomial with exponent 0 at i."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                e2 = list(e)
-                e2[i] = 0
-                out[tuple(e2)] = c
-        return MPoly(self.vars, out)
+        out = {e[:i] + (0,) + e[i + 1:]: c
+               for e, c in self.ints.items() if e[i] == k}
+        return MPoly._over(self.vars, out, self.den)
 
     def sorted_terms(self):
         """Terms in descending deglex order."""
@@ -153,35 +162,50 @@ class MPoly:
             raise VariableMismatch(f"{self.vars!r} vs {other.vars!r}")
 
     def __add__(self, other: "MPoly") -> "MPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return MPoly(self.vars, out)
-
-    def __neg__(self) -> "MPoly":
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return self._plus(other, 1)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "MPoly", sign: int) -> "MPoly":
+        """self + sign*other, term by term over the lcm of the two
+        denominators."""
+        self._check(other)
+        d1, d2 = self.den, other.den
+        d = lcm(d1, d2)
+        k1, k2 = d // d1, sign * (d // d2)
+        out = (dict(self.ints) if k1 == 1
+               else {e: c * k1 for e, c in self.ints.items()})
+        for e, c in other.ints.items():
+            # a new key gets c*k2 != 0; only a sum can vanish
+            c = out.get(e, 0) + c * k2
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return MPoly._over(self.vars, out, d)
+
+    def __neg__(self) -> "MPoly":
+        return MPoly._over(self.vars, {e: -c for e, c in self.ints.items()},
+                           self.den)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        d1, a = _cleared(self)
-        d2, b = _cleared(other)
-        b = b.items()
+        b = other.ints.items()
         out = {}
-        for e1, c1 in a.items():
+        for e1, c1 in self.ints.items():
             for e2, c2 in b:
                 e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return MPoly._over(self.vars, out, d1 * d2)
+        return MPoly._over(self.vars, {e: c for e, c in out.items() if c},
+                           self.den * other.den)
 
     def scale(self, c) -> "MPoly":
         c = Fraction(c)
         if c == 0:
             return MPoly.zero(self.vars)
-        return MPoly(self.vars, {e: c * v for e, v in self.terms.items()})
+        return MPoly._over(self.vars, _times(self.ints, c.numerator),
+                           self.den * c.denominator)
 
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
@@ -198,27 +222,24 @@ class MPoly:
     def monic(self) -> "MPoly":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading_coeff())
+        # (ints/den) / (lead/den) = ints / lead
+        return MPoly._over(self.vars, self.ints, self.ints[self.leading_exp()])
 
     def shift_var(self, i: int, k: int) -> "MPoly":
         """Multiply by vars[i]**k."""
-        out = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[i] += k
-            out[tuple(e2)] = c
-        return MPoly(self.vars, out)
+        out = {e[:i] + (e[i] + k,) + e[i + 1:]: c for e, c in self.ints.items()}
+        return MPoly._over(self.vars, out, self.den)
 
     # -- calculus-flavoured helpers --------------------------------------
 
     def partial(self, i: int) -> "MPoly":
         """Formal partial derivative with respect to vars[i]."""
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.ints.items():
             if e[i]:
                 # lowering one exponent maps distinct terms to distinct terms
                 out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
-        return MPoly(self.vars, out)
+        return MPoly._over(self.vars, out, self.den)
 
     def derivation(self, images: Sequence["MPoly"]) -> "MPoly":
         """sum_i dp/dx_i * images[i]; with images[i] = L*D(x_i) this is
@@ -230,13 +251,13 @@ class MPoly:
 
     def eval_rat(self, point: Mapping[str, Rat]) -> Rat:
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for e, c in self.ints.items():
             v = c
             for i, k in enumerate(e):
                 if k:
                     v *= Fraction(point[self.vars[i]]) ** k
             total += v
-        return total
+        return total / self.den
 
     # -- exact division and gcd ------------------------------------------
 
@@ -245,51 +266,57 @@ class MPoly:
         self._check(other)
         if other.is_zero():
             return None
-        d1, a = _cleared(self)
-        d2, b = _cleared(other)
-        cont, b = _primitive(b)
-        quo = _divexact_int(a, b)
+        cont, b = _primitive(other.ints)
+        quo = _divexact_int(self.ints, b)
         if quo is None:
             return None
-        return MPoly._over(self.vars, {e: c * d2 for e, c in quo.items()},
-                           d1 * cont)
+        # (ints/den) / (cont*b/other.den) = quo*other.den / (den*cont)
+        return MPoly._over(self.vars, _times(quo, other.den), self.den * cont)
 
     def divmod_lead(self, other: "MPoly"):
         """(q, r) with self = q*other + r: divide by other's deglex leading
         term while it divides the leading term of r, then stop.  For
-        univariate input this is Euclidean division."""
+        univariate input this is Euclidean division.  Runs fraction-free on
+        the numerators, keeping s*self.ints = quo*other.ints + rem."""
         self._check(other)
         if other.is_zero():
             raise DivisionByZero("division by the zero polynomial")
-        le_d = other.leading_exp()
-        lc_d = other.terms[le_d]
-        quo = {}
-        rem = dict(self.terms)
+        b = other.ints.items()
+        le_b = other.leading_exp()
+        lc_b = other.ints[le_b]
+        quo, rem, s = {}, dict(self.ints), 1
         while rem:
             le = max(rem, key=_deglex_key)
-            diff = tuple(map(sub, le, le_d))
+            diff = tuple(map(sub, le, le_b))
             if min(diff, default=0) < 0:
                 break
-            c = rem[le] / lc_d
+            m = lc_b // gcd(rem[le], lc_b)
+            if m != 1:   # scale so that lc_b divides rem's leading term
+                s *= m
+                quo = _times(quo, m)
+                rem = _times(rem, m)
+            c = rem[le] // lc_b
             # the leading terms of rem strictly fall, so each diff is new
             quo[diff] = c
-            for e, v in other.terms.items():
+            for e, v in b:
                 tgt = tuple(map(add, e, diff))
                 nv = rem.get(tgt, 0) - c * v
                 if nv:
                     rem[tgt] = nv
                 else:
                     del rem[tgt]
-        return MPoly(self.vars, quo), MPoly(self.vars, rem)
+        d = s * self.den
+        return (MPoly._over(self.vars, _times(quo, other.den), d),
+                MPoly._over(self.vars, rem, d))
 
     # -- dunder plumbing --------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, MPoly) and self.vars == other.vars
-                and self.terms == other.terms)
+        return (isinstance(other, MPoly) and self.den == other.den
+                and self.vars == other.vars and self.ints == other.ints)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.ints.items())))
 
     def __repr__(self):
         from .parser import format_mpoly
@@ -297,13 +324,6 @@ class MPoly:
 
 
 # -- integer kernels ---------------------------------------------------------
-
-def _cleared(p: MPoly):
-    """(d, {exp: int}) with p = ints / d, d the lcm of the denominators."""
-    d = lcm(*(c.denominator for c in p.terms.values()))
-    return d, {e: c.numerator * (d // c.denominator)
-               for e, c in p.terms.items()}
-
 
 def _divexact_int(a: dict, b: dict):
     """Exact quotient a / b of integer polynomials, b nonzero and primitive
@@ -363,7 +383,7 @@ def _prem(p: MPoly, q: MPoly, i: int) -> MPoly:
 def _primitive_scale(p: MPoly) -> MPoly:
     """Scale to coprime integer coefficients with positive leading term.
     Pure Fraction PRS blows up numerically; this keeps coefficients small."""
-    return MPoly._over(p.vars, _primitive(_cleared(p)[1])[1])
+    return MPoly._over(p.vars, _primitive(p.ints)[1])
 
 
 def _eval_var_int(a: dict, i: int, xi: int) -> dict:
@@ -401,17 +421,15 @@ def _heu_gcd(p: MPoly, q: MPoly):
     """GCDHEU (Char-Geddes-Gonnet) of nonzero p and q over Q: (g, p/g, q/g)
     with g monic, or None when every evaluation point fails.  The cofactors
     are the quotients of the trial divisions that accepted g over Z."""
-    (dp, a), (dq, b) = _cleared(p), _cleared(q)
-    got = _heu_gcd_int(a, b)
+    got = _heu_gcd_int(p.ints, q.ints)
     if got is None:
         return None
     g, ca, cb = got
-    if g.keys() == {(0,) * len(p.vars)}:
-        return MPoly.const(p.vars, 1), p, q
     lc = g[max(g, key=_deglex_key)]
+    # p = g*ca / p.den, so p / (g/lc) = ca*lc / p.den
     return (MPoly._over(p.vars, g, lc),
-            MPoly._over(p.vars, {e: c * lc for e, c in ca.items()}, dp),
-            MPoly._over(p.vars, {e: c * lc for e, c in cb.items()}, dq))
+            MPoly._over(p.vars, _times(ca, lc), p.den),
+            MPoly._over(p.vars, _times(cb, lc), q.den))
 
 
 def _heu_gcd_int(a: dict, b: dict):
@@ -457,13 +475,13 @@ def _content_over(p: MPoly, kept) -> MPoly:
     indices are in kept: the monic gcd of p's coefficients grouped by the
     exponents of the other variables, folded to the first unit."""
     groups: dict = {}
-    for e, c in p.terms.items():
+    for e, c in p.ints.items():
         outer = tuple(0 if i in kept else k for i, k in enumerate(e))
         inner = tuple(k if i in kept else 0 for i, k in enumerate(e))
         groups.setdefault(outer, {})[inner] = c
     cont = MPoly.zero(p.vars)
-    for terms in groups.values():
-        cont = poly_gcd(cont, MPoly(p.vars, terms))[0]
+    for ints in groups.values():
+        cont = poly_gcd(cont, MPoly._over(p.vars, ints))[0]
         if cont.is_const():
             break
     return cont
@@ -471,7 +489,7 @@ def _content_over(p: MPoly, kept) -> MPoly:
 
 def _monomial_gcd(p: MPoly, q: MPoly) -> MPoly:
     """Monic gcd when p or q is a monomial: least exponents over all terms."""
-    return MPoly(p.vars, {tuple(map(min, *p.terms, *q.terms)): Fraction(1)})
+    return MPoly._over(p.vars, {tuple(map(min, *p.ints, *q.ints)): 1})
 
 
 def _prs_gcd(p: MPoly, q: MPoly) -> MPoly:
@@ -508,9 +526,9 @@ def poly_gcd(p: MPoly, q: MPoly):
         g = q.monic()
     elif q.is_zero():
         g = p.monic()
-    elif p.terms.keys() == q.terms.keys() and (m := p.monic()) == q.monic():
+    elif p.ints.keys() == q.ints.keys() and (m := p.monic()) == q.monic():
         g = m
-    elif len(p.terms) == 1 or len(q.terms) == 1:
+    elif len(p.ints) == 1 or len(q.ints) == 1:
         g = _monomial_gcd(p, q)
     else:
         got = _heu_gcd(p, q)
@@ -546,11 +564,7 @@ class RatFun:
             if num.is_zero():
                 den = MPoly.const(num.vars, 1)
             else:
-                _, num, den = poly_gcd(num, den)
-                lc = den.leading_coeff()
-                if lc != 1:
-                    num = num.scale(1 / lc)
-                    den = den.scale(1 / lc)
+                num, den = _monic_pair(*poly_gcd(num, den)[1:])
         self.num = num
         self.den = den
 
@@ -634,13 +648,7 @@ class RatFun:
         # cross-cancel reduced pairs; the result is then reduced as well
         _, n1, d2 = poly_gcd(n1, d2)
         _, n2, d1 = poly_gcd(n2, d1)
-        num = n1 * n2
-        den = d1 * d2
-        lc = den.leading_coeff()
-        if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        return RatFun(num, den, _canonical=True)
+        return RatFun(*_monic_pair(n1 * n2, d1 * d2), _canonical=True)
 
     def __pow__(self, k: int) -> "RatFun":
         if k < 0:
@@ -658,9 +666,10 @@ class RatFun:
     def substitute(self, mapping: Mapping[str, "RatFun"],
                    target_vars: Sequence[str]) -> "RatFun":
         """Simultaneous substitution; an unmapped variable must be in
-        target_vars and maps to itself.  With images n_i/d_i and D_i =
-        max(deg_i num, deg_i den), num and den both go over prod d_i^D_i as
-        sum c_e prod n_i^e_i d_i^(D_i-e_i), then one reduction."""
+        target_vars and maps to itself.  With images n_i/d_i, n_i and d_i
+        scaled to integer coefficients, and D_i = max(deg_i num, deg_i den),
+        num and den both go over prod d_i^D_i as sum c_e prod n_i^e_i
+        d_i^(D_i-e_i), with integer products only, then one reduction."""
         target_vars = tuple(target_vars)
         one = MPoly.const(target_vars, 1)
         tables = []   # (i, [n_i^k * d_i^(D_i - k) for k = 0..D_i])
@@ -669,19 +678,23 @@ class RatFun:
                      else RatFun.var(target_vars, name))
             top = max(self.num.degree_in(i), self.den.degree_in(i))
             if top > 0:
-                n_pows = list(accumulate([image.num] * top, mul, initial=one))
-                d_pows = list(accumulate([image.den] * top, mul, initial=one))
+                n, d = image.num, image.den
+                n, d = (MPoly._over(n.vars, _times(n.ints, d.den)),
+                        MPoly._over(d.vars, _times(d.ints, n.den)))
+                n_pows = list(accumulate([n] * top, mul, initial=one))
+                d_pows = list(accumulate([d] * top, mul, initial=one))
                 tables.append((i, [n * d for n, d in zip(n_pows, d_pows[::-1])]))
 
         def cleared(p: MPoly) -> MPoly:
             out: dict = {}
-            for e, c in p.terms.items():
-                term = one.scale(c)
+            for e, c in p.ints.items():
+                term = one
                 for i, table in tables:
                     term = term * table[e[i]]
-                for e2, v in term.terms.items():
-                    out[e2] = out.get(e2, 0) + v
-            return MPoly(target_vars, out)
+                for e2, v in term.ints.items():
+                    out[e2] = out.get(e2, 0) + c * v
+            return MPoly._over(target_vars,
+                               {e: v for e, v in out.items() if v}, p.den)
 
         den = cleared(self.den)
         if den.is_zero():
@@ -695,12 +708,12 @@ class RatFun:
 
         def lift(p: MPoly) -> MPoly:
             out = {}
-            for e, c in p.terms.items():
+            for e, c in p.ints.items():
                 e2 = [0] * len(variables)
                 for j, k in zip(idx, e):
                     e2[j] = k
                 out[tuple(e2)] = c
-            return MPoly(variables, out)
+            return MPoly._over(variables, out, p.den)
 
         return RatFun(lift(self.num), lift(self.den), _canonical=True)
 
@@ -716,6 +729,16 @@ class RatFun:
     def __repr__(self):
         from .parser import format_ratfun
         return f"RatFun({format_ratfun(self)!r})"
+
+
+def _monic_pair(num: MPoly, den: MPoly):
+    """(num/lc, den/lc) for lc the leading coefficient of den."""
+    lead = den.ints[den.leading_exp()]
+    if lead == den.den:
+        return num, den
+    # (n/dn) / (lead/dd) = n*dd / (dn*lead)
+    return (MPoly._over(num.vars, _times(num.ints, den.den), num.den * lead),
+            MPoly._over(den.vars, den.ints, lead))
 
 
 def clear_denominators(exprs: Sequence[RatFun]):

@@ -48,7 +48,7 @@ def linear_part(u: RatFun, names: Sequence[str]):
         return None
     parts = {i: {} for i in idx}   # i -> the terms of n linear in x_i, / x_i
     rest = {}
-    for e, c in n.terms.items():
+    for e, c in n.ints.items():
         hit = [i for i in idx if e[i]]
         if not hit:
             rest[e] = c
@@ -58,10 +58,12 @@ def linear_part(u: RatFun, names: Sequence[str]):
             i = hit[0]
             parts[i][e[:i] + (0,) + e[i + 1:]] = c
     lead = d.leading_exp()   # d is monic: c_v is the coefficient there
-    coeffs = [parts[i].get(lead, Fraction(0)) for i in idx]
-    if any(MPoly(u.vars, parts[i]) != d.scale(c) for i, c in zip(idx, coeffs)):
+    coeffs = [Fraction(parts[i].get(lead, 0), n.den) for i in idx]
+    if any(MPoly._over(u.vars, parts[i], n.den) != d.scale(c)
+           for i, c in zip(idx, coeffs)):
         return None
-    return coeffs, RatFun(MPoly(u.vars, rest), d, _canonical=True)
+    return coeffs, RatFun(MPoly._over(u.vars, rest, n.den), d,
+                          _canonical=True)
 
 
 def linearize(u: RatFun, tower: Tower):

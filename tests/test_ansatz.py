@@ -102,6 +102,28 @@ class TestLinearAnsatz:
         assert solve_linear_ansatz([parse_expr("z", T)],
                                    parse_expr("zeta1", T)) == []
 
+    def test_assembled_rows_are_integer(self, monkeypatch):
+        """Each row is scaled by the lcm of the column denominators: the
+        RREF is that of the Fraction coefficient rows, key order included,
+        and rref clears nothing."""
+        from difftower.randexpr import random_mpoly
+        rng = random.Random(17)
+        for _ in range(40):
+            cols = [random_mpoly(rng, ("x", "y"), max_deg=2)
+                    for _ in range(rng.randint(1, 5))]
+            terms = [p.terms for p in cols]
+            want = [{c: t[e] for c, t in enumerate(terms) if e in t}
+                    for e in sorted({e for t in terms for e in t})]
+            want = linalg.rref(want, len(cols))
+            rows = _assemble_rows(cols, linalg.DEFAULT_MAX_CELLS)
+            assert all(type(v) is int for r in rows for v in r.values())
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "lcm", None)   # a call would raise
+                got = linalg.rref(rows, len(cols))
+            assert got == want
+            assert [list(r.items()) for r in got[0]] \
+                == [list(r.items()) for r in want[0]]
+
 
 class TestMembership:
     def test_recover_base_variable(self):

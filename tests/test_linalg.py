@@ -175,8 +175,8 @@ class TestRref:
 
     def test_inputs_are_not_mutated(self):
         rows = [{2: Fraction(1, 2), 0: F(3)}, {0: 6, 1: F(2)}, {},
-                {1: Fraction(-5, 7), 2: F(1)}]
-        rhs = [F(1), 2, F(0), Fraction(3, 4)]
+                {1: Fraction(-5, 7), 2: F(1)}, {2: 3, 0: -1}]
+        rhs = [F(1), 2, F(0), Fraction(3, 4), 5]
         before = copy.deepcopy(rows), copy.deepcopy(rhs)
         linalg.rref(rows, 3)
         linalg.nullspace(rows, 3)

@@ -3,7 +3,7 @@ substitution."""
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -79,6 +79,17 @@ class TestMPoly:
             == Fraction(9, 2)
 
 
+# References on {exponent: Fraction} dicts, the coefficient semantics that
+# the integer kernels must reproduce through MPoly.terms.
+
+def _deglex(e):
+    return (sum(e), e)
+
+
+def _nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
 def _ref_mul(p, q):
     """Schoolbook product on Fraction coefficients."""
     out = {}
@@ -86,18 +97,19 @@ def _ref_mul(p, q):
         for e2, c2 in q.terms.items():
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return MPoly(p.vars, out)
+    return _nonzero(out)
 
 
-def _ref_divexact(p, q):
-    """Deglex division on Fraction coefficients: p / q if exact, else None."""
+def _ref_divmod_lead(p, q):
+    """Deglex division by q's leading term on Fraction coefficients, while
+    that term divides the remainder's: (quotient, remainder)."""
     quo, rem = {}, dict(p.terms)
     le_q = q.leading_exp()
     while rem:
-        le = max(rem, key=lambda e: (sum(e), e))
+        le = max(rem, key=_deglex)
         diff = tuple(a - b for a, b in zip(le, le_q))
-        if min(diff) < 0:
-            return None
+        if min(diff, default=0) < 0:
+            break
         c = rem[le] / q.terms[le_q]
         quo[diff] = c
         for e, v in q.terms.items():
@@ -105,7 +117,28 @@ def _ref_divexact(p, q):
             rem[tgt] = rem.get(tgt, Fraction(0)) - c * v
             if not rem[tgt]:
                 del rem[tgt]
-    return MPoly(p.vars, quo)
+    return quo, rem
+
+
+def _ref_divexact(p, q):
+    """p / q on Fraction coefficients if exact, else None."""
+    quo, rem = _ref_divmod_lead(p, q)
+    return None if rem else quo
+
+
+def _terms(p):
+    return None if p is None else p.terms
+
+
+def _stored(p):
+    """p, after checking its stored form: ints / den with den > 0,
+    gcd(den, *ints) = 1, no zero numerator and exponents of the right
+    length."""
+    assert type(p.den) is int and p.den > 0
+    assert gcd(p.den, *p.ints.values()) == 1
+    assert all(type(c) is int and c for c in p.ints.values())
+    assert all(type(e) is tuple and len(e) == len(p.vars) for e in p.ints)
+    return p
 
 
 # small exponents and coefficients with mixed denominators
@@ -130,7 +163,7 @@ class TestIntegerKernels:
     @example(MPoly.zero(V2), MPoly(V2, {(1, 0): Fraction(3, 4)}))
     def test_mul_matches_fraction_loop(self, p, q):
         got = p * q
-        assert got == _ref_mul(p, q)
+        assert got.terms == _ref_mul(p, q)
         assert all(type(c) is Fraction for c in got.terms.values())
 
     @settings(max_examples=150, deadline=None)
@@ -143,9 +176,10 @@ class TestIntegerKernels:
         q = _with_content(q, content, den)
         assert q.leading_coeff() < 0
         # exact: the quotient comes back whatever the divisor's content
-        assert (p * q).try_divexact(q) == p == _ref_divexact(p * q, q)
+        assert (p * q).try_divexact(q) == p
+        assert _ref_divexact(p * q, q) == p.terms
         # p itself is usually not a multiple of q
-        assert p.try_divexact(q) == _ref_divexact(p, q)
+        assert _terms(p.try_divexact(q)) == _ref_divexact(p, q)
         if not q.is_const():
             # q divides p*q but not the unit, so never p*q + 1
             a = p * q + MPoly.const(V2, 1)
@@ -169,6 +203,85 @@ class TestIntegerKernels:
         assert ratfun._divexact_int({(1, 0): 1, (0, 0): 1}, b) is None
         # y / x: the exponent difference goes negative
         assert ratfun._divexact_int({(0, 1): 1}, b) is None
+
+
+class TestStoredForm:
+    """Every MPoly an operation returns is in the stored form, and its terms
+    view equals the Fraction reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mpolys, _mpolys, st.fractions(-9, 9, max_denominator=8),
+           st.integers(0, 1))
+    @example(P("x/2 + y/3"), P("x/2 - y/3"), Fraction(-3, 2), 0)
+    @example(P("2*x/3 + 4/3"), P("x + 2"), Fraction(6), 1)
+    def test_operations_keep_the_form(self, p, q, c, i):
+        a, b = _stored(p).terms, _stored(q).terms
+        keys = a.keys() | b.keys()
+        assert _stored(p + q).terms == _nonzero(
+            {e: a.get(e, 0) + b.get(e, 0) for e in keys})
+        assert _stored(p - q).terms == _nonzero(
+            {e: a.get(e, 0) - b.get(e, 0) for e in keys})
+        assert _stored(-p).terms == {e: -v for e, v in a.items()}
+        assert _stored(p * q).terms == _ref_mul(p, q)
+        assert _stored(p.scale(c)).terms == _nonzero(
+            {e: c * v for e, v in a.items()})
+        lead = a[max(a, key=_deglex)] if a else 1
+        assert _stored(p.monic()).terms == {e: v / lead for e, v in a.items()}
+        assert _stored(p.partial(i)).terms == {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: v * e[i]
+            for e, v in a.items() if e[i]}
+        g, pg, qg = map(_stored, poly_gcd(p, q))
+        if not g.is_zero():
+            assert g.leading_coeff() == 1
+            assert _ref_mul(g, pg) == a and _ref_mul(g, qg) == b
+        if q.is_zero():
+            return
+        quo, rem = p.divmod_lead(q)
+        assert (_stored(quo).terms, _stored(rem).terms) \
+            == _ref_divmod_lead(p, q)
+        assert _terms(p.try_divexact(q)) == _ref_divexact(p, q)
+        assert _stored((p * q).try_divexact(q)).terms == a
+
+
+class TestNoFractionInKernels:
+    """The integer kernels read the stored numerators and denominator
+    directly: no operand is cleared again and no result term becomes a
+    Fraction."""
+
+    def test_mul_divexact_and_gcd_build_no_fraction(self, monkeypatch):
+        f, g, h = P("x/2 + y/3"), P("3*x/4 - y/5 + 1/7"), P("x*y/6 - 2/9")
+        fg, gh = f * g, g * h
+        built = []
+
+        class Counting(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return Fraction(*args, **kwargs)
+
+        monkeypatch.setattr(ratfun, "Fraction", Counting)
+        got = (f * g, fg.try_divexact(g), fg.try_divexact(h),
+               poly_gcd(fg, gh))
+        monkeypatch.undo()
+        assert built == []
+        lc = g.leading_coeff()
+        assert got == (fg, f, None, (g.monic(), f.scale(lc), h.scale(lc)))
+
+    def test_subtraction_builds_no_negated_copy(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("MPoly.__neg__ called")
+
+        p, q, want = P("x/2 + y"), P("x/3 - y/5 + 1"), P("x/6 + 6*y/5 - 1")
+        monkeypatch.setattr(MPoly, "__neg__", forbidden)
+        assert p - q == want
+
+    def test_one_representation(self):
+        import ast
+        from pathlib import Path
+        assert MPoly.__slots__ == ("vars", "ints", "den")
+        tree = ast.parse(Path(ratfun.__file__).read_text())
+        assert "_cleared" not in {node.name for node in ast.walk(tree)
+                                  if isinstance(node, ast.FunctionDef)}
+        assert not hasattr(ratfun, "_cleared")
 
 
 class TestDivmodLead:
@@ -677,6 +790,7 @@ class TestSubstitute:
             assert got == _outcome(_reference_substitute, u, mapping, target)
             if isinstance(got, RatFun):
                 assert got.vars == target
+                _stored(got.num), _stored(got.den)
             else:
                 errors += 1
         # the zero images make some denominators vanish, not most
