@@ -7,10 +7,11 @@ The membership and ODE columns are built as polynomials over one fixed
 denominator: den(u)*L^D for a membership rung of degree D over values N/L,
 and lcm^2*denom for solve_first_order, which builds each monomial's column
 once per call.  _assemble_rows turns every system of polynomial columns
-into rows; the inhomogeneous ones (ODE rungs, solve_linear_ansatz and
-ratint's Horowitz system) are solved by _solve_columns.  The one division
-with remainder over Q is MPoly.divmod_lead; _poly_part_constant reads the
-constant term of its quotient.
+into rows, each eliminated once: the homogeneous ones (membership rungs,
+normal-tower steps) by _kernel_rref, the inhomogeneous ones (ODE rungs,
+solve_linear_ansatz and ratint's Horowitz system) by _solve_columns.  The
+one division with remainder over Q is MPoly.divmod_lead;
+_poly_part_constant reads the constant term of its quotient.
 Searches are three-valued by design: a Found result always carries a
 substitution-verified witness, and a miss only ever means "not within these
 bounds".
@@ -121,6 +122,17 @@ def _solve_columns(cols: Sequence[MPoly], target: MPoly,
     return [tuple(v) for v in [particular] + kernel if any(v)]
 
 
+def _kernel_rref(cols: Sequence[MPoly], max_cells: int) -> List[List[Fraction]]:
+    """The kernel {c : sum_i c_i*cols_i = 0} in RREF, dense rows with
+    leading columns ascending, by one elimination: on the columns reversed,
+    nullspace's vector for free column f is 1 at f, 0 at the other free
+    columns and nonzero only at pivot columns before f, so reversed it leads
+    with 1 at n-1-f and is 0 at every other leading column n-1-f'.  The RREF
+    is unique, so a second rref of any kernel basis would give the same."""
+    rows = _assemble_rows(cols[::-1], max_cells)
+    return [vec[::-1] for vec in reversed(linalg.nullspace(rows, len(cols)))]
+
+
 def solve_linear_ansatz(terms: Sequence[RatFun], target: RatFun) -> List[Tuple[Fraction, ...]]:
     """Solutions of sum_i c_i * terms_i = target over Q.
 
@@ -171,9 +183,9 @@ def _membership_at(u: RatFun, values: Sequence[RatFun], num_deg: int,
     P-columns -den(u)*B_e, all with the same nonzero factor, so the kernel
     is unchanged.
 
-    Returns the canonical formal witness P/Q: in the RREF of the kernel
-    (denominator coefficients first, deglex descending), the row with
-    Q != 0 and Q(values) != 0 whose Q has the deglex-least leading monomial.
+    Returns the canonical formal witness P/Q: of the kernel's RREF rows
+    (denominator coefficients first, deglex descending) with Q(values) != 0,
+    the one leading furthest right, whose Q has the deglex-least leading term.
     """
     m = len(values)
     if m == 0:
@@ -183,23 +195,14 @@ def _membership_at(u: RatFun, values: Sequence[RatFun], num_deg: int,
     monoms_p = monomials_upto(m, num_deg)
     cols = [u.num * powers[e] for e in monoms_q]
     cols += [-u.den * powers[e] for e in monoms_p]
-    n_cols = len(cols)
-    rows = _assemble_rows(cols, max_cells)
-    kernel = linalg.nullspace(rows, n_cols)
-    if not kernel:
-        return None
-    reduced, pivots = linalg.rref(
-        [{i: v for i, v in enumerate(vec) if v} for vec in kernel], n_cols)
     nq = len(monoms_q)
-    candidates = [(p, row) for row, p in zip(reduced, pivots) if p < nq]
-    # Largest pivot column = deglex-least leading denominator monomial.
-    for _, row in sorted(candidates, key=lambda t: -t[0]):
-        q_terms = {monoms_q[c]: v for c, v in row.items() if c < nq}
-        # L^D*Q(values) = sum q_e*B_e is zero exactly when Q(values) is
+    for row in reversed(_kernel_rref(cols, max_cells)):
+        q_terms = {monoms_q[c]: v for c, v in enumerate(row[:nq]) if v}
+        # L^D*Q(values) = sum q_e*B_e is 0 exactly when Q(values) is, as when Q = 0
         if sum((powers[e].scale(v) for e, v in q_terms.items()),
                MPoly.zero(u.vars)).is_zero():
             continue
-        p_poly = MPoly(xvars, {monoms_p[c - nq]: v for c, v in row.items() if c >= nq})
+        p_poly = MPoly(xvars, {monoms_p[c]: v for c, v in enumerate(row[nq:]) if v})
         return RatFun(p_poly, MPoly(xvars, q_terms))
     return None
 
@@ -281,7 +284,7 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
         monoms = monomials_upto(len(variables), deg)
         for e in monoms:
             if e not in columns:
-                m = MPoly(variables, {e: Fraction(1)})
+                m = MPoly._over(variables, {e: 1})
                 columns[e] = m.derivation(images) - m * shift
         try:
             sols = _solve_columns([columns[e] for e in monoms], target,

@@ -1,8 +1,8 @@
 """Exact sparse linear algebra over Q for the undetermined-coefficients engine.
 
-``rref`` is the one Gaussian elimination in difftower: ``nullspace``,
-``solve_affine``, ``structure.LinearField`` and every other solve in
-``ansatz`` and ``structure`` reduce through it.
+``rref`` is the one Gaussian elimination in difftower, and each system is
+eliminated once: ``nullspace``, ``solve_affine``, ``structure.LinearField``
+and ``ansatz._kernel_rref``, which needs no second rref, reduce through it.
 
 Rows in are dicts {column index: int or Fraction}, rows out {column index:
 Fraction}.  Everything reduces to the unique RREF, so results do not depend
@@ -26,6 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import BoundsExceeded
 
 Row = Dict[int, Fraction]
+_ZERO = Fraction(0)
 
 DEFAULT_MAX_CELLS = 500_000
 
@@ -128,9 +129,9 @@ def solve_affine(rows: List[Row], rhs: Sequence[Fraction], n_cols: int):
     kernel = _kernel_from(red, pivots, n_cols)
     if n_cols in pivots:
         return None, kernel
-    particular = [Fraction(0)] * n_cols
+    particular = [_ZERO] * n_cols
     for row, pcol in zip(red, pivots):
-        particular[pcol] = row.get(n_cols, Fraction(0))
+        particular[pcol] = row.get(n_cols, _ZERO)
     return particular, kernel
 
 
@@ -142,7 +143,7 @@ def _kernel_from(red, pivots, n_cols):
     for free in range(n_cols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * n_cols
+        vec = [_ZERO] * n_cols
         vec[free] = Fraction(1)
         for row, pcol in zip(red, pivots):
             if pcol >= n_cols:

@@ -356,11 +356,9 @@ def _divexact_int(a: dict, b: dict):
 
 
 def _primitive(a: dict):
-    """(c, a / c) for nonzero a, c its integer content signed so that a / c
-    has a positive leading term."""
+    """(c, a / c) for nonzero a, c its positive integer content; exact
+    quotients scale back by c and _heu_gcd makes the gcd monic."""
     cont = gcd(*a.values())
-    if a[max(a, key=_deglex_key)] < 0:
-        cont = -cont
     return cont, a if cont == 1 else {e: c // cont for e, c in a.items()}
 
 
@@ -383,7 +381,8 @@ def _prem(p: MPoly, q: MPoly, i: int) -> MPoly:
 def _primitive_scale(p: MPoly) -> MPoly:
     """Scale to coprime integer coefficients with positive leading term.
     Pure Fraction PRS blows up numerically; this keeps coefficients small."""
-    return MPoly._over(p.vars, _primitive(p.ints)[1])
+    a = _primitive(p.ints)[1]   # _over moves a negative d's sign onto a
+    return MPoly._over(p.vars, a, -1 if a[p.leading_exp()] < 0 else 1)
 
 
 def _eval_var_int(a: dict, i: int, xi: int) -> dict:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .ansatz import (Bounds, Found, Witness, _assemble_rows, _closures,
+from .ansatz import (Bounds, Found, Witness, _closures, _kernel_rref,
                      monomials_upto, subfield_membership)
 from .errors import (AlreadyInBase, DiffTowerError, MalformedAntiderivative,
                      NotAntiderivative, NotFlat, Unsupported)
@@ -329,19 +329,16 @@ def _closure_step(tower: Tower, field: LinearField, unplaced: List[str],
             if all(k == 0 or i in allowed_idx for i, k in enumerate(exp)):
                 beta_monoms.append(exp)
     n_alpha = len(unplaced)
-    cols = nums + [-(pp * MPoly(field.ext_vars, {exp: Fraction(1)}))
+    cols = nums + [-(pp * MPoly._over(field.ext_vars, {exp: 1}))
                    for exp in beta_monoms]
-    rows = _assemble_rows(cols, bounds.max_cells)
-    n_cols = len(cols)
-    kernel = linalg.nullspace(rows, n_cols)
-    alpha_rows = [{i: v for i, v in enumerate(vec[:n_alpha]) if v}
-                  for vec in kernel]
-    reduced, _ = linalg.rref([r for r in alpha_rows if r], n_alpha)
+    # the beta columns pp*m are independent, so every kernel row leads in
+    # alpha, and the rows cut to alpha are the RREF of the alpha projection
     out = []
-    for row in reduced:
+    for row in _kernel_rref(cols, bounds.max_cells):
         expr = RatFun.const(tower.vars, 0)
-        for i, c in sorted(row.items()):
-            expr = expr + tower.gen(unplaced[i]).scale(c)
+        for i, c in enumerate(row[:n_alpha]):
+            if c:
+                expr = expr + tower.gen(unplaced[i]).scale(c)
         out.append(expr)
     return out
 

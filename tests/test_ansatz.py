@@ -16,7 +16,7 @@ import difftower
 from difftower import ansatz, linalg
 from difftower.ansatz import (Bounds, Found, NoSolutionWithinBounds, Witness,
                               _assemble_rows, _cleared_levels,
-                              _closures, _membership_at,
+                              _closures, _kernel_rref, _membership_at,
                               _poly_part_constant, monomials_upto, solve_first_order,
                               solve_linear_ansatz, subfield_membership)
 from difftower.errors import DiffTowerError
@@ -484,6 +484,78 @@ class TestClearedRung:
             found.append(got is not None)
         assert any(found) and not all(found)
         assert skips, "no case reached the Q(values) = 0 skip"
+
+    def test_one_elimination_per_rung(self, monkeypatch):
+        """The kernel's RREF comes out of the one rref inside nullspace,
+        on a hit and on a miss alike."""
+        calls = []
+        rref = linalg.rref
+        monkeypatch.setattr(linalg, "rref",
+                            lambda *a: calls.append(1) or rref(*a))
+        found = set()
+        for u, values, num_deg, den_deg in _rung_cases():
+            levels = _cleared_levels(values)
+            for _ in range(max(num_deg, den_deg)):
+                powers = next(levels, None)
+            calls.clear()
+            got = _membership_at(u, values, num_deg, den_deg, powers,
+                                 linalg.DEFAULT_MAX_CELLS)
+            # no values, no system
+            assert len(calls) == (1 if values else 0), (u, values)
+            found.add(got is not None)
+        assert found == {True, False}
+
+
+def _integer_systems():
+    """Seeded homogeneous systems as polynomial columns: one monomial x^i
+    per equation i, so a zero equation has no row at all.  Low-rank
+    products for large kernels, full random matrices for empty ones, no
+    equations at all, single columns and columns over a denominator."""
+    systems = []
+    for seed in range(360):
+        rng = random.Random(seed)
+        n_cols = 1 + seed % 7
+        n_rows = seed % 6
+        if seed % 5 == 0:
+            A = [[rng.randint(-4, 4) for _ in range(n_cols)]
+                 for _ in range(n_rows)]
+        else:
+            r = rng.randint(0, min(n_rows, n_cols))
+            B = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n_rows)]
+            C = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(r)]
+            A = [[sum(B[i][k] * C[k][j] for k in range(r))
+                  for j in range(n_cols)] for i in range(n_rows)]
+        if n_rows and seed % 4 == 1:
+            A[rng.randrange(n_rows)] = [0] * n_cols
+        cols = []
+        for j in range(n_cols):
+            d = rng.randint(1, 3) if seed % 3 == 2 else 1
+            cols.append(MPoly(("x",), {(i,): Fraction(A[i][j], d)
+                                       for i in range(n_rows)}))
+        systems.append(cols)
+    return systems
+
+
+class TestKernelRref:
+    def test_matches_rref_of_nullspace(self):
+        """_kernel_rref is linalg.rref applied to nullspace's vectors of the
+        system in its own column order, as dense rows."""
+        dims = []
+        for cols in _integer_systems():
+            n = len(cols)
+            kernel = linalg.nullspace(
+                _assemble_rows(cols, linalg.DEFAULT_MAX_CELLS), n)
+            red, _ = linalg.rref(
+                [{i: v for i, v in enumerate(vec) if v} for vec in kernel], n)
+            got = _kernel_rref(cols, linalg.DEFAULT_MAX_CELLS)
+            assert got == [[row.get(c, 0) for c in range(n)] for row in red]
+            assert all(type(v) is Fraction for row in got for v in row)
+            dims.append((n, len(got)))
+        assert len(dims) >= 300
+        assert (1, 0) in dims and (1, 1) in dims
+        assert any(k == 0 for n, k in dims if n > 1)      # empty kernels
+        assert any(k == n for n, k in dims if n > 1)      # no equations
+        assert any(0 < k < n - 1 for n, k in dims)
 
 
 # the membership answer on log_tower(), computed in a new interpreter

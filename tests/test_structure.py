@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from difftower import ratfun, structure
-from difftower.ansatz import Bounds, Witness
+from difftower import linalg, ratfun, structure
+from difftower.ansatz import Bounds, Witness, _assemble_rows, monomials_upto
 from difftower.errors import (AlreadyInBase, BoundsExceeded, DiffTowerError,
                               MalformedAntiderivative, NotAntiderivative,
                               NotFlat, Unsupported)
 from difftower.parser import format_ratfun, parse_expr
-from difftower.randexpr import random_fraction, random_ratfun
-from difftower.ratfun import RatFun
+from difftower.randexpr import random_fraction, random_ratfun, random_tower
+from difftower.ratfun import MPoly, RatFun, clear_denominators
 from difftower.structure import (Independent, LinearField, NotLinearField,
                                  Relation, antiderivative_decompose,
                                  compositum_basis, minimal_shift,
@@ -408,7 +408,105 @@ class TestDecompose:
                 parse_expr("zeta1", loglog_tower()), loglog_tower())
 
 
+def _reference_closure_step(tower, field, unplaced, bounds):
+    """The closure step by two eliminations: nullspace of the [alpha | beta]
+    system, then rref of the kernel vectors cut to their alpha parts."""
+    derivs = [field.rewrite(tower.deriv_of(v)) for v in unplaced]
+    lcm, nums = clear_denominators(derivs)
+    allowed_idx = {field.ext_vars.index(n) for n in field.allowed}
+    pp = lcm.try_divexact(ratfun._content_over(lcm, allowed_idx))
+    max_deg = max([n.total_degree() for n in nums] + [0]) - pp.total_degree()
+    beta_monoms = []
+    if max_deg >= 0:
+        for exp in monomials_upto(len(field.ext_vars), max_deg):
+            if all(k == 0 or i in allowed_idx for i, k in enumerate(exp)):
+                beta_monoms.append(exp)
+    n_alpha = len(unplaced)
+    cols = nums + [-(pp * MPoly(field.ext_vars, {exp: Fraction(1)}))
+                   for exp in beta_monoms]
+    rows = _assemble_rows(cols, bounds.max_cells)
+    kernel = linalg.nullspace(rows, len(cols))
+    alpha_rows = [{i: v for i, v in enumerate(vec[:n_alpha]) if v}
+                  for vec in kernel]
+    reduced, _ = linalg.rref([r for r in alpha_rows if r], n_alpha)
+    out = []
+    for row in reduced:
+        expr = RatFun.const(tower.vars, 0)
+        for i, c in sorted(row.items()):
+            expr = expr + tower.gen(unplaced[i]).scale(c)
+        out.append(expr)
+    return out
+
+
+def _linear_tower(rng, depth):
+    """Each derivative a rational function of z plus a random Q-linear
+    combination of earlier generators, so the normal tower is exact and
+    its levels mix generators."""
+    names = [f"g{i}" for i in range(depth)]
+    all_vars = ("z", *names)
+    pairs = []
+    for i, name in enumerate(names):
+        deriv = random_ratfun(rng, ("z",), max_deg=1,
+                              max_terms=2).extend_vars(all_vars)
+        for j in range(i):
+            if rng.random() < 0.4:
+                deriv = deriv + RatFun.var(all_vars, names[j]).scale(
+                    random_fraction(rng))
+        if deriv.is_const():
+            deriv = deriv + RatFun.var(all_vars, "z")
+        pairs.append((name, deriv))
+    return tower_from_pairs(pairs)
+
+
+def _closure_towers():
+    v = ("z", "zeta1", "zeta2")
+    towers = [log_tower(), two_log_tower(), loglog_tower(),
+              tower_from_pairs([("zeta1", parse_expr("1/z", v)),
+                                ("zeta2", parse_expr("zeta1^2", v))])]
+    for seed in range(24):
+        rng = random.Random(seed)
+        towers.append(_linear_tower(rng, 2 + seed % 3) if seed % 3 else
+                      random_tower(rng, depth=1 + seed % 2, max_deg=1))
+    return towers
+
+
 class TestNormalTower:
+    def test_closure_step_matches_reference(self, monkeypatch):
+        """Every step of seeded normal_tower runs gives the reference's
+        combinations, in its order."""
+        step = structure._closure_step
+        sizes = []
+
+        def checked(tower, field, unplaced, bounds):
+            got = step(tower, field, unplaced, bounds)
+            assert got == _reference_closure_step(tower, field, unplaced,
+                                                  bounds)
+            sizes.append(len(got))
+            return got
+
+        monkeypatch.setattr(structure, "_closure_step", checked)
+        for T in _closure_towers():
+            assert not normal_tower(T, SMALL).partial
+        assert len(sizes) >= 60
+        assert {1, 2, 3} <= set(sizes)
+
+    def test_one_elimination_per_closure_step(self, monkeypatch):
+        calls, per_step = [], []
+        rref, step = linalg.rref, structure._closure_step
+        monkeypatch.setattr(linalg, "rref",
+                            lambda *a: calls.append(1) or rref(*a))
+
+        def counted(*args):
+            before = len(calls)
+            out = step(*args)
+            per_step.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(structure, "_closure_step", counted)
+        for T in _closure_towers()[:8]:
+            normal_tower(T, SMALL)
+        assert per_step and set(per_step) == {1}
+
     def test_iterated_logs(self):
         nt = normal_tower(loglog_tower(), SMALL)
         assert not nt.partial
