@@ -14,7 +14,6 @@ for any other error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -28,7 +27,6 @@ from .parser import (format_fraction, format_ratfun, parse_expr,
 from .ratfun import RatFun
 from .tower import SubfieldSpec, Tower, base_subfield
 
-MAX_CELLS_ENV = "DIFFIELD_MAX_CELLS"
 ALL_BOUNDS = ("--deg", "--order", "--max-cells")
 
 Report = Tuple[List[str], List[Tuple[str, str]], int]  # lines, kv, exit code
@@ -57,19 +55,11 @@ def _subfield(args, tower, subfields) -> SubfieldSpec:
 
 
 def _bounds(args) -> Bounds:
-    """Bounds from the --deg and --order the subcommand takes; the cell cap
-    is --max-cells, else the positive integer in DIFFIELD_MAX_CELLS (read
-    here only), else default."""
+    """Bounds from the --deg, --order and --max-cells the subcommand takes;
+    a bound not given keeps its default."""
     caps = {}
-    value = os.environ.get(MAX_CELLS_ENV)
     if args.max_cells is not None:
         caps["max_cells"] = args.max_cells
-    elif value:
-        try:
-            caps["max_cells"] = _positive_int(value)
-        except (ValueError, argparse.ArgumentTypeError):
-            raise ValueError(f"{MAX_CELLS_ENV} must be a positive integer, "
-                             f"got {value!r}") from None
     if getattr(args, "deg", None) is not None:
         # explicit degree cap: search exactly up to it, no escalation
         caps.update(max_num_degree=args.deg, max_den_degree=args.deg,
@@ -334,10 +324,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 3 if e.code else 0
     try:

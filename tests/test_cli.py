@@ -1,9 +1,9 @@
 """Parser, printer and CLI subcommands."""
 
+import argparse
 import ast
 import inspect
 import io
-import os
 import random
 import time
 from contextlib import redirect_stdout
@@ -11,7 +11,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from difftower import cli, corpus
-from difftower.cli import _build_parser, main
+from difftower.cli import main
 from difftower.errors import (BoundsExceeded, DiffTowerError,
                               ExprSyntaxError, ForwardReference,
                               NotAntiderivative, TowerFileError,
@@ -300,9 +300,7 @@ class TestCli:
         code, out = run(["aut", "--tower", log_file, "--alpha", ""])
         assert code == 3 and "error=ValueError" in out
 
-    def test_max_cells_applies_to_one_run(self, log_file, monkeypatch):
-        monkeypatch.delenv("DIFFIELD_MAX_CELLS", raising=False)
-        before = dict(os.environ)
+    def test_max_cells_applies_to_one_run(self, log_file):
         capped = ["recover", "--tower", log_file, "--from", "zeta1/z",
                   "--target", "z", "--deg", "2", "--order", "2",
                   "--max-cells", "10"]
@@ -310,39 +308,12 @@ class TestCli:
         output, code = corpus.run_case(corpus.load_case("log-recover"))
         assert code == 0
         assert "witness=(x0*x1 + x2)/(x0*x2 - 3*x1^2)" in output
-        assert dict(os.environ) == before
-        monkeypatch.setenv("DIFFIELD_MAX_CELLS", "400000")
-        run(capped)
-        assert os.environ["DIFFIELD_MAX_CELLS"] == "400000"
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_max_cells_must_be_positive(self, log_file, cap):
         code, out = run(["solve-ode", "--tower", log_file, "--f", "1/z",
                          "--max-cells", cap])
         assert code == 3 and out == ""
-
-    @pytest.mark.parametrize("cap", ["-5", "0", "abc", "2.5"])
-    def test_max_cells_env_must_be_positive(self, cap, monkeypatch):
-        # the cap from the environment is input too: exit 3, not a miss
-        monkeypatch.setenv("DIFFIELD_MAX_CELLS", cap)
-        output, code = corpus.run_case(corpus.load_case("log-recover"))
-        assert code == 3 and "error=ValueError" in output
-        assert "DIFFIELD_MAX_CELLS" in output
-
-    def test_max_cells_env_caps_the_search(self, monkeypatch):
-        # every rung of log-recover is over one cell: a bounded miss
-        monkeypatch.setenv("DIFFIELD_MAX_CELLS", "1")
-        output, code = corpus.run_case(corpus.load_case("log-recover"))
-        assert code == 1 and "status=no-solution" in output
-        monkeypatch.delenv("DIFFIELD_MAX_CELLS")
-        assert corpus.run_case(corpus.load_case("log-recover"))[1] == 0
-
-    def test_max_cells_flag_wins_over_env(self, log_file, monkeypatch):
-        monkeypatch.setenv("DIFFIELD_MAX_CELLS", "abc")
-        code, out = run(["recover", "--tower", log_file, "--from", "zeta1/z",
-                         "--target", "z", "--deg", "3", "--order", "2",
-                         "--max-cells", "1"])
-        assert code == 1 and "status=no-solution" in out
 
     @pytest.mark.parametrize("gens, code, status, chosen", [
         ("z^2", 2, "partial", "zeta1"),
@@ -430,10 +401,11 @@ def test_report(towers, tower, argv, code, stdout):
     (DiffTowerError("x"), 3),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
 def test_error_exit_codes(log_file, monkeypatch, err, code):
-    # any library error ends in a report, never a traceback
+    # any library error ends in a report, never a traceback; _load runs in
+    # the same try as the handler, which the parser bound at import
     def boom(*_):
         raise err
-    monkeypatch.setattr(cli, "_cmd_validate", boom)
+    monkeypatch.setattr(cli, "_load", boom)
     got, out = run(["validate", "--tower", log_file])
     assert got == code
     assert out == (f"error: {type(err).__name__}: x\n---\n"
@@ -453,6 +425,38 @@ def test_one_report_path():
                         and node.func.id in callers:
                     callers[node.func.id].add(fn.name)
     assert callers == {"print": {"_emit"}, "_emit": {"main"}}
+
+
+def test_main_builds_no_parser(log_file, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for argv in (["validate", "--tower", log_file],
+                 ["derive", "--tower", log_file, "zeta1", "--bogus"]):
+        run(argv)
+    assert built == []
+
+
+def test_repeated_option_does_not_accumulate(tmp_path):
+    p = tmp_path / "two.twr"
+    p.write_text("base z\ngen zeta1 ; D(zeta1) = 1/z\n"
+                 "gen zeta2 ; D(zeta2) = 1/(z + 1)\n")
+    argv = ["ostrowski", "--tower", str(p), "--w", "zeta1", "--w", "zeta2"]
+    first = run(argv)
+    assert first == run(argv)
+    assert first[0] == 1 and "status=independent" in first[1]
+
+
+def test_failed_parse_leaves_no_state(log_file):
+    argv = ["recover", "--tower", log_file, "--from", "zeta1/z",
+            "--target", "z", "--deg", "2", "--order", "2"]
+    first = run(argv)
+    assert run(argv + ["--max-cells", "0"]) == (3, "")
+    assert run(argv) == first
 
 
 # the options each subcommand takes; an option a subcommand would accept and
@@ -475,8 +479,8 @@ SUBCOMMAND_OPTIONS = {
 
 
 def test_each_subcommand_takes_only_the_options_it_reads():
-    top = _build_parser()
-    sub, = (a for a in top._actions if a.choices and a.dest == "command")
+    sub, = (a for a in cli._PARSER._actions
+            if a.choices and a.dest == "command")
     taken = {name: {s for a in p._actions for s in a.option_strings}
              - {"-h", "--help"} for name, p in sub.choices.items()}
     assert taken == SUBCOMMAND_OPTIONS

@@ -1,5 +1,11 @@
 """Golden corpus replay."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from difftower import corpus
@@ -20,6 +26,35 @@ def test_all_cases_tagged():
 @pytest.mark.parametrize("name", corpus.list_cases())
 def test_replay(name):
     corpus.replay(corpus.load_case(name))
+
+
+@pytest.mark.parametrize("value", ["1", "abc"])
+def test_replay_ignores_the_environment(monkeypatch, value):
+    # the cell cap comes only from --max-cells: no variable in the
+    # caller's environment reaches a replay
+    monkeypatch.setenv("DIFFIELD_MAX_CELLS", value)
+    for name in corpus.list_cases():
+        corpus.replay(corpus.load_case(name))
+
+
+REPLAY_ALL = """import json
+from difftower import corpus
+print(json.dumps([corpus.run_case(corpus.load_case(n))
+                  for n in corpus.list_cases()]))
+"""
+
+
+def test_replay_is_independent_of_the_hash_seed():
+    src = str(Path(corpus.__file__).resolve().parent.parent)
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", REPLAY_ALL], env=env,
+                             capture_output=True, text=True, check=True)
+        runs.append(json.loads(out.stdout))
+    assert runs[0] == runs[1]
+    cases = [corpus.load_case(n) for n in corpus.list_cases()]
+    assert runs[0] == [[c.expected_output, c.expected_exit] for c in cases]
 
 
 def test_bad_tag_rejected(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
-"""The library reads no process environment: only cli.py reads os.environ,
-and nothing writes it, so no run can change a later run's state."""
+"""No module reads the process environment, the CLI included, so a run's
+output depends only on its arguments and files and no run can change a
+later run's state."""
 
 import ast
 from pathlib import Path
@@ -9,12 +10,6 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "difftower"
 
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
-WRITERS = {"pop", "popitem", "clear", "update", "setdefault"}
-
-
-def _is_environ(node) -> bool:
-    return (isinstance(node, ast.Attribute) and node.attr == "environ"
-            and isinstance(node.value, ast.Name) and node.value.id == "os")
 
 
 def env_uses(source: str) -> list:
@@ -30,35 +25,10 @@ def env_uses(source: str) -> list:
     return sorted(out)
 
 
-def env_writes(source: str) -> list:
-    """Lines that assign to, delete from or mutate os.environ, or call
-    os.putenv/os.unsetenv."""
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
-            targets = node.targets if hasattr(node, "targets") else [node.target]
-            if any(_is_environ(t) or (isinstance(t, ast.Subscript)
-                                      and _is_environ(t.value))
-                   for t in targets):
-                out.append(node.lineno)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            f = node.func
-            if (f.attr in WRITERS and _is_environ(f.value)) or (
-                    f.attr in ("putenv", "unsetenv")
-                    and isinstance(f.value, ast.Name) and f.value.id == "os"):
-                out.append(node.lineno)
-    return sorted(out)
-
-
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
-                                        if p.name != "cli.py"),
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_library_reads_no_environment(path):
     assert env_uses(path.read_text(encoding="utf-8")) == []
-
-
-def test_cli_only_reads_the_environment():
-    assert env_writes((SRC / "cli.py").read_text(encoding="utf-8")) == []
 
 
 def test_checker_flags_environment_access():
@@ -71,4 +41,3 @@ def test_checker_flags_environment_access():
               "os.putenv('X', '1')\n"
               "b = os.getcwd()\n")
     assert env_uses(source) == [2, 3, 4, 5, 6, 7]
-    assert env_writes(source) == [4, 5, 6, 7]

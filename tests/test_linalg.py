@@ -1,6 +1,5 @@
 """Exact sparse RREF, nullspace, affine solve."""
 
-import argparse
 import copy
 import random
 from fractions import Fraction
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from difftower import cli, linalg
+from difftower import linalg
 from difftower.errors import BoundsExceeded
 
 
@@ -233,12 +232,3 @@ class TestSizeCap:
         linalg.check_size(7, 7, 49)
         with pytest.raises(BoundsExceeded):
             linalg.check_size(7, 7, 48)
-
-    @pytest.mark.parametrize("value", ["-5", "0", "abc", "2.5"])
-    def test_env_must_be_positive_integer(self, monkeypatch, value):
-        # linalg takes its cap as an argument; the variable that sets it is
-        # read and validated once, where the CLI builds its Bounds
-        monkeypatch.setenv("DIFFIELD_MAX_CELLS", value)
-        args = argparse.Namespace(max_cells=None, deg=None, order=None)
-        with pytest.raises(ValueError, match="DIFFIELD_MAX_CELLS"):
-            cli._bounds(args)
