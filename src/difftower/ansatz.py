@@ -95,10 +95,11 @@ def monomials_upto(n_vars: int, max_deg: int) -> List[tuple]:
 
 def _assemble_rows(cols: Sequence[MPoly], max_cells: int) -> List[linalg.Row]:
     """Coefficient-matching rows of polynomial columns over one common
-    denominator: one row per monomial, holding each column's coefficient of
-    that monomial times d, the lcm of the columns' denominators, so every
-    entry is an integer and each row keeps its solutions.  BoundsExceeded
-    when the system has over max_cells cells."""
+    denominator: one row per monomial, in ascending deglex order (the order
+    of the packed keys), holding each column's coefficient of that monomial
+    times d, the lcm of the columns' denominators, so every entry is an
+    integer and each row keeps its solutions.  BoundsExceeded when the
+    system has over max_cells cells."""
     d = lcm(*(p.den for p in cols))
     by_monom = {}
     for col, p in enumerate(cols):
@@ -284,7 +285,7 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
         monoms = monomials_upto(len(variables), deg)
         for e in monoms:
             if e not in columns:
-                m = MPoly._over(variables, {e: 1})
+                m = MPoly.monomial(variables, e)
                 columns[e] = m.derivation(images) - m * shift
         try:
             sols = _solve_columns([columns[e] for e in monoms], target,
@@ -313,4 +314,4 @@ def _poly_part_constant(w: RatFun) -> RatFun:
     """Constant term of the polynomial part of w (deglex reduction)."""
     quo, _ = w.num.divmod_lead(w.den)
     return RatFun.const(w.vars,
-                        Fraction(quo.ints.get((0,) * len(w.vars), 0), quo.den))
+                        Fraction(quo.ints.get(0, 0), quo.den))

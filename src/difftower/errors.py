@@ -19,6 +19,11 @@ class VariableMismatch(DiffTowerError):
     """Operands live over different variable lists."""
 
 
+class ExponentOverflow(DiffTowerError):
+    """An exponent does not fit a packed MPoly key: it is negative, or a
+    total degree reaches 2**32."""
+
+
 # -- tower validation -------------------------------------------------------
 
 class ForwardReference(DiffTowerError):

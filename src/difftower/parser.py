@@ -216,8 +216,7 @@ def format_ratfun(u: RatFun) -> str:
     if len(u.num.ints) > 1:
         num = f"({num})"
     den = format_mpoly(u.den)
-    only = next(iter(u.den.ints))
-    if len(u.den.ints) > 1 or sum(1 for k in only if k) > 1:
+    if len(u.den.ints) > 1 or len(u.den.used_indices()) > 1:
         den = f"({den})"
     return f"{num}/{den}"
 

@@ -12,49 +12,100 @@ per polynomial.  Every kernel (sums, products, exact division, GCDHEU,
 division with remainder, substitution) runs on those integers and builds no
 Fraction; one appears only where a caller reads a coefficient (terms,
 leading_coeff, const_value, eval_rat).
+
+Each exponent (e0, ..., e_{n-1}) is stored as one packed integer key,
+deg << n*S | e0 << (n-1)*S | ... | e_{n-1}, with deg = sum(e) and S = W + 1
+bits per field: W bits of exponent and a guard bit above them, 0 in every
+stored key (Monagan & Pearce, CASC 2007).  Integer order on keys is deglex
+order, the key of a product is the sum of the keys, and with G the guard
+bits, ((a | G) - b) & G == G exactly when monomial b divides monomial a.  A
+total degree of 2**W or more would spill into the next field, so the
+constructors, products, shift_var and powers raise ExponentOverflow first.
+The public surface (the constructor, terms, sorted_terms, leading_exp,
+degree_in, coeff_in, shift_var) speaks exponent tuples and indices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import mul, or_
 from typing import Mapping, Sequence
 
-from .errors import DivisionByZero, VariableMismatch, ZeroDenominator
+from .errors import (DivisionByZero, ExponentOverflow, VariableMismatch,
+                     ZeroDenominator)
 
 Rat = Fraction
-Exponent = tuple  # tuple[int, ...]
+
+_W = 32                  # bits of one exponent field
+_S = _W + 1              # a field and its guard bit
+_MASK = (1 << _W) - 1
+_LIMIT = 1 << _W         # every total degree stays below this
 
 
-def _deglex_key(exp: Exponent):
-    return (sum(exp), exp)
+def _overflow(deg: int) -> ExponentOverflow:
+    return ExponentOverflow(
+        f"total degree {deg} does not fit {_W}-bit exponent fields")
+
+
+def _pack(exp: Sequence[int], variables: tuple) -> int:
+    """The key of an exponent sequence over variables."""
+    if len(exp) != len(variables):
+        raise VariableMismatch(
+            f"exponent {exp!r} has wrong length for variables {variables!r}")
+    key = deg = 0
+    for k in exp:
+        if k < 0:
+            raise ExponentOverflow(f"negative exponent in {exp!r}")
+        key = key << _S | k
+        deg += k
+    if deg >= _LIMIT:
+        raise _overflow(deg)
+    return deg << len(exp) * _S | key
+
+
+def _unpack(key: int, n: int) -> tuple:
+    """The exponent tuple of a key over n variables."""
+    return tuple(key >> sh & _MASK for sh in range((n - 1) * _S, -1, -_S))
+
+
+def _unit(n: int, i: int):
+    """(sh, x): the bit offset of the field of vars[i] and the key of
+    vars[i] itself; subtracting k*x from a key with e_i = k zeroes e_i."""
+    sh = (n - 1 - i) * _S
+    return sh, 1 << n * _S | 1 << sh
+
+
+def _guards(key: int) -> int:
+    """The guard bits of every field that holds a bit of key (and maybe
+    of one field above): enough to test whether key divides another."""
+    fields = key.bit_length() // _S + 1
+    return ((1 << fields * _S) - 1) // ((1 << _S) - 1) << _W
 
 
 class MPoly:
     """Sparse multivariate polynomial over Q with a fixed variable list.
 
-    Stored as ints / den: ints maps exponent tuples to nonzero integers, and
-    den > 0 with gcd(den, *ints) = 1 is the least common denominator of the
-    coefficients; terms is the {exponent: Fraction} view.  The deglex order
-    (total degree first, then lexicographic in declared variable order)
-    fixes the leading term used for monic normalization.
+    Stored as ints / den: ints maps packed exponent keys (see the module
+    docstring) to nonzero integers, and den > 0 with gcd(den, *ints) = 1 is
+    the least common denominator of the coefficients; terms is the
+    {exponent tuple: Fraction} view.  The deglex order (total degree first,
+    then lexicographic in declared variable order), which is integer order
+    on keys, fixes the leading term used for monic normalization.
     """
 
     __slots__ = ("vars", "ints", "den")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Rat]):
+    def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Rat]):
         self.vars = tuple(variables)
         clean = {}
-        n = len(self.vars)
         for exp, coeff in terms.items():
-            if len(exp) != n:
-                raise VariableMismatch(
-                    f"exponent {exp!r} has wrong length for variables {self.vars!r}")
+            key = _pack(exp, self.vars)
             c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c:
-                clean[tuple(exp)] = c
+                clean[key] = c
         # the least common denominator of reduced Fractions is coprime to
         # the numerators it gives, so no gcd is needed here
         d = lcm(*(c.denominator for c in clean.values()))
@@ -65,8 +116,8 @@ class MPoly:
     @classmethod
     def _over(cls, variables: tuple, ints: dict, d: int = 1) -> "MPoly":
         """ints / d in the stored form, by one gcd: ints holds nonzero
-        integers under exponents of the right length, d is a nonzero
-        integer, and ints may be kept, so the caller must not change it."""
+        integers under keys over variables, d is a nonzero integer, and
+        ints may be kept, so the caller must not change it."""
         g = gcd(d, *ints.values())
         if d < 0:
             g = -g
@@ -78,8 +129,11 @@ class MPoly:
 
     @property
     def terms(self) -> dict:
-        """{exponent: Fraction coefficient}, a fresh dict on each read."""
-        return {e: Fraction(c, self.den) for e, c in self.ints.items()}
+        """{exponent tuple: Fraction coefficient}, a fresh dict on each
+        read."""
+        n = len(self.vars)
+        return {_unpack(e, n): Fraction(c, self.den)
+                for e, c in self.ints.items()}
 
     # -- constructors --------------------------------------------------
 
@@ -89,15 +143,21 @@ class MPoly:
 
     @classmethod
     def const(cls, variables: Sequence[str], value) -> "MPoly":
-        return cls(variables, {(0,) * len(variables): value})
+        c = Fraction(value)
+        return cls._over(tuple(variables), {0: c.numerator} if c else {},
+                         c.denominator)
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "MPoly":
         variables = tuple(variables)
-        i = variables.index(name)
-        exp = [0] * len(variables)
-        exp[i] = 1
-        return cls._over(variables, {tuple(exp): 1})
+        return cls._over(variables,
+                         {_unit(len(variables), variables.index(name))[1]: 1})
+
+    @classmethod
+    def monomial(cls, variables: Sequence[str], exp: Sequence[int]) -> "MPoly":
+        """The monomial with exponent tuple exp and coefficient 1."""
+        variables = tuple(variables)
+        return cls._over(variables, {_pack(exp, variables): 1})
 
     # -- predicates ----------------------------------------------------
 
@@ -105,55 +165,56 @@ class MPoly:
         return not self.ints
 
     def is_const(self) -> bool:
-        return all(sum(e) == 0 for e in self.ints)
+        return not any(self.ints)
 
     def const_value(self) -> Rat:
         if self.is_zero():
             return Fraction(0)
         if not self.is_const():
             raise ValueError("not a constant polynomial")
-        return Fraction(next(iter(self.ints.values())), self.den)
+        return Fraction(self.ints[0], self.den)
 
     def total_degree(self) -> int:
         if self.is_zero():
             return -1
-        return max(sum(e) for e in self.ints)
+        return max(self.ints) >> len(self.vars) * _S
 
     def degree_in(self, i: int) -> int:
         if self.is_zero():
             return -1
-        return max(e[i] for e in self.ints)
+        sh = _unit(len(self.vars), i)[0]
+        return max(e >> sh & _MASK for e in self.ints)
 
     def used_indices(self) -> set:
-        used = set()
-        for e in self.ints:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-        return used
+        used = reduce(or_, self.ints, 0)
+        n = len(self.vars)
+        return {i for i in range(n) if used >> (n - 1 - i) * _S & _MASK}
 
     def used_vars(self) -> set:
         return {self.vars[i] for i in self.used_indices()}
 
     # -- term access ----------------------------------------------------
 
-    def leading_exp(self) -> Exponent:
+    def leading_exp(self) -> tuple:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        return max(self.ints, key=_deglex_key)
+        return _unpack(max(self.ints), len(self.vars))
 
     def leading_coeff(self) -> Rat:
-        return Fraction(self.ints[self.leading_exp()], self.den)
+        return Fraction(self.ints[max(self.ints)], self.den)
 
     def coeff_in(self, i: int, k: int) -> "MPoly":
         """Coefficient of vars[i]**k, as a polynomial with exponent 0 at i."""
-        out = {e[:i] + (0,) + e[i + 1:]: c
-               for e, c in self.ints.items() if e[i] == k}
+        sh, x = _unit(len(self.vars), i)
+        kx = k * x
+        out = {e - kx: c for e, c in self.ints.items() if e >> sh & _MASK == k}
         return MPoly._over(self.vars, out, self.den)
 
     def sorted_terms(self):
         """Terms in descending deglex order."""
-        return sorted(self.terms.items(), key=lambda t: _deglex_key(t[0]), reverse=True)
+        n = len(self.vars)
+        return [(_unpack(e, n), Fraction(c, self.den))
+                for e, c in sorted(self.ints.items(), reverse=True)]
 
     # -- arithmetic ------------------------------------------------------
 
@@ -191,11 +252,16 @@ class MPoly:
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        b = other.ints.items()
+        a, b = self.ints, other.ints.items()
+        if a and b:
+            # the leading keys' degree fields bound every product's
+            deg = max(a) + max(other.ints) >> len(self.vars) * _S
+            if deg >= _LIMIT:
+                raise _overflow(deg)
         out = {}
-        for e1, c1 in self.ints.items():
+        for e1, c1 in a.items():
             for e2, c2 in b:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return MPoly._over(self.vars, {e: c for e, c in out.items() if c},
                            self.den * other.den)
@@ -210,6 +276,8 @@ class MPoly:
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
+        if k and self.ints and k * self.total_degree() >= _LIMIT:
+            raise _overflow(k * self.total_degree())
         result = MPoly.const(self.vars, 1)
         base = self
         while k:
@@ -223,22 +291,29 @@ class MPoly:
         if self.is_zero():
             return self
         # (ints/den) / (lead/den) = ints / lead
-        return MPoly._over(self.vars, self.ints, self.ints[self.leading_exp()])
+        return MPoly._over(self.vars, self.ints, self.ints[max(self.ints)])
 
     def shift_var(self, i: int, k: int) -> "MPoly":
-        """Multiply by vars[i]**k."""
-        out = {e[:i] + (e[i] + k,) + e[i + 1:]: c for e, c in self.ints.items()}
+        """Multiply by vars[i]**k, k >= 0."""
+        if k < 0:
+            raise ValueError("negative shift of a polynomial")
+        if self.ints and self.total_degree() + k >= _LIMIT:
+            raise _overflow(self.total_degree() + k)
+        kx = k * _unit(len(self.vars), i)[1]
+        out = {e + kx: c for e, c in self.ints.items()}
         return MPoly._over(self.vars, out, self.den)
 
     # -- calculus-flavoured helpers --------------------------------------
 
     def partial(self, i: int) -> "MPoly":
         """Formal partial derivative with respect to vars[i]."""
+        sh, x = _unit(len(self.vars), i)
         out = {}
         for e, c in self.ints.items():
-            if e[i]:
+            k = e >> sh & _MASK
+            if k:
                 # lowering one exponent maps distinct terms to distinct terms
-                out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+                out[e - x] = c * k
         return MPoly._over(self.vars, out, self.den)
 
     def derivation(self, images: Sequence["MPoly"]) -> "MPoly":
@@ -250,14 +325,27 @@ class MPoly:
         return total
 
     def eval_rat(self, point: Mapping[str, Rat]) -> Rat:
-        total = Fraction(0)
+        """The value at a rational point, summed over integers: with
+        x = p/q and top the degree in x, a term c*x^k times q^top is
+        c*p^k*q^(top-k), each such power built once, and one Fraction
+        divides the sum by den and every q^top."""
+        n = len(self.vars)
+        scale = self.den
+        tables = []   # (sh, {k: p^k * q^(top-k)})
+        for i in self.used_indices():
+            x = Fraction(point[self.vars[i]])
+            p, q = x.numerator, x.denominator
+            sh = _unit(n, i)[0]
+            ks = {e >> sh & _MASK for e in self.ints}
+            top = max(ks)
+            scale *= q ** top
+            tables.append((sh, {k: p ** k * q ** (top - k) for k in ks}))
+        total = 0
         for e, c in self.ints.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v *= Fraction(point[self.vars[i]]) ** k
-            total += v
-        return total / self.den
+            for sh, table in tables:
+                c *= table[e >> sh & _MASK]
+            total += c
+        return Fraction(total, scale)
 
     # -- exact division and gcd ------------------------------------------
 
@@ -282,14 +370,15 @@ class MPoly:
         if other.is_zero():
             raise DivisionByZero("division by the zero polynomial")
         b = other.ints.items()
-        le_b = other.leading_exp()
+        le_b = max(other.ints)
         lc_b = other.ints[le_b]
+        guard = _guards(le_b)
         quo, rem, s = {}, dict(self.ints), 1
         while rem:
-            le = max(rem, key=_deglex_key)
-            diff = tuple(map(sub, le, le_b))
-            if min(diff, default=0) < 0:
+            le = max(rem)
+            if ((le | guard) - le_b) & guard != guard:
                 break
+            diff = le - le_b
             m = lc_b // gcd(rem[le], lc_b)
             if m != 1:   # scale so that lc_b divides rem's leading term
                 s *= m
@@ -299,7 +388,7 @@ class MPoly:
             # the leading terms of rem strictly fall, so each diff is new
             quo[diff] = c
             for e, v in b:
-                tgt = tuple(map(add, e, diff))
+                tgt = e + diff
                 nv = rem.get(tgt, 0) - c * v
                 if nv:
                     rem[tgt] = nv
@@ -332,21 +421,22 @@ def _divexact_int(a: dict, b: dict):
     not divide a."""
     quo = {}
     rem = dict(a)
-    le_b = max(b, key=_deglex_key)
+    le_b = max(b)
     lc_b = b[le_b]
+    guard = _guards(le_b)
     b = b.items()
     while rem:
-        le = max(rem, key=_deglex_key)
-        diff = tuple(map(sub, le, le_b))
-        if min(diff) < 0:
+        le = max(rem)
+        if ((le | guard) - le_b) & guard != guard:
             return None
         c, r = divmod(rem[le], lc_b)
         if r:
             return None
+        diff = le - le_b
         # the leading terms of rem strictly fall, so each diff is new
         quo[diff] = c
         for e, v in b:
-            tgt = tuple(map(add, e, diff))
+            tgt = e + diff
             nv = rem.get(tgt, 0) - c * v
             if nv:
                 rem[tgt] = nv
@@ -382,24 +472,27 @@ def _primitive_scale(p: MPoly) -> MPoly:
     """Scale to coprime integer coefficients with positive leading term.
     Pure Fraction PRS blows up numerically; this keeps coefficients small."""
     a = _primitive(p.ints)[1]   # _over moves a negative d's sign onto a
-    return MPoly._over(p.vars, a, -1 if a[p.leading_exp()] < 0 else 1)
+    return MPoly._over(p.vars, a, -1 if a[max(a)] < 0 else 1)
 
 
-def _eval_var_int(a: dict, i: int, xi: int) -> dict:
-    """a with vars[i] set to the integer xi (exponent i becomes 0)."""
+def _eval_var_int(a: dict, x: int, xi: int) -> dict:
+    """a with the variable whose key is x set to the integer xi (its
+    exponent becomes 0)."""
+    sh = (x & -x).bit_length() - 1
     out: dict = {}
     for e, c in a.items():
-        key = e[:i] + (0,) + e[i + 1:]
-        out[key] = out.get(key, 0) + c * xi ** e[i]
+        k = e >> sh & _MASK
+        key = e - k * x
+        out[key] = out.get(key, 0) + c * xi ** k
     return {e: c for e, c in out.items() if c}
 
 
-def _lift_digits(gh: dict, i: int, xi: int) -> dict:
-    """Read vars[i]-coefficients back out of an evaluation at xi using
-    balanced base-xi digits."""
+def _lift_digits(gh: dict, x: int, xi: int) -> dict:
+    """Read the coefficients in the variable whose key is x back out of an
+    evaluation at xi using balanced base-xi digits."""
     out: dict = {}
     cur = gh
-    k = 0
+    kx = 0   # the key of x**k
     while cur:
         nxt = {}
         for e, c in cur.items():
@@ -407,12 +500,12 @@ def _lift_digits(gh: dict, i: int, xi: int) -> dict:
             if d > xi // 2:
                 d -= xi
             if d:
-                out[e[:i] + (k,) + e[i + 1:]] = d
+                out[e + kx] = d
             r = (c - d) // xi
             if r:
                 nxt[e] = r
         cur = nxt
-        k += 1
+        kx += x
     return out
 
 
@@ -424,7 +517,7 @@ def _heu_gcd(p: MPoly, q: MPoly):
     if got is None:
         return None
     g, ca, cb = got
-    lc = g[max(g, key=_deglex_key)]
+    lc = g[max(g)]
     # p = g*ca / p.den, so p / (g/lc) = ca*lc / p.den
     return (MPoly._over(p.vars, g, lc),
             MPoly._over(p.vars, _times(ca, lc), p.den),
@@ -440,22 +533,24 @@ def _heu_gcd_int(a: dict, b: dict):
     cont_b, b = _primitive(b)
     cont = gcd(cont_a, cont_b)
     ka, kb = cont_a // cont, cont_b // cont
-    used = {j for e in (*a, *b) for j, k in enumerate(e) if k}
-    zero = (0,) * len(next(iter(a)))
+    used = reduce(or_, a, 0) | reduce(or_, b, 0)
     if not used:
-        return {zero: cont}, _times(a, ka), _times(b, kb)
-    i = max(used)
+        return {0: cont}, _times(a, ka), _times(b, kb)
+    # the main variable is the last one used, whose field is the lowest
+    # nonzero field of used; the top one is the total degree's
+    x = (1 << (used.bit_length() - 1) // _S * _S
+         | 1 << ((used & -used).bit_length() - 1) // _S * _S)
     bound = max(max(map(abs, a.values())), max(map(abs, b.values())))
     xi = 2 * bound + 29
     for _ in range(6):
-        ah = _eval_var_int(a, i, xi)
-        bh = _eval_var_int(b, i, xi)
+        ah = _eval_var_int(a, x, xi)
+        bh = _eval_var_int(b, x, xi)
         if ah and bh:
             got = _heu_gcd_int(ah, bh)
             if got is not None:
-                g = _primitive(_lift_digits(got[0], i, xi))[1]
-                if g.keys() == {zero}:
-                    return {zero: cont}, _times(a, ka), _times(b, kb)
+                g = _primitive(_lift_digits(got[0], x, xi))[1]
+                if g.keys() == {0}:
+                    return {0: cont}, _times(a, ka), _times(b, kb)
                 qa = _divexact_int(a, g)
                 qb = None if qa is None else _divexact_int(b, g)
                 if qb is not None:
@@ -473,11 +568,11 @@ def _content_over(p: MPoly, kept) -> MPoly:
     """Largest divisor of p lying in the subring of the variables whose
     indices are in kept: the monic gcd of p's coefficients grouped by the
     exponents of the other variables, folded to the first unit."""
+    units = [_unit(len(p.vars), i) for i in kept]
     groups: dict = {}
     for e, c in p.ints.items():
-        outer = tuple(0 if i in kept else k for i, k in enumerate(e))
-        inner = tuple(k if i in kept else 0 for i, k in enumerate(e))
-        groups.setdefault(outer, {})[inner] = c
+        inner = sum((e >> sh & _MASK) * x for sh, x in units)
+        groups.setdefault(e - inner, {})[inner] = c
     cont = MPoly.zero(p.vars)
     for ints in groups.values():
         cont = poly_gcd(cont, MPoly._over(p.vars, ints))[0]
@@ -488,7 +583,12 @@ def _content_over(p: MPoly, kept) -> MPoly:
 
 def _monomial_gcd(p: MPoly, q: MPoly) -> MPoly:
     """Monic gcd when p or q is a monomial: least exponents over all terms."""
-    return MPoly._over(p.vars, {tuple(map(min, *p.ints, *q.ints)): 1})
+    n = len(p.vars)
+    keys = (*p.ints, *q.ints)
+    key = 0
+    for sh, x in (_unit(n, i) for i in range(n)):
+        key += min(e >> sh & _MASK for e in keys) * x
+    return MPoly._over(p.vars, {key: 1})
 
 
 def _prs_gcd(p: MPoly, q: MPoly) -> MPoly:
@@ -671,7 +771,7 @@ class RatFun:
         d_i^(D_i-e_i), with integer products only, then one reduction."""
         target_vars = tuple(target_vars)
         one = MPoly.const(target_vars, 1)
-        tables = []   # (i, [n_i^k * d_i^(D_i - k) for k = 0..D_i])
+        tables = []   # (sh_i, [n_i^k * d_i^(D_i - k) for k = 0..D_i])
         for i, name in enumerate(self.vars):
             image = (mapping[name] if name in mapping
                      else RatFun.var(target_vars, name))
@@ -682,14 +782,15 @@ class RatFun:
                         MPoly._over(d.vars, _times(d.ints, n.den)))
                 n_pows = list(accumulate([n] * top, mul, initial=one))
                 d_pows = list(accumulate([d] * top, mul, initial=one))
-                tables.append((i, [n * d for n, d in zip(n_pows, d_pows[::-1])]))
+                tables.append((_unit(len(self.vars), i)[0],
+                               [n * d for n, d in zip(n_pows, d_pows[::-1])]))
 
         def cleared(p: MPoly) -> MPoly:
             out: dict = {}
             for e, c in p.ints.items():
                 term = one
-                for i, table in tables:
-                    term = term * table[e[i]]
+                for sh, table in tables:
+                    term = term * table[e >> sh & _MASK]
                 for e2, v in term.ints.items():
                     out[e2] = out.get(e2, 0) + c * v
             return MPoly._over(target_vars,
@@ -703,15 +804,15 @@ class RatFun:
     def extend_vars(self, variables: Sequence[str]) -> "RatFun":
         """Reinterpret over a superset variable list."""
         variables = tuple(variables)
-        idx = [variables.index(v) for v in self.vars]
+        n, m = len(self.vars), len(variables)
+        # (field offset of each variable, its key over variables): a sum of
+        # exponent * key carries the total degree along
+        moves = [(_unit(n, j)[0], _unit(m, variables.index(v))[1])
+                 for j, v in enumerate(self.vars)]
 
         def lift(p: MPoly) -> MPoly:
-            out = {}
-            for e, c in p.ints.items():
-                e2 = [0] * len(variables)
-                for j, k in zip(idx, e):
-                    e2[j] = k
-                out[tuple(e2)] = c
+            out = {sum((e >> sh & _MASK) * x for sh, x in moves): c
+                   for e, c in p.ints.items()}
             return MPoly._over(variables, out, p.den)
 
         return RatFun(lift(self.num), lift(self.den), _canonical=True)
@@ -732,7 +833,7 @@ class RatFun:
 
 def _monic_pair(num: MPoly, den: MPoly):
     """(num/lc, den/lc) for lc the leading coefficient of den."""
-    lead = den.ints[den.leading_exp()]
+    lead = den.ints[max(den.ints)]
     if lead == den.den:
         return num, den
     # (n/dn) / (lead/dd) = n*dd / (dn*lead)

@@ -23,8 +23,8 @@ from .ansatz import (Bounds, Found, Witness, _closures, _kernel_rref,
                      monomials_upto, subfield_membership)
 from .errors import (AlreadyInBase, DiffTowerError, MalformedAntiderivative,
                      NotAntiderivative, NotFlat, Unsupported)
-from .ratfun import (MPoly, RatFun, _content_over, clear_denominators,
-                     poly_gcd)
+from .ratfun import (_MASK, MPoly, RatFun, _content_over, _unit,
+                     clear_denominators, poly_gcd)
 from .tower import BASE_VAR, SubfieldSpec, Tower
 
 __all__ = [  # with poly_gcd, a binding the layer-trace test of bench/ reads
@@ -42,25 +42,28 @@ def linear_part(u: RatFun, names: Sequence[str]):
     canonical form n/d: the split exists exactly when d involves no name
     and n = sum(c_v * v * d) + n0 with n0 free of names, and then
     rest = n0/d is already canonical, as gcd(n0, d) = gcd(n, d) = 1."""
-    idx = [u.vars.index(v) for v in names]
     n, d = u.num, u.den
-    if any(d.degree_in(i) > 0 for i in idx):
+    keys = {}   # the lowest bit of the field of a name -> the name's key
+    for v in names:
+        sh, x = _unit(len(u.vars), u.vars.index(v))
+        keys[1 << sh] = x
+    fields = sum(_MASK * bit for bit in keys)   # the fields of the names
+    if any(e & fields for e in d.ints):
         return None
-    parts = {i: {} for i in idx}   # i -> the terms of n linear in x_i, / x_i
+    parts = {bit: {} for bit in keys}   # the terms linear in a name, / it
     rest = {}
     for e, c in n.ints.items():
-        hit = [i for i in idx if e[i]]
-        if not hit:
+        named = e & fields
+        if not named:
             rest[e] = c
-        elif len(hit) > 1 or e[hit[0]] > 1:
+        elif named in keys:
+            parts[named][e - keys[named]] = c
+        else:   # a power or a product of names
             return None
-        else:
-            i = hit[0]
-            parts[i][e[:i] + (0,) + e[i + 1:]] = c
-    lead = d.leading_exp()   # d is monic: c_v is the coefficient there
-    coeffs = [Fraction(parts[i].get(lead, 0), n.den) for i in idx]
-    if any(MPoly._over(u.vars, parts[i], n.den) != d.scale(c)
-           for i, c in zip(idx, coeffs)):
+    lead = max(d.ints)   # d is monic: c_v is the coefficient there
+    coeffs = [Fraction(part.get(lead, 0), n.den) for part in parts.values()]
+    if any(MPoly._over(u.vars, part, n.den) != d.scale(c)
+           for part, c in zip(parts.values(), coeffs)):
         return None
     return coeffs, RatFun(MPoly._over(u.vars, rest, n.den), d,
                           _canonical=True)
@@ -329,7 +332,7 @@ def _closure_step(tower: Tower, field: LinearField, unplaced: List[str],
             if all(k == 0 or i in allowed_idx for i, k in enumerate(exp)):
                 beta_monoms.append(exp)
     n_alpha = len(unplaced)
-    cols = nums + [-(pp * MPoly._over(field.ext_vars, {exp: 1}))
+    cols = nums + [-(pp * MPoly.monomial(field.ext_vars, exp))
                    for exp in beta_monoms]
     # the beta columns pp*m are independent, so every kernel row leads in
     # alpha, and the rows cut to alpha are the RREF of the alpha projection

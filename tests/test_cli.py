@@ -245,6 +245,13 @@ class TestCli:
         code, out = run(["derive", "--tower", log_file, "(z+1)^3000"])
         assert code == 3 and "error=ExprSyntaxError" in out
 
+    def test_exponent_past_the_field_width_is_input_error(self, log_file,
+                                                         capsys):
+        # 2**32 does not fit a packed exponent field: a report, exit 3
+        code, out = run(["derive", "--tower", log_file, f"z^{2 ** 32}"])
+        assert code == 3 and "error=ExprSyntaxError" in out
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_oversized_integer_is_input_error(self, log_file):
         code, out = run(["derive", "--tower", log_file, "1" * 5000])
         assert code == 3 and "error=ExprSyntaxError" in out

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from difftower.errors import DivisionByZero, VariableMismatch, ZeroDenominator
+from difftower.errors import (DiffTowerError, DivisionByZero,
+                               ExponentOverflow, VariableMismatch,
+                               ZeroDenominator)
 from difftower import ratfun
 from difftower.ratfun import MPoly, RatFun, poly_gcd, poly_lcm
 
@@ -132,13 +134,30 @@ def _terms(p):
 
 def _stored(p):
     """p, after checking its stored form: ints / den with den > 0,
-    gcd(den, *ints) = 1, no zero numerator and exponents of the right
-    length."""
+    gcd(den, *ints) = 1, no zero numerator, int keys that unpack to
+    exponents of the right length and pack back unchanged (guard bits 0,
+    the degree field the sum of the others) and a terms view on tuples."""
     assert type(p.den) is int and p.den > 0
     assert gcd(p.den, *p.ints.values()) == 1
     assert all(type(c) is int and c for c in p.ints.values())
-    assert all(type(e) is tuple and len(e) == len(p.vars) for e in p.ints)
+    n = len(p.vars)
+    assert all(type(e) is int and _pack(ratfun._unpack(e, n), p.vars) == e
+               for e in p.ints)
+    assert all(type(e) is tuple and len(e) == n for e in p.terms)
     return p
+
+
+def _pack(exp, variables=V2):
+    return ratfun._pack(exp, variables)
+
+
+def _packed(a, variables=V2):
+    """A {exponent tuple: int} dict with packed keys."""
+    return {_pack(e, variables): c for e, c in a.items()}
+
+
+def _unpacked(a, variables=V2):
+    return {ratfun._unpack(e, len(variables)): c for e, c in a.items()}
 
 
 # small exponents and coefficients with mixed denominators
@@ -195,14 +214,16 @@ class TestIntegerKernels:
         assert P("y").try_divexact(P("-6*x - 4")) is None
 
     def test_integer_division_exits(self):
-        b = {(1, 0): 2, (0, 0): 3}  # 2x + 3, primitive
-        assert ratfun._divexact_int({(2, 0): 4, (1, 0): 12, (0, 0): 9}, b) \
-            == {(1, 0): 2, (0, 0): 3}
+        b = _packed({(1, 0): 2, (0, 0): 3})  # 2x + 3, primitive
+        got = ratfun._divexact_int(
+            _packed({(2, 0): 4, (1, 0): 12, (0, 0): 9}), b)
+        assert all(type(e) is int for e in got)
+        assert _unpacked(got) == {(1, 0): 2, (0, 0): 3}
         assert ratfun._divexact_int({}, b) == {}
         # 1 = 0*2 + 1: the leading quotient coefficient is not an integer
-        assert ratfun._divexact_int({(1, 0): 1, (0, 0): 1}, b) is None
+        assert ratfun._divexact_int(_packed({(1, 0): 1, (0, 0): 1}), b) is None
         # y / x: the exponent difference goes negative
-        assert ratfun._divexact_int({(0, 1): 1}, b) is None
+        assert ratfun._divexact_int(_packed({(0, 1): 1}), b) is None
 
 
 class TestStoredForm:
@@ -416,8 +437,8 @@ class TestGcd:
             g = real(gh, i, xi)
             lifts.append(xi)
             if len(lifts) == 1:
-                zero = (0,) * len(next(iter(g)))
-                g = {**g, zero: g.get(zero, 0) + 1}
+                assert all(type(e) is int for e in g)
+                g = {**g, 0: g.get(0, 0) + 1}   # 0 is the constant's key
             return g
 
         monkeypatch.setattr(ratfun, "_lift_digits", corrupt_first)
@@ -796,6 +817,22 @@ class TestSubstitute:
         # the zero images make some denominators vanish, not most
         assert 0 < errors < len(cases) // 4
 
+    @settings(max_examples=60, deadline=None)
+    @given(_mpolys, _mpolys, _mpolys, _mpolys)
+    @example(P("x*y + 1"), P("x - y"), P("2*y"), MPoly.zero(V2))
+    def test_random_images_match_reference(self, num, den, image, image_den):
+        # x maps to image/image_den (or to the polynomial image), y is left
+        # unmapped; the reference walks the tuple exponents of sorted_terms
+        if den.is_zero():
+            return
+        u = RatFun(num, den)
+        x = (RatFun.from_poly(image) if image_den.is_zero()
+             else RatFun(image, image_den))
+        got = _outcome(RatFun.substitute, u, {"x": x}, V2)
+        assert got == _outcome(_reference_substitute, u, {"x": x}, V2)
+        if isinstance(got, RatFun):
+            _stored(got.num), _stored(got.den)
+
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         checked = 0
@@ -851,6 +888,229 @@ class TestSubstitute:
                 if isinstance(node, ast.FunctionDef)
                 and node.name == "substitute"]
         assert defs == ["ratfun.py"]
+
+
+# -- packed exponent keys ----------------------------------------------------
+
+W = ratfun._W
+_MAX = 2 ** W - 1   # the largest total degree a key holds
+
+
+@st.composite
+def _exponents(draw, n=3):
+    """Exponent tuples whose total degree fits the field width, often at
+    its edge."""
+    left = draw(st.sampled_from([4, _MAX]))
+    exp = []
+    for _ in range(n):
+        k = draw(st.one_of(st.integers(0, left), st.just(left),
+                           st.just(0)))
+        exp.append(k)
+        left -= k
+    return tuple(draw(st.permutations(exp)))
+
+
+_small_exps = st.tuples(*[st.integers(0, 4)] * 3)
+_mpolys3 = st.dictionaries(
+    _small_exps, st.fractions(-20, 20, max_denominator=12), max_size=5,
+).map(lambda terms: MPoly(V3, terms))
+_int_polys3 = st.dictionaries(
+    _small_exps, st.integers(-40, 40).filter(bool), min_size=1, max_size=6)
+
+
+def _ref_eval_var(a, i, xi):
+    """Tuple-keyed integer polynomial a with exponent i set to xi."""
+    out = {}
+    for e, c in a.items():
+        key = e[:i] + (0,) + e[i + 1:]
+        out[key] = out.get(key, 0) + c * xi ** e[i]
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_lift(gh, i, xi):
+    """Balanced base-xi digits of each coefficient as the coefficients of
+    vars[i]^0, vars[i]^1, ..., on tuple keys."""
+    out = {}
+    for e, c in gh.items():
+        k = 0
+        while c:
+            d = c % xi
+            if d > xi // 2:
+                d -= xi
+            if d:
+                out[e[:i] + (k,) + e[i + 1:]] = d
+            c = (c - d) // xi
+            k += 1
+    return out
+
+
+def _ref_content_over(p, kept):
+    """_content_over on tuple keys: the terms grouped by the exponents
+    outside kept, the monic gcd folded over the groups."""
+    groups = {}
+    for e, c in p.terms.items():
+        outer = tuple(0 if i in kept else k for i, k in enumerate(e))
+        inner = tuple(k if i in kept else 0 for i, k in enumerate(e))
+        groups.setdefault(outer, {})[inner] = c
+    cont = MPoly.zero(p.vars)
+    for terms in groups.values():
+        cont = poly_gcd(cont, MPoly(p.vars, terms))[0]
+    return cont
+
+
+def _ref_eval(p, point):
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        for name, k in zip(p.vars, e):
+            c *= Fraction(point[name]) ** k
+        total += c
+    return total
+
+
+class TestPackedKeys:
+    """Packed exponent keys and the kernels that read them, against
+    tuple-keyed references."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_exponents(), min_size=1, max_size=8))
+    @example([(_MAX, 0, 0), (0, 0, _MAX), (0, _MAX, 0), (_MAX - 1, 1, 0)])
+    def test_key_order_is_deglex_order(self, exps):
+        keys = [_pack(e, V3) for e in exps]
+        assert [ratfun._unpack(k, 3) for k in keys] == exps
+        assert all(k & ratfun._guards(k) == 0 for k in keys)
+        assert sorted(keys) == [_pack(e, V3) for e in sorted(exps, key=_deglex)]
+        for e1, k1 in zip(exps, keys):
+            for e2, k2 in zip(exps, keys):
+                assert (k1 < k2) == (_deglex(e1) < _deglex(e2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_exponents(), _exponents())
+    @example((_MAX, 0, 0), (_MAX - 1, 0, 0))
+    @example((0, _MAX, 0), (0, _MAX - 1, 1))
+    def test_monomial_division_at_the_field_edge(self, a, b):
+        # one guard-masked subtraction decides divisibility, with no borrow
+        # from a field that is short into its neighbour
+        got = ratfun._divexact_int({_pack(a, V3): 3}, {_pack(b, V3): 1})
+        if all(i >= j for i, j in zip(a, b)):
+            diff = tuple(i - j for i, j in zip(a, b))
+            assert got == {_pack(diff, V3): 3}
+        else:
+            assert got is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mpolys3, _mpolys3, st.integers(0, 2), st.integers(0, 4))
+    @example(MPoly.zero(V3), MPoly.const(V3, 2), 1, 0)
+    def test_polynomial_kernels_match_tuple_reference(self, p, q, i, k):
+        a, b = _stored(p).terms, q.terms
+        keys = a.keys() | b.keys()
+        assert _stored(p + q).terms == _nonzero(
+            {e: a.get(e, 0) + b.get(e, 0) for e in keys})
+        assert _stored(p - q).terms == _nonzero(
+            {e: a.get(e, 0) - b.get(e, 0) for e in keys})
+        assert _stored(p * q).terms == _ref_mul(p, q)
+        assert _stored(p.partial(i)).terms == {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: v * e[i]
+            for e, v in a.items() if e[i]}
+        assert _stored(p.coeff_in(i, k)).terms == {
+            e[:i] + (0,) + e[i + 1:]: v for e, v in a.items() if e[i] == k}
+        assert _stored(p.shift_var(i, k)).terms == {
+            e[:i] + (e[i] + k,) + e[i + 1:]: v for e, v in a.items()}
+        assert p.degree_in(i) == max((e[i] for e in a), default=-1)
+        assert p.total_degree() == max(map(sum, a), default=-1)
+        assert p.used_indices() == {j for e in a for j, m in enumerate(e) if m}
+        assert p.is_const() == all(not any(e) for e in a)
+        if a:
+            assert p.leading_exp() == max(a, key=_deglex)
+        assert p.sorted_terms() == sorted(a.items(), key=lambda t: _deglex(t[0]),
+                                          reverse=True)
+        if not q.is_zero():
+            quo, rem = p.divmod_lead(q)
+            assert (_stored(quo).terms, _stored(rem).terms) \
+                == _ref_divmod_lead(p, q)
+            assert _terms(p.try_divexact(q)) == _ref_divexact(p, q)
+            assert (p * q).try_divexact(q) == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mpolys3, st.permutations(("t",) + V3))
+    def test_extend_vars_matches_tuple_reference(self, p, target):
+        got = RatFun.from_poly(p).extend_vars(target)
+        pos = [V3.index(name) if name in V3 else None for name in target]
+        assert _stored(got.num).terms == {
+            tuple(0 if j is None else e[j] for j in pos): v
+            for e, v in p.terms.items()}
+        assert got.den == MPoly.const(tuple(target), 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mpolys3, _small_exps, st.sets(st.integers(0, 2)))
+    @example(P("x*y + x^2*w", V3), (0, 1, 2), {0})
+    def test_content_and_monomial_gcd_match_tuple_reference(self, p, m, kept):
+        assert ratfun._content_over(p, kept) == _ref_content_over(p, kept)
+        if not p.is_zero():
+            got = ratfun._monomial_gcd(p, MPoly(V3, {m: 1}))
+            least = tuple(map(min, m, *p.terms))
+            assert _stored(got).terms == {least: 1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(_int_polys3, st.integers(0, 2), st.integers(3, 10 ** 6))
+    @example({(0, 0, 0): -5}, 2, 3)
+    def test_eval_and_lift_match_tuple_reference(self, a, i, xi):
+        x = ratfun._unit(3, i)[1]
+        assert x == _pack(tuple(int(j == i) for j in range(3)), V3)
+        got = ratfun._eval_var_int(_packed(a, V3), x, xi)
+        want = _ref_eval_var(a, i, xi)
+        assert _unpacked(got, V3) == want
+        lifted = ratfun._lift_digits(got, x, xi)
+        assert _unpacked(lifted, V3) == _ref_lift(want, i, xi)
+        # balanced digits evaluate back to what they were read from
+        assert ratfun._eval_var_int(lifted, x, xi) == got
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mpolys3, st.tuples(*[st.fractions(-7, 7, max_denominator=9)] * 3))
+    @example(MPoly.zero(V3), (Fraction(0),) * 3)
+    @example(MPoly.const(V3, Fraction(-5, 3)), (Fraction(0),) * 3)
+    @example(P("x^3*y - w/2 + 1", V3), (Fraction(-2, 3), 0, Fraction(-1)))
+    def test_eval_rat_matches_fraction_loop(self, p, xs):
+        point = dict(zip(V3, xs))
+        got = p.eval_rat(point)
+        assert type(got) is Fraction and got == _ref_eval(p, point)
+
+    def test_eval_rat_reads_only_used_variables(self):
+        assert P("x^2 + 1", V3).eval_rat({"x": Fraction(-1, 2)}) \
+            == Fraction(5, 4)
+
+
+class TestExponentWidth:
+    """A total degree of 2**W or more raises instead of spilling into the
+    next field."""
+
+    def test_constructor(self):
+        assert issubclass(ExponentOverflow, DiffTowerError)
+        for exp in [(2 ** W, 0), (2 ** (W - 1), 2 ** (W - 1)), (-1, 2)]:
+            with pytest.raises(ExponentOverflow):
+                MPoly(V2, {exp: 1})
+        with pytest.raises(ExponentOverflow):
+            MPoly.monomial(V2, (0, 2 ** W))
+        assert MPoly(V2, {(_MAX, 0): 1}).leading_exp() == (_MAX, 0)
+
+    def test_product(self):
+        x, y = MPoly.var(V2, "x"), MPoly.var(V2, "y")
+        half = x ** 2 ** (W - 1)
+        assert half.terms == {(2 ** (W - 1), 0): 1}
+        with pytest.raises(ExponentOverflow):
+            half * half
+        assert (half * y ** (2 ** (W - 1) - 1)).terms \
+            == {(2 ** (W - 1), 2 ** (W - 1) - 1): 1}
+
+    def test_power_and_shift(self):
+        x = MPoly.var(V2, "x")
+        # refused before any product is formed
+        with pytest.raises(ExponentOverflow):
+            (x + MPoly.const(V2, 1)) ** 2 ** W
+        with pytest.raises(ExponentOverflow):
+            x.shift_var(1, _MAX)
+        assert x.shift_var(1, _MAX - 1).terms == {(1, _MAX - 1): 1}
+        with pytest.raises(ValueError):
+            x.shift_var(0, -1)
 
 
 class TestGuards:
