@@ -6,7 +6,10 @@ in the tower variables, and solve the resulting exact linear system over Q.
 The membership and ODE columns are built as polynomials over one fixed
 denominator: den(u)*L^D for a membership rung of degree D over values N/L,
 and lcm^2*denom for solve_first_order, which builds each monomial's column
-once per call.  _assemble_rows turns every system of polynomial columns
+once per call.  An ODE column takes no polynomial product: the cleared
+images of the derivation and the shift by g are put over one denominator
+once per call, and each column adds its monomial's packed key to their
+terms (_ode_column).  _assemble_rows turns every system of polynomial columns
 into rows, each eliminated once: the homogeneous ones (membership rungs,
 normal-tower steps) by _kernel_rref, the inhomogeneous ones (ODE rungs,
 solve_linear_ansatz and ratint's Horowitz system) by _solve_columns.  The
@@ -27,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import BoundsExceeded, DiffTowerError
-from .ratfun import MPoly, RatFun, clear_denominators
+from .ratfun import MPoly, RatFun, _pack, _unit, clear_denominators
 from .ratint import has_rational_antiderivative
 from .tower import SubfieldSpec, Tower
 
@@ -86,10 +89,19 @@ class NoSolutionWithinBounds:
 
 
 def monomials_upto(n_vars: int, max_deg: int) -> List[tuple]:
-    """Exponent tuples of total degree <= max_deg, descending deglex."""
-    out = [e for e in itertools.product(range(max_deg + 1), repeat=n_vars)
-           if sum(e) <= max_deg]
-    out.sort(key=lambda e: (sum(e), e), reverse=True)
+    """Exponent tuples of total degree <= max_deg, descending deglex,
+    generated directly: C(n_vars + max_deg, max_deg) tuples, no scan."""
+    if not n_vars:
+        return [()]
+    # by_deg[d]: the tuples over the last j variables of total degree d,
+    # descending lex, for j = 1, ..., n_vars
+    by_deg = [[(d,)] for d in range(max_deg + 1)]
+    for _ in range(n_vars - 1):
+        by_deg = [[(k,) + rest for k in range(d, -1, -1)
+                   for rest in by_deg[d - k]] for d in range(max_deg + 1)]
+    out = []
+    for level in reversed(by_deg):
+        out += level
     return out
 
 
@@ -246,6 +258,34 @@ def subfield_membership(u: RatFun, K: SubfieldSpec, tower: Tower,
     return NoSolutionWithinBounds(bounds)
 
 
+def _shifted_terms(images: Sequence[MPoly], shift: MPoly):
+    """(d, lowered, minus_shift): images and shift over one common
+    denominator d, as the terms of images[i]/x_i, [(key - key(x_i),
+    c*d/den)], and of -shift, [(key, -c*d/den)], for _ode_column."""
+    d = lcm(shift.den, *(p.den for p in images))
+    n = len(shift.vars)
+    lowered = [[(k - _unit(n, i)[1], c * (d // p.den))
+                for k, c in p.ints.items()] for i, p in enumerate(images)]
+    s = -(d // shift.den)
+    return d, lowered, [(k, c * s) for k, c in shift.ints.items()]
+
+
+def _ode_column(variables: tuple, e: tuple, terms) -> MPoly:
+    """sum_i e_i*x^(e - 1_i)*images[i] - x^e*shift for the monomial x^e and
+    terms = _shifted_terms(images, shift): each term of an image or of
+    -shift moves by the key of x^e, so the column takes no product, no
+    partial and one gcd."""
+    d, lowered, minus_shift = terms
+    key = _pack(e, variables)
+    out = {key + k: c for k, c in minus_shift}   # distinct keys
+    for ei, image in zip(e, lowered):
+        if ei:
+            for k, c in image:
+                k += key
+                out[k] = out.get(k, 0) + ei * c
+    return MPoly._over(variables, {k: c for k, c in out.items() if c}, d)
+
+
 def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
                       bounds: Bounds = Bounds()) -> Found | NoSolutionWithinBounds:
     """Bounded search for w with D(w) = f + g*w.
@@ -254,12 +294,15 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
     fixed denominator denom = lcm^power, where lcm covers the denominators
     of f, g and every tower derivative; only the numerator degree escalates.
     D(denom)/denom = power*D(lcm)/lcm, so C = lcm^2*denom clears every
-    column: for the monomial m = x^e, C*(D(m/denom) - g*m/denom) is
-    m.derivation(lcm*lcm*D(x_i)) - m*(power*lcm*D(lcm) + lcm*(lcm*g)),
-    with no gcd, and the target is C*f.  Each column is built once, on the
-    first rung that needs it, and shared by the rungs above.  For the
-    homogeneous equation (f = 0, g != 0) the trivial solution w = 0 is
-    excluded.
+    column: for the monomial x^e, C*(D(x^e/denom) - g*x^e/denom) is
+    sum_i e_i*x^(e - 1_i)*images[i] - x^e*shift, with images[i] =
+    lcm*lcm*D(x_i) and shift = power*lcm*D(lcm) + lcm*(lcm*g), and the
+    target is C*f.  images and shift are put over one denominator once per
+    call; a column then adds the key of x^e (less that of x_i) to each of
+    their terms (_ode_column), with no polynomial product.  Each column is
+    built once, on the first rung that needs it, and shared by the rungs
+    above.  For the homogeneous equation (f = 0, g != 0) the trivial
+    solution w = 0 is excluded.
     """
     variables = tower.vars
     lcm, (f_num, g_num, *d_nums) = clear_denominators(
@@ -268,25 +311,31 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
     offset = power * lcm.total_degree()
     cap_num, _ = bounds.escalated_degrees()
 
-    # the caps bound w itself; the fixed denominator shifts the numerator
-    degrees = sorted({d + offset for d in range(1, bounds.max_num_degree + 1)}
-                     | {cap_num + offset})
-    # the rungs whose N monomials pass the N*N <= max_cells pre-check; the
-    # columns are built only when there is one
-    fitting = [d for d in degrees
-               if comb(len(variables) + d, d) ** 2 <= bounds.max_cells]
+    def fits(deg):
+        # the rung's N monomials pass the N*N <= max_cells pre-check
+        return comb(len(variables) + deg, deg) ** 2 <= bounds.max_cells
+
+    # the caps bound w itself; the fixed denominator shifts the numerator.
+    # comb(n + deg, deg) grows with deg, so the rungs that fit are a prefix
+    # of offset+1, ..., offset+max_num_degree, and the walk stops at the
+    # first that does not
+    fitting = set(itertools.takewhile(
+        fits, range(offset + 1, offset + bounds.max_num_degree + 1)))
+    if fits(cap_num + offset):
+        fitting.add(cap_num + offset)
+    # the columns are built only when a rung fits
     if fitting:
         denom = lcm ** power
         target = lcm * denom * f_num
-        images = [lcm * d for d in d_nums]
-        shift = lcm.derivation(d_nums).scale(power) + lcm * g_num
+        terms = _shifted_terms(
+            [lcm * d for d in d_nums],
+            lcm.derivation(d_nums).scale(power) + lcm * g_num)
     columns: Dict[tuple, MPoly] = {}
-    for deg in fitting:
+    for deg in sorted(fitting):
         monoms = monomials_upto(len(variables), deg)
         for e in monoms:
             if e not in columns:
-                m = MPoly.monomial(variables, e)
-                columns[e] = m.derivation(images) - m * shift
+                columns[e] = _ode_column(variables, e, terms)
         try:
             sols = _solve_columns([columns[e] for e in monoms], target,
                                   bounds.max_cells)

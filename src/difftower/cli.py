@@ -28,6 +28,10 @@ from .ratfun import RatFun
 from .tower import SubfieldSpec, Tower, base_subfield
 
 ALL_BOUNDS = ("--deg", "--order", "--max-cells")
+# derive --order takes one derivative per step, so it is capped like the
+# parser's power degree: a larger order is an input error, not a run that
+# never ends
+MAX_DERIVE_ORDER = 10_000
 
 Report = Tuple[List[str], List[Tuple[str, str]], int]  # lines, kv, exit code
 
@@ -248,6 +252,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _derive_order(text: str) -> int:
+    value = int(text)
+    if value > MAX_DERIVE_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_DERIVE_ORDER}, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="difftower")
     sub = top.add_subparsers(dest="command", required=True)
@@ -267,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive")
     common(p)
     p.add_argument("expr")
-    p.add_argument("--order", type=int, default=1)
+    p.add_argument("--order", type=_derive_order, default=1)
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser("const")

@@ -7,7 +7,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from difftower.ansatz import (Bounds, Found, NoSolutionWithinBounds, Witness,
                               solve_linear_ansatz, subfield_membership)
 from difftower.errors import DiffTowerError
 from difftower.parser import format_ratfun, parse_expr
-from difftower.randexpr import random_ratfun, random_tower
+from difftower.randexpr import random_mpoly, random_ratfun, random_tower
 from difftower.ratfun import MPoly, RatFun, clear_denominators
 from difftower.tower import SubfieldSpec, base_subfield, tower_from_pairs
 
@@ -74,12 +76,32 @@ class TestWitness:
                     target=parse_expr("zeta1", T))
 
 
+def _reference_monomials(n_vars, max_deg):
+    """The scan monomials_upto used to make: every tuple of the
+    (max_deg+1)^n_vars grid with total degree <= max_deg, sorted."""
+    out = [e for e in itertools.product(range(max_deg + 1), repeat=n_vars)
+           if sum(e) <= max_deg]
+    out.sort(key=lambda e: (sum(e), e), reverse=True)
+    return out
+
+
 class TestMonomials:
     def test_descending_deglex(self):
         ms = monomials_upto(2, 2)
         assert ms[0] == (2, 0) and ms[-1] == (0, 0)
         degs = [sum(m) for m in ms]
         assert degs == sorted(degs, reverse=True)
+
+    def test_matches_the_scan(self):
+        for m in range(5):
+            for d in range(7):
+                assert monomials_upto(m, d) == _reference_monomials(m, d)
+
+    def test_count_without_the_grid(self):
+        # the scan visited 8**8 = 16.8 M tuples to keep these
+        ms = monomials_upto(8, 7)
+        assert len(ms) == len(set(ms)) == comb(15, 7) == 6435
+        assert all(len(e) == 8 and sum(e) <= 7 for e in ms)
 
 
 class TestLinearAnsatz:
@@ -370,27 +392,136 @@ class TestOdeColumns:
                     / denom_rf
                 assert RatFun(col, common) == T.differentiate(w) - g * w
 
-    @pytest.mark.parametrize("shape, derivations", [
+    @pytest.mark.parametrize("shape, builds", [
         ("log", 16), ("arctan", 16), ("loglog", 36), ("dilog", 36)])
-    def test_each_column_is_built_once(self, shape, derivations,
-                                       monkeypatch):
-        """The exponential obstruction D(w) = w misses on both rungs: one
-        derivation for the shift and one per monomial of the top rung,
-        none again for the monomials the lower rung already built."""
+    def test_each_column_is_built_once(self, shape, builds, monkeypatch):
+        """The exponential obstruction D(w) = w misses on both rungs.  Of
+        the builds from the images, one is the shift (the one derivation)
+        and one is a column per monomial of the top rung (15 or 35), none
+        again for the monomials the lower rung already built."""
         T = _ode_tower(shape)
         zero, one = RatFun.const(T.vars, 0), RatFun.const(T.vars, 1)
-        count = [0]
-        real = MPoly.derivation
+        built, derivations = [], [0]
+        real_column, real_derivation = ansatz._ode_column, MPoly.derivation
 
-        def spy(self, images):
-            count[0] += 1
-            return real(self, images)
+        def column(variables, e, terms):
+            built.append(e)
+            return real_column(variables, e, terms)
 
-        monkeypatch.setattr(MPoly, "derivation", spy)
+        def derivation(self, images):
+            derivations[0] += 1
+            return real_derivation(self, images)
+
+        monkeypatch.setattr(ansatz, "_ode_column", column)
+        monkeypatch.setattr(MPoly, "derivation", derivation)
         assert isinstance(
             solve_first_order(zero, one, T, Bounds(2, 2, 1, escalation=())),
             NoSolutionWithinBounds)
-        assert count[0] == derivations
+        assert derivations[0] == 1
+        assert len(built) == len(set(built)) == builds - 1
+        # every tower here has offset 2, so the rungs have degree 3 and 4
+        assert set(built) == set(monomials_upto(len(T.vars), 4))
+
+
+def _ode_images_and_shift(f, g, T, bounds):
+    """images[i] = lcm*lcm*D(x_i) and shift = power*lcm*D(lcm) +
+    lcm*(lcm*g), as solve_first_order's docstring defines them."""
+    lcm, (f_num, g_num, *d_nums) = clear_denominators([f, g, *T.derivatives])
+    power = max(1, bounds.max_den_degree // max(1, lcm.total_degree()))
+    return ([lcm * d for d in d_nums],
+            lcm.derivation(d_nums).scale(power) + lcm * g_num)
+
+
+def _product_column(variables, e, images, shift):
+    """A column by polynomial arithmetic, as it was built before key
+    shifts: x^e.derivation(images) - x^e*shift."""
+    m = MPoly.monomial(variables, e)
+    return m.derivation(images) - m * shift
+
+
+class TestOdeColumnsByKeyShifts:
+    def test_random_towers_match_products(self, monkeypatch):
+        """Every column solve_first_order hands to _solve_columns, on
+        random towers of depth 0-3 with g zero and nonzero, equals the
+        column built by products."""
+        rng = random.Random(20261019)
+        bounds = Bounds(2, 2, 1, escalation=())
+        calls = []
+        real = ansatz._solve_columns
+
+        def record(cols, target, max_cells):
+            calls.append(list(cols))
+            return real(cols, target, max_cells)
+
+        monkeypatch.setattr(ansatz, "_solve_columns", record)
+        checked = set()
+        for trial in range(16):
+            depth = trial % 4
+            T = random_tower(rng, depth, max_deg=1)
+            f = random_ratfun(rng, T.vars, max_deg=1, max_terms=2)
+            g = (RatFun.const(T.vars, 0) if trial % 8 < 4
+                 else random_ratfun(rng, T.vars, max_deg=1, max_terms=2))
+            calls.clear()
+            solve_first_order(f, g, T, bounds)
+            images, shift = _ode_images_and_shift(f, g, T, bounds)
+            n = len(T.vars)
+            for cols in calls:
+                # a rung of degree d has C(n + d, d) columns
+                deg = next(d for d in itertools.count()
+                           if comb(n + d, d) >= len(cols))
+                for e, col in zip(monomials_upto(n, deg), cols, strict=True):
+                    assert col == _product_column(T.vars, e, images, shift)
+                    checked.add((depth, not g.is_zero()))
+        assert checked == {(d, nz) for d in range(4) for nz in (False, True)}
+
+    def test_images_over_different_denominators(self):
+        """Images and shift with unlike rational coefficients: every column
+        up to degree 3 equals the product-built one."""
+        rng = random.Random(7)
+        unlike = 0
+        for n in (1, 2, 3):
+            variables = ("z", "a", "b")[:n]
+            for _ in range(6):
+                images = [random_mpoly(rng, variables, max_deg=2)
+                          for _ in range(n)]
+                shift = random_mpoly(rng, variables, max_deg=3)
+                unlike += len({p.den for p in images + [shift]}) > 1
+                terms = ansatz._shifted_terms(images, shift)
+                for e in monomials_upto(n, 3):
+                    assert ansatz._ode_column(variables, e, terms) \
+                        == _product_column(variables, e, images, shift)
+        assert unlike > 6
+
+
+class TestOdeLadder:
+    """The numerator degree ladder stops at the first rung over the cell
+    cap, so a huge --deg costs what the cap allows."""
+
+    @pytest.mark.parametrize("f, g", [("0", "1"), ("1/z", "0")])
+    def test_huge_degree_cap_stops_at_the_cell_cap(self, f, g, monkeypatch):
+        T = log_tower()
+        f, g = parse_expr(f, T), parse_expr(g, T)
+        rungs = []
+        real = ansatz._solve_columns
+
+        def record(cols, target, max_cells):
+            rungs[-1].append(len(cols))
+            return real(cols, target, max_cells)
+
+        monkeypatch.setattr(ansatz, "_solve_columns", record)
+        answers = []
+        for cap in (10 ** 4, 10 ** 9):
+            rungs.append([])
+            start = time.perf_counter()
+            out = solve_first_order(f, g, T, Bounds(cap, 2, 1, escalation=(),
+                                                    max_cells=1000))
+            assert time.perf_counter() - start < 1.0
+            answers.append((type(out), getattr(out, "value", None),
+                            getattr(out, "certified", None)))
+        assert rungs[0] == rungs[1] and rungs[0]
+        assert answers[0] == answers[1]
+        # lcm = z, power 2: rungs of degree 3, 4, ... while C(2+d, 2)^2 <= 1000
+        assert rungs[0] == [10, 15, 21, 28][:len(rungs[0])]
 
 
 def _reference_membership_at(u, values, num_deg, den_deg, skips):

@@ -316,6 +316,23 @@ class TestCli:
         assert code == 0
         assert "witness=(x0*x1 + x2)/(x0*x2 - 3*x1^2)" in output
 
+    def test_derive_order_is_capped(self, log_file, capsys):
+        for order in (cli.MAX_DERIVE_ORDER + 1, 10 ** 9):
+            assert run(["derive", "--tower", log_file, "zeta1",
+                        "--order", str(order)]) == (3, "")
+        assert "Traceback" not in capsys.readouterr().err
+        code, out = run(["derive", "--tower", log_file, "z",
+                         "--order", str(cli.MAX_DERIVE_ORDER)])
+        assert code == 0 and "result=0" in out
+
+    @pytest.mark.parametrize("f, g", [("0", "1"), ("1/z", "0")])
+    def test_huge_ode_degree_stops_at_the_cell_cap(self, log_file, f, g):
+        # the ladder ends at the cap, so --deg 10^9 answers as --deg 10^4
+        runs = [run(["solve-ode", "--tower", log_file, "--f", f, "--g", g,
+                     "--deg", deg, "--max-cells", "1000"])
+                for deg in ("10000", "1000000000")]
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_max_cells_must_be_positive(self, log_file, cap):
         code, out = run(["solve-ode", "--tower", log_file, "--f", "1/z",
