@@ -6,15 +6,14 @@ in the tower variables, and solve the resulting exact linear system over Q.
 The membership and ODE columns are built as polynomials over one fixed
 denominator: den(u)*L^D for a membership rung of degree D over values N/L,
 and lcm^2*denom for solve_first_order, which builds each monomial's column
-once per call.  An ODE column takes no polynomial product: the cleared
-images of the derivation and the shift by g are put over one denominator
-once per call, and each column adds its monomial's packed key to their
-terms (_ode_column).  _assemble_rows turns every system of polynomial columns
-into rows, each eliminated once: the homogeneous ones (membership rungs,
-normal-tower steps) by _kernel_rref, the inhomogeneous ones (ODE rungs,
-solve_linear_ansatz and ratint's Horowitz system) by _solve_columns.  The
-one division with remainder over Q is MPoly.divmod_lead;
-_poly_part_constant reads the constant term of its quotient.
+once per call, with no polynomial product, as the monomial's image under
+one ratfun.cleared_derivation map.  _assemble_rows turns every system of
+polynomial columns into rows, each eliminated once: the homogeneous ones
+(membership rungs, normal-tower steps) by _kernel_rref, the inhomogeneous
+ones (ODE rungs, solve_linear_ansatz and ratint's Horowitz system) by
+_solve_columns.  The one division with remainder over Q is
+MPoly.divmod_lead; _poly_part_constant reads the constant term of its
+quotient.
 Searches are three-valued by design: a Found result always carries a
 substitution-verified witness, and a miss only ever means "not within these
 bounds".
@@ -30,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import BoundsExceeded, DiffTowerError
-from .ratfun import MPoly, RatFun, _pack, _unit, clear_denominators
+from .ratfun import MPoly, RatFun, clear_denominators, cleared_derivation
 from .ratint import has_rational_antiderivative
 from .tower import SubfieldSpec, Tower
 
@@ -258,55 +257,24 @@ def subfield_membership(u: RatFun, K: SubfieldSpec, tower: Tower,
     return NoSolutionWithinBounds(bounds)
 
 
-def _shifted_terms(images: Sequence[MPoly], shift: MPoly):
-    """(d, lowered, minus_shift): images and shift over one common
-    denominator d, as the terms of images[i]/x_i, [(key - key(x_i),
-    c*d/den)], and of -shift, [(key, -c*d/den)], for _ode_column."""
-    d = lcm(shift.den, *(p.den for p in images))
-    n = len(shift.vars)
-    lowered = [[(k - _unit(n, i)[1], c * (d // p.den))
-                for k, c in p.ints.items()] for i, p in enumerate(images)]
-    s = -(d // shift.den)
-    return d, lowered, [(k, c * s) for k, c in shift.ints.items()]
-
-
-def _ode_column(variables: tuple, e: tuple, terms) -> MPoly:
-    """sum_i e_i*x^(e - 1_i)*images[i] - x^e*shift for the monomial x^e and
-    terms = _shifted_terms(images, shift): each term of an image or of
-    -shift moves by the key of x^e, so the column takes no product, no
-    partial and one gcd."""
-    d, lowered, minus_shift = terms
-    key = _pack(e, variables)
-    out = {key + k: c for k, c in minus_shift}   # distinct keys
-    for ei, image in zip(e, lowered):
-        if ei:
-            for k, c in image:
-                k += key
-                out[k] = out.get(k, 0) + ei * c
-    return MPoly._over(variables, {k: c for k, c in out.items() if c}, d)
-
-
 def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
                       bounds: Bounds = Bounds()) -> Found | NoSolutionWithinBounds:
     """Bounded search for w with D(w) = f + g*w.
 
-    The ansatz is w = N/denom with unknown polynomial numerator N and the
-    fixed denominator denom = lcm^power, where lcm covers the denominators
-    of f, g and every tower derivative; only the numerator degree escalates.
+    The ansatz is w = N/denom with unknown polynomial numerator N, fixed
+    denominator denom = lcm^power and lcm = s*L the lcm of the denominators
+    of f, g and the tower's monic L; only the numerator degree escalates.
     D(denom)/denom = power*D(lcm)/lcm, so C = lcm^2*denom clears every
-    column: for the monomial x^e, C*(D(x^e/denom) - g*x^e/denom) is
-    sum_i e_i*x^(e - 1_i)*images[i] - x^e*shift, with images[i] =
-    lcm*lcm*D(x_i) and shift = power*lcm*D(lcm) + lcm*(lcm*g), and the
-    target is C*f.  images and shift are put over one denominator once per
-    call; a column then adds the key of x^e (less that of x_i) to each of
-    their terms (_ode_column), with no polynomial product.  Each column is
-    built once, on the first rung that needs it, and shared by the rungs
-    above.  For the homogeneous equation (f = 0, g != 0) the trivial
-    solution w = 0 is excluded.
+    column: C*(D(x^e/denom) - g*x^e/denom) = sum_i e_i*x^(e - 1_i)*images[i]
+    - x^e*shift with images[i] = lcm*s*L*D(x_i) and shift = power*s*L*D(lcm)
+    + lcm*(lcm*g) from the tower's cleared derivation; the target is C*f.
+    One cleared_derivation map takes x^e to its column, built once, on the
+    first rung that needs it, and shared by the rungs above; for f = 0 and
+    g != 0 the trivial solution w = 0 is excluded.
     """
     variables = tower.vars
-    lcm, (f_num, g_num, *d_nums) = clear_denominators(
-        [f, g, *tower.derivatives])
+    lcm, (f_num, g_num, s) = clear_denominators(
+        [f, g, RatFun(MPoly.const(variables, 1), tower.lcm, _canonical=True)])
     power = max(1, bounds.max_den_degree // max(1, lcm.total_degree()))
     offset = power * lcm.total_degree()
     cap_num, _ = bounds.escalated_degrees()
@@ -327,15 +295,15 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
     if fitting:
         denom = lcm ** power
         target = lcm * denom * f_num
-        terms = _shifted_terms(
-            [lcm * d for d in d_nums],
-            lcm.derivation(d_nums).scale(power) + lcm * g_num)
+        shift = (s * tower.cleared(lcm)).scale(power) + lcm * g_num
+        ls = lcm * s
+        column = cleared_derivation([ls * q for q in tower.images], shift)
     columns: Dict[tuple, MPoly] = {}
     for deg in sorted(fitting):
         monoms = monomials_upto(len(variables), deg)
         for e in monoms:
             if e not in columns:
-                columns[e] = _ode_column(variables, e, terms)
+                columns[e] = column(MPoly.monomial(variables, e))
         try:
             sols = _solve_columns([columns[e] for e in monoms], target,
                                   bounds.max_cells)

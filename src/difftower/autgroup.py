@@ -19,8 +19,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import NotDifferential, NotFlat, NotTriangular
 from .randexpr import random_ratfun
-from .ratfun import RatFun
-from .structure import linear_part
+from .ratfun import RatFun, linear_part
 from .tower import BASE_VAR, Tower
 
 

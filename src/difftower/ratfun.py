@@ -9,9 +9,9 @@ function.  Every cancellation goes through poly_gcd, which returns
 
 A polynomial is stored as integer numerators over one denominator, unique
 per polynomial.  Every kernel (sums, products, exact division, GCDHEU,
-division with remainder, substitution) runs on those integers and builds no
-Fraction; one appears only where a caller reads a coefficient (terms,
-leading_coeff, const_value, eval_rat).
+division with remainder, substitution, the cleared derivation) runs on
+those integers and builds no Fraction; one appears only where a caller
+reads a coefficient (terms, leading_coeff, const_value, eval_rat).
 
 Each exponent (e0, ..., e_{n-1}) is stored as one packed integer key,
 deg << n*S | e0 << (n-1)*S | ... | e_{n-1}, with deg = sum(e) and S = W + 1
@@ -156,8 +156,10 @@ class MPoly:
     @classmethod
     def monomial(cls, variables: Sequence[str], exp: Sequence[int]) -> "MPoly":
         """The monomial with exponent tuple exp and coefficient 1."""
-        variables = tuple(variables)
-        return cls._over(variables, {_pack(exp, variables): 1})
+        p = object.__new__(cls)
+        p.vars = variables = tuple(variables)
+        p.ints, p.den = {_pack(exp, variables): 1}, 1
+        return p
 
     # -- predicates ----------------------------------------------------
 
@@ -315,14 +317,6 @@ class MPoly:
                 # lowering one exponent maps distinct terms to distinct terms
                 out[e - x] = c * k
         return MPoly._over(self.vars, out, self.den)
-
-    def derivation(self, images: Sequence["MPoly"]) -> "MPoly":
-        """sum_i dp/dx_i * images[i]; with images[i] = L*D(x_i) this is
-        L*D(p), built with no gcd."""
-        total = MPoly.zero(self.vars)
-        for i in self.used_indices():
-            total = total + self.partial(i) * images[i]
-        return total
 
     def eval_rat(self, point: Mapping[str, Rat]) -> Rat:
         """The value at a rational point, summed over integers: with
@@ -645,6 +639,43 @@ def poly_lcm(p: MPoly, q: MPoly) -> MPoly:
     return (p * poly_gcd(p, q)[2]).monic()
 
 
+def cleared_derivation(images: Sequence[MPoly], shift: MPoly):
+    """The map p -> sum_i dp/dx_i * images[i] - p*shift, one image per
+    variable: L*D(p) for images[i] = L*D(x_i) and shift 0.  Images and
+    shift go over one denominator once, image i's keys lowered by x_i's,
+    so a call adds p's keys to theirs in one dict, with one gcd.
+    VariableMismatch when the shift or a p is over other variables."""
+    variables, n = images[0].vars, len(images[0].vars)
+    for q in (*images, shift):
+        q._check(images[0])
+    d = lcm(shift.den, *(q.den for q in images))
+    lowered = [(sh, [(k - x, c * (d // q.den)) for k, c in q.ints.items()])
+               for i, q in enumerate(images) for sh, x in [_unit(n, i)]]
+    minus = [(k, c * -(d // shift.den)) for k, c in shift.ints.items()]
+    reach = max(shift.total_degree(), *(q.total_degree() - 1 for q in images))
+    top = _LIMIT - reach << n * _S   # p overflows a result from key top up
+
+    def derive(p: MPoly) -> MPoly:
+        p._check(images[0])
+        if p.ints and max(p.ints) >= top:
+            raise _overflow(p.total_degree() + reach)
+        out: dict = {}
+        for e, c in p.ints.items():
+            for k, v in minus:
+                k += e
+                out[k] = out.get(k, 0) + c * v
+            for sh, image in lowered:
+                ce = (e >> sh & _MASK) * c
+                if ce:
+                    for k, v in image:
+                        k += e
+                        out[k] = out.get(k, 0) + ce * v
+        return MPoly._over(variables, {k: c for k, c in out.items() if c},
+                           d * p.den)
+
+    return derive
+
+
 class RatFun:
     """Reduced rational function num/den over a fixed variable list.
 
@@ -848,3 +879,36 @@ def clear_denominators(exprs: Sequence[RatFun]):
     for den in dict.fromkeys(e.den for e in exprs):
         common = poly_lcm(common, den)
     return common, [e.num * common.try_divexact(e.den) for e in exprs]
+
+
+def linear_part(u: RatFun, names: Sequence[str]):
+    """Split u as sum(c_v * v for v in names) + rest with rational c_v and
+    rest free of names; None when there is no such split.  Read off the
+    canonical form n/d: the split exists exactly when d involves no name
+    and n = sum(c_v * v * d) + n0 with n0 free of names, and then
+    rest = n0/d is already canonical, as gcd(n0, d) = gcd(n, d) = 1."""
+    n, d = u.num, u.den
+    keys = {}   # the lowest bit of the field of a name -> the name's key
+    for v in names:
+        sh, x = _unit(len(u.vars), u.vars.index(v))
+        keys[1 << sh] = x
+    fields = sum(_MASK * bit for bit in keys)   # the fields of the names
+    if any(e & fields for e in d.ints):
+        return None
+    parts = {bit: {} for bit in keys}   # the terms linear in a name, / it
+    rest = {}
+    for e, c in n.ints.items():
+        named = e & fields
+        if not named:
+            rest[e] = c
+        elif named in keys:
+            parts[named][e - keys[named]] = c
+        else:   # a power or a product of names
+            return None
+    lead = max(d.ints)   # d is monic: c_v is the coefficient there
+    coeffs = [Fraction(part.get(lead, 0), n.den) for part in parts.values()]
+    if any(MPoly._over(u.vars, part, n.den) != d.scale(c)
+           for part, c in zip(parts.values(), coeffs)):
+        return None
+    return coeffs, RatFun(MPoly._over(u.vars, rest, n.den), d,
+                          _canonical=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -23,8 +24,8 @@ from .ansatz import (Bounds, Found, Witness, _closures, _kernel_rref,
                      monomials_upto, subfield_membership)
 from .errors import (AlreadyInBase, DiffTowerError, MalformedAntiderivative,
                      NotAntiderivative, NotFlat, Unsupported)
-from .ratfun import (_MASK, MPoly, RatFun, _content_over, _unit,
-                     clear_denominators, poly_gcd)
+from .ratfun import (MPoly, RatFun, _content_over, clear_denominators,
+                     linear_part, poly_gcd)
 from .tower import BASE_VAR, SubfieldSpec, Tower
 
 __all__ = [  # with poly_gcd, a binding the layer-trace test of bench/ reads
@@ -34,39 +35,6 @@ __all__ = [  # with poly_gcd, a binding the layer-trace test of bench/ reads
     "NormalTower", "normal_tower", "CompositumBasis", "compositum_basis",
     "minimal_shift", "StructureGenerator", "StructureReport",
     "subfield_structure", "poly_gcd"]
-
-
-def linear_part(u: RatFun, names: Sequence[str]):
-    """Split u as sum(c_v * v for v in names) + rest with rational c_v and
-    rest free of names; None when there is no such split.  Read off the
-    canonical form n/d: the split exists exactly when d involves no name
-    and n = sum(c_v * v * d) + n0 with n0 free of names, and then
-    rest = n0/d is already canonical, as gcd(n0, d) = gcd(n, d) = 1."""
-    n, d = u.num, u.den
-    keys = {}   # the lowest bit of the field of a name -> the name's key
-    for v in names:
-        sh, x = _unit(len(u.vars), u.vars.index(v))
-        keys[1 << sh] = x
-    fields = sum(_MASK * bit for bit in keys)   # the fields of the names
-    if any(e & fields for e in d.ints):
-        return None
-    parts = {bit: {} for bit in keys}   # the terms linear in a name, / it
-    rest = {}
-    for e, c in n.ints.items():
-        named = e & fields
-        if not named:
-            rest[e] = c
-        elif named in keys:
-            parts[named][e - keys[named]] = c
-        else:   # a power or a product of names
-            return None
-    lead = max(d.ints)   # d is monic: c_v is the coefficient there
-    coeffs = [Fraction(part.get(lead, 0), n.den) for part in parts.values()]
-    if any(MPoly._over(u.vars, part, n.den) != d.scale(c)
-           for part, c in zip(parts.values(), coeffs)):
-        return None
-    return coeffs, RatFun(MPoly._over(u.vars, rest, n.den), d,
-                          _canonical=True)
 
 
 def linearize(u: RatFun, tower: Tower):
@@ -430,6 +398,7 @@ def subfield_structure(K: SubfieldSpec, tower: Tower,
                 continue
             if shift not in candidates:
                 candidates.append(shift)
+    derivative = cache(tower.differentiate)   # once per candidate, not step
 
     fstar: List[StructureGenerator] = []
     max_gens = len(tower.vars) + len(K.generators)
@@ -443,7 +412,7 @@ def subfield_structure(K: SubfieldSpec, tower: Tower,
             status, _ = oracle.query(cand)
             if status != OUT:
                 continue
-            dstatus, dwit = oracle.query(tower.differentiate(cand))
+            dstatus, dwit = oracle.query(derivative(cand))
             if dstatus != IN:
                 continue
             outcome = subfield_membership(cand, K, tower, bounds)

@@ -9,9 +9,9 @@ functions over the tower by the chain rule
 
 together with the quotient rule, and maps the tower's function field into
 itself.  It is computed cleared (Bronstein 2005, ch. 3): with L the monic
-lcm of the derivatives' denominators and images[i] = L*D(x_i), the
-polynomial L*D(p) = p.derivation(images) needs no gcd, and
-D(n/d) = (L*D(n)*d - n*L*D(d)) / (L*d^2) is reduced once.
+lcm of the derivatives' denominators and images[i] = L*D(x_i), the map
+cleared: p -> L*D(p), built once by ratfun.cleared_derivation (shift 0),
+needs no gcd, and D(n/d) = (L*D(n)*d - n*L*D(d)) / (L*d^2) is reduced once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import (DuplicateName, ForwardReference, InvalidTowerConstant,
                      UnknownSymbol)
-from .ratfun import RatFun, clear_denominators
+from .ratfun import MPoly, RatFun, clear_denominators, cleared_derivation
 
 BASE_VAR = "z"
 _VALIDATED = object()
@@ -37,6 +37,7 @@ class Tower:
         # derivative table indexed like self.vars; z first with D(z) = 1
         self.derivatives = (RatFun.const(self.vars, 1),) + tuple(derivatives)
         self.lcm, self.images = clear_denominators(self.derivatives)
+        self.cleared = cleared_derivation(self.images, MPoly.zero(self.vars))
 
     def gen(self, name: str) -> RatFun:
         if name not in self.vars:
@@ -54,11 +55,10 @@ class Tower:
 
     def differentiate(self, u: RatFun) -> RatFun:
         n, d = u.num, u.den
-        dn = n.derivation(self.images)
+        dn = self.cleared(n)
         if d.is_const():
             return RatFun(dn, self.lcm)
-        return RatFun(dn * d - n * d.derivation(self.images),
-                      self.lcm * d * d)
+        return RatFun(dn * d - n * self.cleared(d), self.lcm * d * d)
 
     def nth_derivative(self, u: RatFun, n: int) -> RatFun:
         if n < 0:

@@ -24,7 +24,8 @@ from difftower.ansatz import (Bounds, Found, NoSolutionWithinBounds, Witness,
 from difftower.errors import DiffTowerError
 from difftower.parser import format_ratfun, parse_expr
 from difftower.randexpr import random_mpoly, random_ratfun, random_tower
-from difftower.ratfun import MPoly, RatFun, clear_denominators
+from difftower.ratfun import (MPoly, RatFun, clear_denominators,
+                              cleared_derivation)
 from difftower.tower import SubfieldSpec, base_subfield, tower_from_pairs
 
 SMALL = Bounds(3, 3, 2, escalation=())
@@ -243,20 +244,20 @@ class TestCellCap:
 
     def test_no_columns_when_no_rung_fits(self, monkeypatch):
         calls = []
-        derivation = MPoly.derivation
+        real = ansatz.cleared_derivation
 
-        def spy(self, images):
-            calls.append(self)
-            return derivation(self, images)
+        def spy(images, shift=None):
+            calls.append(images)
+            return real(images, shift)
 
-        monkeypatch.setattr(MPoly, "derivation", spy)
+        monkeypatch.setattr(ansatz, "cleared_derivation", spy)
         T = tower_from_pairs([])
         out = solve_first_order(parse_expr("1/(z^2 + 1)^2", T),
                                 parse_expr("0", T), T,
                                 Bounds(2, 2, 1, escalation=(), max_cells=1))
         assert isinstance(out, NoSolutionWithinBounds) and not out.certified
         assert calls == []
-        # the spy sees the columns once a rung fits
+        # the spy sees the columns' map once a rung fits
         solve_first_order(parse_expr("1/(z^2 + 1)^2", T), parse_expr("0", T),
                           T, Bounds(2, 2, 1, escalation=()))
         assert calls
@@ -396,31 +397,42 @@ class TestOdeColumns:
         ("log", 16), ("arctan", 16), ("loglog", 36), ("dilog", 36)])
     def test_each_column_is_built_once(self, shape, builds, monkeypatch):
         """The exponential obstruction D(w) = w misses on both rungs.  Of
-        the builds from the images, one is the shift (the one derivation)
-        and one is a column per monomial of the top rung (15 or 35), none
-        again for the monomials the lower rung already built."""
+        the derivations, one is the tower's, of lcm, for the shift, and one
+        is a column per monomial of the top rung (15 or 35), all by one
+        cleared_derivation map, none again for the monomials the lower rung
+        already built."""
         T = _ode_tower(shape)
         zero, one = RatFun.const(T.vars, 0), RatFun.const(T.vars, 1)
-        built, derivations = [], [0]
-        real_column, real_derivation = ansatz._ode_column, MPoly.derivation
+        maps, lcms = [], []   # per map built: (its shift, what it maps)
+        real, tower_map = ansatz.cleared_derivation, T.cleared
 
-        def column(variables, e, terms):
-            built.append(e)
-            return real_column(variables, e, terms)
+        def spy(images, shift=None):
+            derive, mapped = real(images, shift), []
+            maps.append((shift, mapped))
+            return lambda p: mapped.append(p) or derive(p)
 
-        def derivation(self, images):
-            derivations[0] += 1
-            return real_derivation(self, images)
-
-        monkeypatch.setattr(ansatz, "_ode_column", column)
-        monkeypatch.setattr(MPoly, "derivation", derivation)
+        monkeypatch.setattr(ansatz, "cleared_derivation", spy)
+        monkeypatch.setattr(T, "cleared",
+                            lambda p: lcms.append(p) or tower_map(p))
         assert isinstance(
             solve_first_order(zero, one, T, Bounds(2, 2, 1, escalation=())),
             NoSolutionWithinBounds)
-        assert derivations[0] == 1
-        assert len(built) == len(set(built)) == builds - 1
+        [(shift, monoms)] = maps
+        assert shift is not None
+        assert len(lcms) == 1 and len(lcms) + len(monoms) == builds
+        exps = [p.leading_exp() for p in monoms]
+        assert monoms == [MPoly.monomial(T.vars, e) for e in exps]
+        assert len(exps) == len(set(exps))
         # every tower here has offset 2, so the rungs have degree 3 and 4
-        assert set(built) == set(monomials_upto(len(T.vars), 4))
+        assert set(exps) == set(monomials_upto(len(T.vars), 4))
+
+
+def _product_derivation(p, images):
+    """sum_i dp/dx_i * images[i] by MPoly partials, products and sums."""
+    total = MPoly.zero(p.vars)
+    for i, image in enumerate(images):
+        total = total + p.partial(i) * image
+    return total
 
 
 def _ode_images_and_shift(f, g, T, bounds):
@@ -429,14 +441,14 @@ def _ode_images_and_shift(f, g, T, bounds):
     lcm, (f_num, g_num, *d_nums) = clear_denominators([f, g, *T.derivatives])
     power = max(1, bounds.max_den_degree // max(1, lcm.total_degree()))
     return ([lcm * d for d in d_nums],
-            lcm.derivation(d_nums).scale(power) + lcm * g_num)
+            _product_derivation(lcm, d_nums).scale(power) + lcm * g_num)
 
 
 def _product_column(variables, e, images, shift):
-    """A column by polynomial arithmetic, as it was built before key
-    shifts: x^e.derivation(images) - x^e*shift."""
+    """A column by polynomial arithmetic: the derivation of x^e by
+    products, less x^e*shift."""
     m = MPoly.monomial(variables, e)
-    return m.derivation(images) - m * shift
+    return _product_derivation(m, images) - m * shift
 
 
 class TestOdeColumnsByKeyShifts:
@@ -475,8 +487,8 @@ class TestOdeColumnsByKeyShifts:
         assert checked == {(d, nz) for d in range(4) for nz in (False, True)}
 
     def test_images_over_different_denominators(self):
-        """Images and shift with unlike rational coefficients: every column
-        up to degree 3 equals the product-built one."""
+        """Images and shift with unlike rational coefficients: the map of
+        every monomial up to degree 3 equals the product-built column."""
         rng = random.Random(7)
         unlike = 0
         for n in (1, 2, 3):
@@ -486,9 +498,9 @@ class TestOdeColumnsByKeyShifts:
                           for _ in range(n)]
                 shift = random_mpoly(rng, variables, max_deg=3)
                 unlike += len({p.den for p in images + [shift]}) > 1
-                terms = ansatz._shifted_terms(images, shift)
+                column = cleared_derivation(images, shift)
                 for e in monomials_upto(n, 3):
-                    assert ansatz._ode_column(variables, e, terms) \
+                    assert column(MPoly.monomial(variables, e)) \
                         == _product_column(variables, e, images, shift)
         assert unlike > 6
 

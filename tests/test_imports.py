@@ -2,6 +2,7 @@
 module imports on its own."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -60,3 +61,10 @@ def test_module_imports_alone(path):
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("module", ["ansatz", "structure", "tower"])
+def test_key_layout_stays_in_ratfun(module):
+    # only ratfun knows the packed exponent keys
+    namespace = vars(importlib.import_module(f"difftower.{module}"))
+    assert not {"_pack", "_unit", "_MASK", "_S", "_W"} & namespace.keys()

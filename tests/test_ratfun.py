@@ -13,7 +13,8 @@ from difftower.errors import (DiffTowerError, DivisionByZero,
                                ExponentOverflow, VariableMismatch,
                                ZeroDenominator)
 from difftower import ratfun
-from difftower.ratfun import MPoly, RatFun, poly_gcd, poly_lcm
+from difftower.ratfun import (MPoly, RatFun, cleared_derivation, poly_gcd,
+                              poly_lcm)
 
 V2 = ("x", "y")
 V3 = ("x", "y", "w")
@@ -63,13 +64,14 @@ class TestMPoly:
     def test_derivation_with_unit_images_is_partial(self):
         rng = random.Random(331)
         from difftower.randexpr import random_mpoly
+        zero = MPoly.zero(V3)
         for _ in range(20):
             p = random_mpoly(rng, V3, max_deg=4)
             for i in range(len(V3)):
                 unit = [MPoly.const(V3, int(j == i)) for j in range(len(V3))]
-                assert p.derivation(unit) == p.partial(i)
+                assert cleared_derivation(unit, zero)(p) == p.partial(i)
         ones = [MPoly.const(V3, 1)] * len(V3)
-        assert MPoly.const(V3, 5).derivation(ones) == MPoly.zero(V3)
+        assert cleared_derivation(ones, zero)(MPoly.const(V3, 5)) == zero
 
     def test_try_divexact(self):
         p = P("x^2 - y^2")
@@ -224,6 +226,51 @@ class TestIntegerKernels:
         assert ratfun._divexact_int(_packed({(1, 0): 1, (0, 0): 1}), b) is None
         # y / x: the exponent difference goes negative
         assert ratfun._divexact_int(_packed({(0, 1): 1}), b) is None
+
+
+def _ref_cleared_derivation(p, images, shift):
+    """sum_i dp/dx_i * images[i] - p*shift by MPoly partials, products and
+    sums."""
+    total = MPoly.zero(p.vars)
+    for i, image in enumerate(images):
+        total = total + p.partial(i) * image
+    return total - p * shift
+
+
+class TestClearedDerivation:
+    """The map of cleared_derivation against the same sum built from
+    partials and products."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mpolys, _mpolys, _mpolys, _mpolys)
+    # unlike denominators, with and without a shift
+    @example(P("x^2*y + 3*x"), P("x/2 + 1/3"), P("y^2/5 - x"), MPoly.zero(V2))
+    @example(P("x^2*y + 3*x"), P("x/2 + 1/3"), P("y^2/5 - x"), P("x*y/7 + 1"))
+    # a zero image, a zero p and a constant p
+    @example(P("x^3*y^2 - y"), MPoly.zero(V2), P("x + y/3"), P("2*y"))
+    @example(MPoly.zero(V2), P("x/3"), P("y/2"), P("x + 1"))
+    @example(P("5/3"), P("x/3"), P("y/2"), P("x/4 + 1"))
+    @example(P("5/3"), P("x/3"), P("y/2"), MPoly.zero(V2))
+    def test_matches_partials_and_products(self, p, a, b, shift):
+        derive = cleared_derivation([a, b], shift)
+        got = derive(p)
+        assert got == _ref_cleared_derivation(p, [a, b], shift)
+        assert got.den > 0 and gcd(got.den, *got.ints.values()) == 1
+        # the map keeps no state from one call to the next
+        assert derive(p + P("x*y")) \
+            == _ref_cleared_derivation(p + P("x*y"), [a, b], shift)
+
+    def test_foreign_variables_raise(self):
+        images, zero = [P("x + 1"), P("y/2")], MPoly.zero(V2)
+        with pytest.raises(VariableMismatch):
+            cleared_derivation(images, zero)(P("x*w", V3))
+        with pytest.raises(VariableMismatch):
+            cleared_derivation(images, P("w", V3))
+        with pytest.raises(VariableMismatch):
+            cleared_derivation([P("x"), P("v", ("x", "v"))], zero)
+        # a constant p over other variables is caught as well
+        with pytest.raises(VariableMismatch):
+            cleared_derivation(images, zero)(MPoly.const(("y", "x"), 3))
 
 
 class TestStoredForm:
@@ -1100,6 +1147,16 @@ class TestExponentWidth:
             half * half
         assert (half * y ** (2 ** (W - 1) - 1)).terms \
             == {(2 ** (W - 1), 2 ** (W - 1) - 1): 1}
+
+    def test_cleared_derivation(self):
+        x, y = MPoly.var(V2, "x"), MPoly.var(V2, "y")
+        top, zero = x ** _MAX, MPoly.zero(V2)
+        # d(x^MAX)/dx * x^2 has total degree MAX + 1
+        with pytest.raises(ExponentOverflow):
+            cleared_derivation([x * x, y], zero)(top)
+        with pytest.raises(ExponentOverflow):
+            cleared_derivation([y, y], y)(top)
+        assert cleared_derivation([x, y], zero)(top).terms == {(_MAX, 0): _MAX}
 
     def test_power_and_shift(self):
         x = MPoly.var(V2, "x")

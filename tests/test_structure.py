@@ -735,3 +735,33 @@ class TestOneOraclePerStep:
         # each membership search differentiates each K generator once per
         # order it reaches
         assert len(calls) == 8
+
+    @pytest.mark.parametrize("tower, gens", [
+        # the search workload's K = Q((zeta1 + 2)/(z + 1)) over log(z + 1)
+        (lambda: tower_from_pairs([("zeta1", parse_expr("1/(z + 1)",
+                                                        ("z", "zeta1")))]),
+         ["(zeta1 + 2)/(z + 1)"]),
+        # zeta1 is OUT in two ascent steps and misses membership in both
+        (two_log_tower, ["zeta2/z"]),
+        (two_log_tower, ["zeta1 + zeta2"]),
+    ])
+    def test_subfield_structure_differentiates_each_candidate_once(
+            self, monkeypatch, tower, gens):
+        import sys
+        from collections import Counter
+        from difftower.tower import Tower
+        T = tower()
+        K = SubfieldSpec(generators=tuple(parse_expr(g, T) for g in gens))
+        calls = Counter()   # the values subfield_structure differentiates
+        real = Tower.differentiate
+
+        def spy(self, u):
+            if sys._getframe(1).f_code.co_name == "subfield_structure":
+                calls[u] += 1
+            return real(self, u)
+
+        monkeypatch.setattr(Tower, "differentiate", spy)
+        report = subfield_structure(K, T, SMALL)
+        assert report.status == "resolved"
+        assert T.gen("zeta1") in calls
+        assert set(calls.values()) == {1}

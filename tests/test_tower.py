@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from difftower.errors import (DuplicateName, ForwardReference,
-                              InvalidTowerConstant, UnknownSymbol)
+                              InvalidTowerConstant, UnknownSymbol,
+                              VariableMismatch)
 from difftower.parser import parse_expr
 from difftower.randexpr import random_mpoly, random_ratfun, random_tower
 from difftower.ratfun import RatFun
@@ -147,6 +148,15 @@ class TestClearedDerivation:
                 assert T.differentiate(u) == _reference_differentiate(T, u)
             assert T.differentiate(samples[2]).is_zero()
             assert T.differentiate(samples[3]).is_zero()
+
+    @pytest.mark.parametrize("text", ["zeta1*z + 1", "z/(zeta1 + 1)", "3",
+                                      "2/(z + 1)"])
+    def test_foreign_variables_raise(self, text):
+        T = log_tower()
+        for variables in [("z", "w"), ("zeta1", "z"), ("z",)]:
+            u = parse_expr(text.replace("zeta1", variables[-1]), variables)
+            with pytest.raises(VariableMismatch):
+                T.differentiate(u)
 
 
 def _sympy_poly(p, symbols):
