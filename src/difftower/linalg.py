@@ -5,12 +5,16 @@ eliminated once: ``nullspace``, ``solve_affine``, ``structure.LinearField``
 and ``ansatz._kernel_rref``, which needs no second rref, reduce through it.
 
 Rows in are dicts {column index: int or Fraction}, rows out {column index:
-Fraction}.  Everything reduces to the unique RREF, so results do not depend
-on pivot-selection heuristics; the heuristics only fight fill-in.  Inside
-``rref`` each row is cleared once to integers (integer rows, as
-``ansatz._assemble_rows`` builds them, need no clearing) and eliminated
-fraction-free (Bareiss-style cross multiplication, then division by the
-row's integer content); only the finished pivot rows become Fractions
+Fraction} with keys in ascending column order.  Everything reduces to the
+unique RREF, so results do not depend on pivot-selection heuristics; the
+heuristics only fight fill-in.  Inside ``rref`` each row is cleared once to
+integers (integer rows, as ``ansatz._assemble_rows`` builds them, need no
+clearing).  Unit rows go first: a row with a single entry in column c puts
+e_c in the row space, so c is a pivot with RREF row {c: 1} and is deleted
+from every other row with no arithmetic, which may leave further unit rows
+(coefficient matching makes many).  The column loop then eliminates what is
+left fraction-free (Bareiss-style cross multiplication, then division by
+the row's integer content); only its finished pivot rows become Fractions
 again, so the result is the same unique RREF.
 
 ``check_size`` caps a system's cells at a bound its caller passes in (for
@@ -27,6 +31,7 @@ from .errors import BoundsExceeded
 
 Row = Dict[int, Fraction]
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 DEFAULT_MAX_CELLS = 500_000
 
@@ -39,14 +44,20 @@ def check_size(n_rows: int, n_cols: int, cap: int):
 
 
 def rref(rows: List[Row], n_cols: int) -> Tuple[List[Row], List[int]]:
-    """Reduced row echelon form.  Returns (rows, pivot column per row).
+    """Reduced row echelon form.  Returns (rows, pivot column per row), in
+    pivot column order, each row's keys in ascending column order.
 
     Entries may be int or Fraction; the result is always Fraction, with each
-    pivot entry exactly 1."""
+    pivot entry exactly 1.  Unit rows are taken first (``_unit_pivots``),
+    then the column loop eliminates the rows that are left."""
     rows = [r for r in map(_cleared, rows) if r]
+    red = {c: {c: _ONE} for c in _unit_pivots(rows)}
+    rows = [r for r in rows if r]
     echelon: List[Dict[int, int]] = []
     pivots: List[int] = []
     for col in range(n_cols):
+        if not rows:
+            break
         holding = [i for i, r in enumerate(rows) if col in r]
         if not holding:
             continue
@@ -60,13 +71,37 @@ def rref(rows: List[Row], n_cols: int) -> Tuple[List[Row], List[int]]:
         rows = [r for r in rows if r]
         echelon.append(pivot)
         pivots.append(col)
-        if not rows:
-            break
-    red = []
-    for i in sorted(range(len(pivots)), key=pivots.__getitem__):
-        pv = echelon[i][pivots[i]]
-        red.append({c: Fraction(v, pv) for c, v in echelon[i].items()})
-    return red, sorted(pivots)
+    for row, col in zip(echelon, pivots):
+        pv = row[col]
+        red[col] = {c: Fraction(row[c], pv) for c in sorted(row)}
+    cols = sorted(red)
+    return [red[c] for c in cols], cols
+
+
+def _unit_pivots(rows: List[Dict[int, int]]) -> List[int]:
+    """The pivot columns that unit rows show, deleted from every row in
+    place.  Deleting a unit row's column from the rows holding it may leave
+    another unit row, which is taken in turn; a second unit row on a
+    column ends up empty, and empty rows stay in ``rows``."""
+    stack = [r for r in rows if len(r) == 1]
+    if not stack:
+        return []
+    holders: Dict[int, List[Dict[int, int]]] = {}
+    for r in rows:
+        for c in r:
+            holders.setdefault(c, []).append(r)
+    units = []
+    while stack:
+        r = stack.pop()
+        if not r:
+            continue
+        (col,) = r
+        units.append(col)
+        for h in holders[col]:
+            del h[col]
+            if len(h) == 1:
+                stack.append(h)
+    return units
 
 
 def _cleared(row) -> Dict[int, int]:

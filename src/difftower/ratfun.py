@@ -610,9 +610,10 @@ def _prs_gcd(p: MPoly, q: MPoly) -> MPoly:
 
 def poly_gcd(p: MPoly, q: MPoly):
     """(g, p/g, q/g) with g the monic gcd, or (0, 0, 0).  Tried in order: a
-    zero operand, equal up to a scalar, a monomial operand, GCDHEU, whose
-    trial divisions give the cofactors, then the primitive PRS.  Elsewhere
-    the cofactors are exact quotients, or p and q themselves when g is 1."""
+    zero operand, equal up to a scalar, a constant operand (g is 1), a
+    monomial operand, GCDHEU, whose trial divisions give the cofactors,
+    then the primitive PRS.  Elsewhere the cofactors are exact quotients,
+    or p and q themselves when g is 1."""
     if p.vars != q.vars:
         raise VariableMismatch(f"{p.vars!r} vs {q.vars!r}")
     if p.is_zero():
@@ -622,6 +623,8 @@ def poly_gcd(p: MPoly, q: MPoly):
     elif p.ints.keys() == q.ints.keys() and (m := p.monic()) == q.monic():
         g = m
     elif len(p.ints) == 1 or len(q.ints) == 1:
+        if p.is_const() or q.is_const():
+            return MPoly._over(p.vars, {0: 1}), p, q
         g = _monomial_gcd(p, q)
     else:
         got = _heu_gcd(p, q)

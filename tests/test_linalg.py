@@ -18,7 +18,7 @@ def F(x):
 
 def _reference_rref(rows, n_cols):
     """Elimination over Fraction rows: the RREF that linalg.rref must give,
-    row key order included."""
+    with each row's keys in ascending column order."""
     rows = [dict(r) for r in rows if r]
     echelon = []
     pivots = []
@@ -49,7 +49,7 @@ def _reference_rref(rows, n_cols):
         if not rows:
             break
     order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [echelon[i] for i in order], sorted(pivots)
+    return [dict(sorted(echelon[i].items())) for i in order], sorted(pivots)
 
 
 def _items(rows):
@@ -65,11 +65,11 @@ small = st.builds(Fraction, st.integers(-9, 9).filter(bool),
 
 @st.composite
 def systems(draw):
-    """Sparse rows over up to 10 columns, with empty rows, duplicates and
-    rows that are combinations of others, in any order."""
+    """Sparse rows over up to 10 columns, with empty rows, unit rows,
+    duplicates and rows that are combinations of others, in any order."""
     n_cols = draw(st.integers(1, 10))
-    row = st.dictionaries(st.integers(0, n_cols - 1),
-                          st.one_of(rationals, small), max_size=n_cols)
+    entry = st.integers(0, n_cols - 1), st.one_of(rationals, small)
+    row = st.dictionaries(*entry, max_size=n_cols)
     base = draw(st.lists(row, max_size=7))
     rows = list(base)
     if base:
@@ -82,6 +82,8 @@ def systems(draw):
                     combo[j] = combo.get(j, 0) + c * v
             rows.append({j: v for j, v in combo.items() if v})
         rows += draw(st.lists(st.sampled_from(base), max_size=2))
+    rows += draw(st.lists(st.dictionaries(*entry, min_size=1, max_size=1),
+                          max_size=3))
     return draw(st.permutations(rows)), n_cols
 
 
@@ -173,17 +175,81 @@ class TestRref:
         assert kernel == [[F(-1), F(1)]]
 
     def test_inputs_are_not_mutated(self):
+        # the unit rows {3: 4} and {1: F(2)} delete their columns from the
+        # other rows, which rref must do on its own copies
         rows = [{2: Fraction(1, 2), 0: F(3)}, {0: 6, 1: F(2)}, {},
-                {1: Fraction(-5, 7), 2: F(1)}, {2: 3, 0: -1}]
-        rhs = [F(1), 2, F(0), Fraction(3, 4), 5]
+                {1: Fraction(-5, 7), 2: F(1), 3: 2}, {2: 3, 0: -1},
+                {3: 4}, {1: F(2)}, {4: F(0), 3: Fraction(1, 3)}]
+        rhs = [F(1), 2, F(0), Fraction(3, 4), 5, 0, F(1), 2]
         before = copy.deepcopy(rows), copy.deepcopy(rhs)
-        linalg.rref(rows, 3)
-        linalg.nullspace(rows, 3)
-        linalg.solve_affine(rows, rhs, 3)
+        linalg.rref(rows, 5)
+        linalg.nullspace(rows, 5)
+        linalg.solve_affine(rows, rhs, 5)
         assert (rows, rhs) == before
         assert _items(rows) == _items(before[0])
         assert all(type(a) is type(b) for r, s in zip(rows, before[0])
                    for a, b in zip(r.values(), s.values()))
+
+
+class TestUnitRows:
+    """Single-entry rows are pivots taken before the column loop."""
+
+    def _check(self, rows, n_cols):
+        red, pivots = linalg.rref(rows, n_cols)
+        want = _reference_rref(
+            [{c: F(v) for c, v in r.items()} for r in rows], n_cols)
+        assert (red, pivots) == want
+        assert _items(red) == _items(want[0])
+        return red, pivots
+
+    def test_two_unit_rows_on_one_column(self):
+        rows = [{1: F(3)}, {0: F(1), 1: F(2)}, {1: -5}]
+        assert self._check(rows, 2) == ([{0: F(1)}, {1: F(1)}], [0, 1])
+        assert linalg.nullspace(rows, 3) == [[F(0), F(0), F(1)]]
+
+    def test_cascade(self, monkeypatch):
+        # {2} empties column 2 from the second row, which leaves {1}; that
+        # leaves {0} in the third, and the fourth keeps columns 3 and 4
+        rows = [{0: F(1), 1: F(1), 3: F(1), 4: F(1)}, {1: F(4), 2: F(1)},
+                {0: F(2), 1: F(3)}, {2: Fraction(1, 2)}]
+        eliminated = []
+        real = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate",
+                            lambda *a: eliminated.append(a) or real(*a))
+        assert self._check(rows, 5) == (
+            [{0: F(1)}, {1: F(1)}, {2: F(1)}, {3: F(1), 4: F(1)}],
+            [0, 1, 2, 3])
+        assert eliminated == []   # one row is left, with nothing to eliminate
+        assert linalg.nullspace(rows, 5) == [[F(0), F(0), F(0), F(-1), F(1)]]
+        particular, kernel = linalg.solve_affine(rows, [F(2), 0, 0, 0], 5)
+        assert particular == [F(0), F(0), F(0), F(2), F(0)]
+
+    def test_unit_row_in_the_rhs_column(self):
+        # 0 = 5 after eliminating: rhs alone in its row is inconsistent
+        rows = [{0: F(1), 1: F(1)}, {}, {0: F(2), 1: F(2)}]
+        particular, kernel = linalg.solve_affine(rows, [F(1), F(5), F(2)], 2)
+        assert particular is None
+        assert kernel == [[F(-1), F(1)]]
+        rows = [{0: F(1), 1: F(1)}, {1: F(2)}]
+        particular, kernel = linalg.solve_affine(rows, [F(3), F(4)], 2)
+        assert particular == [F(1), F(2)] and kernel == []
+
+    def test_only_unit_rows(self):
+        rows = [{3: F(-2)}, {1: 7}, {3: Fraction(1, 9)}, {0: F(5)}]
+        assert self._check(rows, 5) \
+            == ([{0: F(1)}, {1: F(1)}, {3: F(1)}], [0, 1, 3])
+        assert linalg.nullspace(rows, 5) \
+            == [[F(0), F(0), F(1), F(0), F(0)],
+                [F(0), F(0), F(0), F(0), F(1)]]
+        particular, kernel = linalg.solve_affine(rows, [1, 2, 3, 4], 5)
+        assert particular is None
+
+    def test_unit_row_next_to_rows_that_cancel(self):
+        rows = [{0: F(1), 1: F(2), 2: F(3)}, {0: F(-2), 1: F(-4), 2: F(-6)},
+                {2: F(7)}, {0: F(1), 1: F(2)}]
+        red, pivots = self._check(rows, 3)
+        assert (red, pivots) == ([{0: F(1), 1: F(2)}, {2: F(1)}], [0, 2])
+        assert linalg.nullspace(rows, 3) == [[F(-2), F(1), F(0)]]
 
 
 class TestNullspace:

@@ -410,6 +410,23 @@ class TestGcd:
         assert poly_gcd(P("2"), P("x + 1")) == (one, P("2"), P("x + 1"))
         assert poly_gcd(P("x + 1"), P("3")) == (one, P("x + 1"), P("3"))
 
+    def test_constant_operand_skips_the_monomial_scan(self, monkeypatch):
+        one = MPoly.const(V2, 1)
+        half, m, f = P("1/2"), P("-3*x^2*y"), P("x*y + 2*y^3 - 1/5")
+        cases = [(half, P("-4")), (half, m), (m, half), (half, f), (f, half)]
+        # the same results as the scan over every variable gives
+        for p, q in cases:
+            assert ratfun._monomial_gcd(p, q) == one
+        calls = []
+        _spy(monkeypatch, "_monomial_gcd", calls)
+        for p, q in cases:
+            g, pg, qg = poly_gcd(p, q)
+            assert (g, pg, qg) == (one, p, q)
+            assert pg is p and qg is q
+        assert calls == []
+        assert poly_gcd(m, P("x*y^3"))[0] == P("x*y")
+        assert calls == [(m, P("x*y^3"))]
+
     def test_zero_cases(self):
         z = MPoly.zero(V2)
         two = MPoly.const(V2, 2)
