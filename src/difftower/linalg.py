@@ -1,21 +1,23 @@
 """Exact sparse linear algebra over Q for the undetermined-coefficients engine.
 
 ``rref`` is the one Gaussian elimination in difftower, and each system is
-eliminated once: ``nullspace``, ``solve_affine``, ``structure.LinearField``
-and ``ansatz._kernel_rref``, which needs no second rref, reduce through it.
+eliminated once: ``nullspace``, ``structure.LinearField`` and
+``ansatz._kernel_rref``, which needs no second rref, reduce through it, and
+``solve_affine`` is one ``nullspace``, of ``[A | -b]``.
 
 Rows in are dicts {column index: int or Fraction}, rows out {column index:
 Fraction} with keys in ascending column order.  Everything reduces to the
 unique RREF, so results do not depend on pivot-selection heuristics; the
 heuristics only fight fill-in.  Inside ``rref`` each row is cleared once to
-integers (integer rows, as ``ansatz._assemble_rows`` builds them, need no
-clearing).  Unit rows go first: a row with a single entry in column c puts
+integers (integer rows, as ``ansatz._assemble_rows`` builds them, are only
+copied).  Unit rows go first: a row with a single entry in column c puts
 e_c in the row space, so c is a pivot with RREF row {c: 1} and is deleted
 from every other row with no arithmetic, which may leave further unit rows
 (coefficient matching makes many).  The column loop then eliminates what is
-left fraction-free (Bareiss-style cross multiplication, then division by
-the row's integer content); only its finished pivot rows become Fractions
-again, so the result is the same unique RREF.
+left fraction-free (Bareiss-style cross multiplication); a row's integer
+content is divided out only after such an elimination, and the finished
+pivot rows, divided by their pivot entries, become Fractions again, so the
+result is the same unique RREF.
 
 ``check_size`` caps a system's cells at a bound its caller passes in (for
 the searches, ``Bounds.max_cells``); nothing here reads process-wide state.
@@ -49,8 +51,9 @@ def rref(rows: List[Row], n_cols: int) -> Tuple[List[Row], List[int]]:
 
     Entries may be int or Fraction; the result is always Fraction, with each
     pivot entry exactly 1.  Unit rows are taken first (``_unit_pivots``),
-    then the column loop eliminates the rows that are left."""
-    rows = [r for r in map(_cleared, rows) if r]
+    then the column loop eliminates the rows that are left, dividing out
+    a row's content after each elimination only."""
+    rows = list(map(_cleared, rows))
     red = {c: {c: _ONE} for c in _unit_pivots(rows)}
     rows = [r for r in rows if r]
     echelon: List[Dict[int, int]] = []
@@ -105,14 +108,13 @@ def _unit_pivots(rows: List[Dict[int, int]]) -> List[int]:
 
 
 def _cleared(row) -> Dict[int, int]:
-    """The row times the lcm of its denominators, divided by its content;
-    explicit zero entries are dropped.  Always a new dict, as rref updates
-    its rows in place."""
+    """The row times the lcm of its denominators, explicit zero entries
+    dropped.  Always a new dict, as rref updates its rows in place."""
     if all(type(v) is int for v in row.values()):
-        return _primitive({c: v for c, v in row.items() if v})
+        return {c: v for c, v in row.items() if v}
     d = lcm(*[v.denominator for v in row.values()])
-    return _primitive({c: v.numerator * (d // v.denominator)
-                       for c, v in row.items() if v})
+    return {c: v.numerator * (d // v.denominator)
+            for c, v in row.items() if v}
 
 
 def _eliminate(r, pivot, pv, f) -> Dict[int, int]:
@@ -144,47 +146,35 @@ def _primitive(row: Dict[int, int]) -> Dict[int, int]:
 
 def nullspace(rows: List[Row], n_cols: int) -> List[List[Fraction]]:
     """Deterministic kernel basis: one vector per free column, in column
-    order, with the free coordinate set to 1."""
-    return _kernel_from(*rref(rows, n_cols), n_cols)
+    order, with the free coordinate set to 1 and every other free
+    coordinate 0."""
+    red, pivots = rref(rows, n_cols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(n_cols):
+        if free in pivot_set:
+            continue
+        vec = [_ZERO] * n_cols
+        vec[free] = _ONE
+        for row, pcol in zip(red, pivots):
+            coeff = row.get(free)
+            if coeff is not None:
+                vec[pcol] = -coeff
+        basis.append(vec)
+    return basis
 
 
 def solve_affine(rows: List[Row], rhs: Sequence[Fraction], n_cols: int):
     """Solve A x = b exactly.
 
     Returns (particular solution with all free variables 0, kernel basis),
-    or (None, kernel basis) when inconsistent.
-    """
-    aug = []
-    for row, b in zip(rows, rhs):
-        r = dict(row)
-        if b != 0:
-            r[n_cols] = b
-        aug.append(r)
-    red, pivots = rref(aug, n_cols + 1)
-    kernel = _kernel_from(red, pivots, n_cols)
-    if n_cols in pivots:
-        return None, kernel
-    particular = [_ZERO] * n_cols
-    for row, pcol in zip(red, pivots):
-        particular[pcol] = row.get(n_cols, _ZERO)
-    return particular, kernel
-
-
-def _kernel_from(red, pivots, n_cols):
-    """Kernel basis of the first n_cols columns of an RREF; a pivot in a
-    later (right-hand side) column is skipped."""
-    pivot_set = {p for p in pivots if p < n_cols}
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = [_ZERO] * n_cols
-        vec[free] = Fraction(1)
-        for row, pcol in zip(red, pivots):
-            if pcol >= n_cols:
-                continue
-            coeff = row.get(free)
-            if coeff is not None:
-                vec[pcol] = -coeff
-        basis.append(vec)
-    return basis
+    or (None, kernel basis) when inconsistent.  Both come from the one
+    ``nullspace`` of [A | -b]: its column n_cols is free exactly when the
+    system is consistent, and then its last vector (coordinate n_cols is 1)
+    is the particular solution; the other vectors are A's kernel."""
+    basis = nullspace([{**row, n_cols: -b} if b else row
+                       for row, b in zip(rows, rhs)], n_cols + 1)
+    tails = [vec.pop() for vec in basis]   # coordinate n_cols, cut off
+    if tails and tails[-1]:
+        return basis.pop(), basis
+    return None, basis

@@ -128,8 +128,11 @@ class LinearField:
             self.subst[tower.vars[col]] = value - rest.extend_vars(self.ext_vars)
 
     def rewrite(self, u: RatFun) -> RatFun:
+        """u, over the tower's vars, rewritten over ext_vars; with no
+        synthetic coordinate ext_vars is the tower's vars and u is returned
+        as it is."""
         if not self.subst:
-            return u.extend_vars(self.ext_vars)
+            return u
         return u.substitute(self.subst, self.ext_vars)
 
     def contains(self, u: RatFun) -> bool:

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from difftower import linalg
@@ -52,6 +52,35 @@ def _reference_rref(rows, n_cols):
     return [dict(sorted(echelon[i].items())) for i in order], sorted(pivots)
 
 
+def _reference_solve_affine(rows, rhs, n_cols):
+    """solve_affine read off the RREF of [A | b]: column n_cols is a pivot
+    when the system is inconsistent, else it holds the particular solution
+    at each pivot column; the kernel comes from the columns before it."""
+    aug = []
+    for row, b in zip(rows, rhs):
+        r = dict(row)
+        if b != 0:
+            r[n_cols] = b
+        aug.append(r)
+    red, pivots = linalg.rref(aug, n_cols + 1)
+    kernel = []
+    for free in range(n_cols):
+        if free in pivots:
+            continue
+        vec = [F(0)] * n_cols
+        vec[free] = F(1)
+        for row, pcol in zip(red, pivots):
+            if pcol < n_cols and free in row:
+                vec[pcol] = -row[free]
+        kernel.append(vec)
+    if n_cols in pivots:
+        return None, kernel
+    particular = [F(0)] * n_cols
+    for row, pcol in zip(red, pivots):
+        particular[pcol] = row.get(n_cols, F(0))
+    return particular, kernel
+
+
 def _items(rows):
     return [list(r.items()) for r in rows]
 
@@ -85,6 +114,20 @@ def systems(draw):
     rows += draw(st.lists(st.dictionaries(*entry, min_size=1, max_size=1),
                           max_size=3))
     return draw(st.permutations(rows)), n_cols
+
+
+@st.composite
+def affine_systems(draw):
+    """A system of systems() with a right-hand side: all zero, drawn, or
+    nonzero on every row (which makes an empty row inconsistent)."""
+    rows, n_cols = draw(systems())
+    value = st.one_of(st.integers(-3, 3), small, rationals)
+    rhs = draw(st.one_of(
+        st.just([0] * len(rows)),
+        st.lists(value, min_size=len(rows), max_size=len(rows)),
+        st.lists(value.filter(bool), min_size=len(rows),
+                 max_size=len(rows))))
+    return rows, rhs, n_cols
 
 
 def _as_ints(rows):
@@ -180,7 +223,8 @@ class TestRref:
         rows = [{2: Fraction(1, 2), 0: F(3)}, {0: 6, 1: F(2)}, {},
                 {1: Fraction(-5, 7), 2: F(1), 3: 2}, {2: 3, 0: -1},
                 {3: 4}, {1: F(2)}, {4: F(0), 3: Fraction(1, 3)}]
-        rhs = [F(1), 2, F(0), Fraction(3, 4), 5, 0, F(1), 2]
+        # rows with a zero right-hand side reach rref uncopied
+        rhs = [F(1), 2, F(0), Fraction(3, 4), 5, 0, F(1), 0]
         before = copy.deepcopy(rows), copy.deepcopy(rhs)
         linalg.rref(rows, 5)
         linalg.nullspace(rows, 5)
@@ -189,6 +233,42 @@ class TestRref:
         assert _items(rows) == _items(before[0])
         assert all(type(a) is type(b) for r, s in zip(rows, before[0])
                    for a, b in zip(r.values(), s.values()))
+        assert [type(b) for b in rhs] == [type(b) for b in before[1]]
+
+
+class TestEntryPass:
+    """rref clears rows to integers on entry and divides out no content
+    there: the column loop does it after each elimination."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(systems(), st.data())
+    def test_scaled_rows_give_the_unscaled_rref(self, system, data):
+        rows, n_cols = system
+        # unit rows with a coefficient other than +-1 after scaling
+        rows = rows + data.draw(st.lists(
+            st.integers(0, n_cols - 1).map(lambda c: {c: F(1)}),
+            max_size=3))
+        scales = data.draw(st.lists(
+            st.one_of(st.integers(-12, 12), st.integers(-BIG, BIG))
+            .filter(bool), min_size=len(rows), max_size=len(rows)))
+        scaled = [{c: s * v for c, v in r.items()}
+                  for r, s in zip(rows, scales)]
+        want, want_pivots = _reference_rref(rows, n_cols)
+        for given_rows in (scaled, _as_ints(scaled)):
+            red, pivots = linalg.rref(given_rows, n_cols)
+            assert (red, pivots) == (want, want_pivots)
+            assert _items(red) == _items(want)
+
+    def test_no_content_division_without_elimination(self, monkeypatch):
+        divided = []
+        real = linalg._primitive
+        monkeypatch.setattr(linalg, "_primitive",
+                            lambda r: divided.append(r) or real(r))
+        rows = [{0: 4, 1: 6, 3: -10}, {2: 9}, {1: F(4), 3: Fraction(8, 3)}]
+        assert linalg.rref(rows, 4) == (
+            [{0: F(1), 3: Fraction(-7, 2)}, {1: F(1), 3: Fraction(2, 3)},
+             {2: F(1)}], [0, 1, 2])
+        assert len(divided) == 1   # the one elimination, of column 1
 
 
 class TestUnitRows:
@@ -287,6 +367,42 @@ class TestSolveAffine:
         rows = [{0: F(1)}, {0: F(1)}]
         particular, _ = linalg.solve_affine(rows, [F(1), F(2)], 2)
         assert particular is None
+
+    # solve_affine is one nullspace of [A | -b]; the reference reads the
+    # RREF of [A | b] instead
+    @settings(max_examples=300, deadline=None)
+    @given(affine_systems())
+    @example(([], [], 0))
+    @example(([], [], 3))
+    @example(([{}, {}], [0, F(2)], 0))
+    @example(([{0: F(1)}, {}], [F(1), F(0)], 2))
+    @example(([{0: F(1)}, {}], [F(1), 3], 2))
+    @example(([{0: F(1), 1: F(1)}, {0: 2, 1: 2}], [1, 3], 2))
+    def test_matches_reference(self, system):
+        rows, rhs, n_cols = system
+        want = _reference_solve_affine(rows, rhs, n_cols)
+        for given_rows in (rows, _as_ints(rows)):
+            got = linalg.solve_affine(given_rows, rhs, n_cols)
+            assert got == want
+            particular, kernel = got
+            assert all(type(v) is Fraction
+                       for vec in [particular or []] + kernel for v in vec)
+
+    def test_one_nullspace_of_the_augmented_system(self, monkeypatch):
+        calls = []
+        real = linalg.nullspace
+        monkeypatch.setattr(linalg, "nullspace",
+                            lambda *a: calls.append(a) or real(*a))
+        rows = [{0: F(1), 1: F(1)}, {0: F(2), 1: F(-2)}, {0: 3}]
+        rhs = [F(3), 0, Fraction(9, 2)]
+        particular, kernel = linalg.solve_affine(rows, rhs, 2)
+        assert (particular, kernel) == ([Fraction(3, 2)] * 2, [])
+        ((aug, n),) = calls
+        assert n == 3
+        assert _items(aug) == [[(0, F(1)), (1, F(1)), (2, F(-3))],
+                               list(rows[1].items()),
+                               [(0, 3), (2, Fraction(-9, 2))]]
+        assert aug[1] is rows[1]
 
 
 class TestSizeCap:

@@ -179,6 +179,18 @@ class TestLinearField:
                              parse_expr("zeta1", T)))
         assert F2.contains(parse_expr("zeta2", T))
 
+    def test_rewrite_substitutes_only_synthetic_coordinates(self):
+        T = two_log_tower()
+        u = parse_expr("(z + zeta1^2)/(zeta2 - 1)", T)
+        F = LinearField(T, (parse_expr("z", T), parse_expr("zeta1", T)))
+        assert F.ext_vars == T.vars and F.rewrite(u) is u
+        G = LinearField(T, (parse_expr("z", T),
+                            parse_expr("zeta1 + zeta2", T)))
+        assert G.ext_vars == T.vars + ("~0",)
+        assert G.rewrite(parse_expr("zeta1 + zeta2 + z^2", T)) \
+            == RatFun.var(G.ext_vars, "~0") \
+            + parse_expr("z^2", T).extend_vars(G.ext_vars)
+
     def test_shifted_generator_without_z(self):
         T = log_tower()
         F = LinearField(T, (parse_expr("zeta1 + z^2", T),))
