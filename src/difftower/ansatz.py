@@ -14,6 +14,10 @@ ones (ODE rungs, solve_linear_ansatz and ratint's Horowitz system) by
 _solve_columns.  The one division with remainder over Q is
 MPoly.divmod_lead; _poly_part_constant reads the constant term of its
 quotient.
+Membership in a subfield K is one MembershipSearch: K's closure chains and
+each order's cleared levels are built once, as its effort ladder first
+reaches them, and shared by every target it is asked about;
+subfield_membership is one such search for one target.
 Searches are three-valued by design: a Found result always carries a
 substitution-verified witness, and a miss only ever means "not within these
 bounds".
@@ -232,29 +236,58 @@ def _degree_ladder(bounds: Bounds):
             yield min(d, cap_num), min(d, cap_den), order
 
 
+class MembershipSearch:
+    """The ascending-effort membership search in one K, for any number of
+    targets.  K's closure chains (_closures) and, per order, the cleared
+    levels (_cleared_levels) are built once, when the ladder first reaches
+    them, and shared by every find; a found witness does not depend on the
+    targets searched before it.  Nothing outlives the object."""
+
+    def __init__(self, K: SubfieldSpec, tower: Tower,
+                 bounds: Bounds = Bounds()):
+        self.bounds = bounds
+        self._orders = _closures(K.generators, tower)
+        self._by_order = []   # per order: (values, levels built, the rest)
+
+    def values(self, order: int) -> List[RatFun]:
+        """K's generators and their derivatives up to order, as _closures
+        yields them."""
+        while len(self._by_order) <= order:
+            values = next(self._orders)
+            self._by_order.append((values, [], _cleared_levels(values)))
+        return self._by_order[order][0]
+
+    def _level(self, order: int, degree: int) -> Optional[Dict[tuple, MPoly]]:
+        """The cleared level of degree D = degree over the order's values;
+        None when there are no values."""
+        _, levels, more = self._by_order[order]
+        while len(levels) < degree:
+            levels.append(next(more, None))
+        return levels[degree - 1]
+
+    def find(self, u: RatFun) -> Found | NoSolutionWithinBounds:
+        """Search for u as a rational expression in K's generators and their
+        derivatives.  Ascending effort ladder, so a Found witness is the one
+        at the least (degree, order) bound."""
+        for num_deg, den_deg, order in _degree_ladder(self.bounds):
+            values = self.values(order)
+            powers = self._level(order, max(num_deg, den_deg))
+            try:
+                expr = _membership_at(u, values, num_deg, den_deg, powers,
+                                      self.bounds.max_cells)
+            except BoundsExceeded:
+                # rung over the cell cap; the miss stays bounded-honest
+                continue
+            if expr is not None:
+                return Found(Witness(expr=expr, args=tuple(values), target=u))
+        return NoSolutionWithinBounds(self.bounds)
+
+
 def subfield_membership(u: RatFun, K: SubfieldSpec, tower: Tower,
                         bounds: Bounds = Bounds()) -> Found | NoSolutionWithinBounds:
     """Search for u as a rational expression in K's generators and their
-    derivatives.  Ascending effort ladder, so a Found witness is the one at
-    the least (degree, order) bound."""
-    orders = _closures(K.generators, tower)
-    closures = []   # per order: (values, their cleared levels)
-    for num_deg, den_deg, order in _degree_ladder(bounds):
-        if order == len(closures):   # the ladder reaches each order in turn
-            values = next(orders)
-            closures.append((values, _cleared_levels(values)))
-        values, levels = closures[order]
-        # the ladder asks each order for max(num_deg, den_deg) = 1, 2, ...
-        powers = next(levels, None)
-        try:
-            expr = _membership_at(u, values, num_deg, den_deg, powers,
-                                  bounds.max_cells)
-        except BoundsExceeded:
-            # rung too large for the cell cap; the miss stays bounded-honest
-            continue
-        if expr is not None:
-            return Found(Witness(expr=expr, args=tuple(values), target=u))
-    return NoSolutionWithinBounds(bounds)
+    derivatives: one MembershipSearch, for one target."""
+    return MembershipSearch(K, tower, bounds).find(u)
 
 
 def solve_first_order(f: RatFun, g: RatFun, tower: Tower,

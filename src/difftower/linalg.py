@@ -8,16 +8,18 @@ eliminated once: ``nullspace``, ``structure.LinearField`` and
 Rows in are dicts {column index: int or Fraction}, rows out {column index:
 Fraction} with keys in ascending column order.  Everything reduces to the
 unique RREF, so results do not depend on pivot-selection heuristics; the
-heuristics only fight fill-in.  Inside ``rref`` each row is cleared once to
-integers (integer rows, as ``ansatz._assemble_rows`` builds them, are only
-copied).  Unit rows go first: a row with a single entry in column c puts
-e_c in the row space, so c is a pivot with RREF row {c: 1} and is deleted
-from every other row with no arithmetic, which may leave further unit rows
-(coefficient matching makes many).  The column loop then eliminates what is
-left fraction-free (Bareiss-style cross multiplication); a row's integer
-content is divided out only after such an elimination, and the finished
-pivot rows, divided by their pivot entries, become Fractions again, so the
-result is the same unique RREF.
+heuristics only fight fill-in.  Unit rows go first: a row with a single
+entry in column c puts e_c in the row space, so c is a pivot with RREF row
+{c: 1} and drops out of every other row with no arithmetic, which may leave
+further unit rows (coefficient matching makes many).  This pass only counts
+each row's keys outside the unit columns; the caller's rows are never
+written.  Then each row with two or more such keys is copied once without
+the unit columns and cleared to integers (integer rows, as
+``ansatz._assemble_rows`` builds them, are only copied), and the column
+loop eliminates them fraction-free (Bareiss-style cross multiplication); a
+row's integer content is divided out only after such an elimination, and
+the finished pivot rows, divided by their pivot entries, become Fractions
+again, so the result is the same unique RREF.
 
 ``check_size`` caps a system's cells at a bound its caller passes in (for
 the searches, ``Bounds.max_cells``); nothing here reads process-wide state.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .errors import BoundsExceeded
 
@@ -53,8 +55,9 @@ def rref(rows: List[Row], n_cols: int) -> Tuple[List[Row], List[int]]:
     pivot entry exactly 1.  Unit rows are taken first (``_unit_pivots``),
     then the column loop eliminates the rows that are left, dividing out
     a row's content after each elimination only."""
-    rows = list(map(_cleared, rows))
-    red = {c: {c: _ONE} for c in _unit_pivots(rows)}
+    units, live = _unit_pivots(rows)
+    red = {c: {c: _ONE} for c in units}
+    rows = [_cleared(r, units) for r, n in zip(rows, live) if n > 1]
     rows = [r for r in rows if r]
     echelon: List[Dict[int, int]] = []
     pivots: List[int] = []
@@ -81,40 +84,48 @@ def rref(rows: List[Row], n_cols: int) -> Tuple[List[Row], List[int]]:
     return [red[c] for c in cols], cols
 
 
-def _unit_pivots(rows: List[Dict[int, int]]) -> List[int]:
-    """The pivot columns that unit rows show, deleted from every row in
-    place.  Deleting a unit row's column from the rows holding it may leave
-    another unit row, which is taken in turn; a second unit row on a
-    column ends up empty, and empty rows stay in ``rows``."""
-    stack = [r for r in rows if len(r) == 1]
+def _unit_pivots(rows: List[Row]) -> Tuple[Set[int], List[int]]:
+    """The pivot columns that unit rows show, and per row the number of its
+    keys outside them.  A row whose keys but one lie in unit columns is
+    a unit row in turn, taken when its count falls to 1; a second unit row
+    on a column falls to 0, as does a row whose one key left holds 0.  The
+    rows are only read."""
+    live = list(map(len, rows))
+    stack = [i for i, n in enumerate(live) if n == 1]
+    units: Set[int] = set()
     if not stack:
-        return []
-    holders: Dict[int, List[Dict[int, int]]] = {}
-    for r in rows:
+        return units, live
+    holders: Dict[int, List[int]] = {}
+    for i, r in enumerate(rows):
         for c in r:
-            holders.setdefault(c, []).append(r)
-    units = []
+            holders.setdefault(c, []).append(i)
     while stack:
-        r = stack.pop()
-        if not r:
+        i = stack.pop()
+        if live[i] != 1:
             continue
-        (col,) = r
-        units.append(col)
+        for col, v in rows[i].items():
+            if col not in units:
+                break
+        if not v:   # an explicit zero: the row is empty
+            live[i] = 0
+            continue
+        units.add(col)
         for h in holders[col]:
-            del h[col]
-            if len(h) == 1:
+            live[h] -= 1
+            if live[h] == 1:
                 stack.append(h)
-    return units
+    return units, live
 
 
-def _cleared(row) -> Dict[int, int]:
-    """The row times the lcm of its denominators, explicit zero entries
-    dropped.  Always a new dict, as rref updates its rows in place."""
+def _cleared(row: Row, units: Set[int]) -> Dict[int, int]:
+    """The row outside the unit columns, times the lcm of its denominators,
+    explicit zero entries dropped.  Always a new dict, as rref updates its
+    rows in place."""
+    row = {c: v for c, v in row.items() if v and c not in units}
     if all(type(v) is int for v in row.values()):
-        return {c: v for c, v in row.items() if v}
+        return row
     d = lcm(*[v.denominator for v in row.values()])
-    return {c: v.numerator * (d // v.denominator)
-            for c, v in row.items() if v}
+    return {c: v.numerator * (d // v.denominator) for c, v in row.items()}
 
 
 def _eliminate(r, pivot, pv, f) -> Dict[int, int]:

@@ -13,15 +13,14 @@ is reported as Partial when a query comes back unknown.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .ansatz import (Bounds, Found, Witness, _closures, _kernel_rref,
-                     monomials_upto, subfield_membership)
+from .ansatz import (Bounds, Found, MembershipSearch, Witness, _kernel_rref,
+                     monomials_upto)
 from .errors import (AlreadyInBase, DiffTowerError, MalformedAntiderivative,
                      NotAntiderivative, NotFlat, Unsupported)
 from .ratfun import (MPoly, RatFun, _content_over, clear_denominators,
@@ -150,16 +149,16 @@ IN, OUT, UNKNOWN = "in", "out", "unknown"
 
 class MembershipOracle:
     """Exact when the subfield generators are linear over the tower,
-    three-valued (bounded ansatz) otherwise."""
+    three-valued (bounded ansatz) otherwise; the ansatz is one
+    MembershipSearch in K, shared by every query."""
 
     def __init__(self, tower: Tower, K: SubfieldSpec, bounds: Bounds):
-        self.tower = tower
-        self.K = K
-        self.bounds = bounds
+        self.search: Optional[MembershipSearch] = None
         try:
             self.field: Optional[LinearField] = LinearField(tower, K.generators)
         except NotLinearField:
             self.field = None
+            self.search = MembershipSearch(K, tower, bounds)
 
     def query(self, u: RatFun):
         """Returns (IN | OUT | UNKNOWN, certificate-or-None)."""
@@ -168,7 +167,7 @@ class MembershipOracle:
             if rewritten.used_vars() <= self.field.allowed:
                 return IN, rewritten
             return OUT, None
-        outcome = subfield_membership(u, self.K, self.tower, self.bounds)
+        outcome = self.search.find(u)
         if isinstance(outcome, Found):
             return IN, outcome.value
         return UNKNOWN, None
@@ -388,10 +387,13 @@ def subfield_structure(K: SubfieldSpec, tower: Tower,
     then check that every K generator is expressible over the result.
     F* is fixed within one ascent step, so each step builds one
     MembershipOracle; over F* = Q it answers IN for rational constants and
-    OUT for everything else."""
+    OUT for everything else.  Membership in K is one MembershipSearch for
+    the whole call, which also gives the order-2 closure candidates, and
+    each candidate is searched in K at most once; one more search, over
+    the final F*, serves every K generator."""
+    in_K = MembershipSearch(K, tower, bounds)
     candidates = [tower.gen(v) for v in tower.vars]
-    order2 = next(itertools.islice(_closures(K.generators, tower), 2, None))
-    candidates += [c for c in order2 if c not in candidates]
+    candidates += [c for c in in_K.values(2) if c not in candidates]
     if tower.gen_names:
         top = tower.gen_names[-1]
         for g in K.generators:
@@ -401,7 +403,9 @@ def subfield_structure(K: SubfieldSpec, tower: Tower,
                 continue
             if shift not in candidates:
                 candidates.append(shift)
-    derivative = cache(tower.differentiate)   # once per candidate, not step
+    # once per candidate, not per step
+    derivative = cache(tower.differentiate)
+    membership = cache(in_K.find)
 
     fstar: List[StructureGenerator] = []
     max_gens = len(tower.vars) + len(K.generators)
@@ -418,7 +422,7 @@ def subfield_structure(K: SubfieldSpec, tower: Tower,
             dstatus, dwit = oracle.query(derivative(cand))
             if dstatus != IN:
                 continue
-            outcome = subfield_membership(cand, K, tower, bounds)
+            outcome = membership(cand)
             if not isinstance(outcome, Found):
                 continue
             # F* grows, so this step ends and the next builds a new oracle
@@ -429,10 +433,11 @@ def subfield_structure(K: SubfieldSpec, tower: Tower,
             break
 
     # over an empty F* the membership search has no values and misses
-    fstar_field = SubfieldSpec(generators=tuple(g.expr for g in fstar))
+    in_fstar = MembershipSearch(
+        SubfieldSpec(generators=tuple(g.expr for g in fstar)), tower, bounds)
     input_witnesses: List[object] = []
     for g in K.generators:
-        outcome = subfield_membership(g, fstar_field, tower, bounds)
+        outcome = in_fstar.find(g)
         input_witnesses.append(
             outcome.value if isinstance(outcome, Found) else None)
     resolved = all(w is not None for w in input_witnesses)

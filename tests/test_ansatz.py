@@ -16,12 +16,14 @@ import pytest
 
 import difftower
 from difftower import ansatz, linalg
-from difftower.ansatz import (Bounds, Found, NoSolutionWithinBounds, Witness,
+from difftower.ansatz import (Bounds, Found, MembershipSearch,
+                              NoSolutionWithinBounds, Witness,
                               _assemble_rows, _cleared_levels,
-                              _closures, _kernel_rref, _membership_at,
+                              _closures, _degree_ladder, _kernel_rref,
+                              _membership_at,
                               _poly_part_constant, monomials_upto, solve_first_order,
                               solve_linear_ansatz, subfield_membership)
-from difftower.errors import DiffTowerError
+from difftower.errors import BoundsExceeded, DiffTowerError, DivisionByZero
 from difftower.parser import format_ratfun, parse_expr
 from difftower.randexpr import random_mpoly, random_ratfun, random_tower
 from difftower.ratfun import (MPoly, RatFun, clear_denominators,
@@ -205,6 +207,111 @@ class TestClosureChains:
         assert isinstance(out, NoSolutionWithinBounds)
         # z, D(z) = 1: one more derivative per order, none repeated
         assert calls == [T.gen("z"), RatFun.const(T.vars, 1)]
+
+
+def _reference_membership(u, K, tower, bounds):
+    """One membership search with its own closure chains and cleared
+    levels, built for this u alone."""
+    orders = _closures(K.generators, tower)
+    closures = []   # per order: (values, their cleared levels)
+    for num_deg, den_deg, order in _degree_ladder(bounds):
+        if order == len(closures):
+            values = next(orders)
+            closures.append((values, _cleared_levels(values)))
+        values, levels = closures[order]
+        powers = next(levels, None)
+        try:
+            expr = _membership_at(u, values, num_deg, den_deg, powers,
+                                  bounds.max_cells)
+        except BoundsExceeded:
+            continue
+        if expr is not None:
+            return Found(Witness(expr=expr, args=tuple(values), target=u))
+    return NoSolutionWithinBounds(bounds)
+
+
+def _search_cases():
+    """Seeded (K, tower, bounds, targets): planted hits, random targets
+    (mostly misses) and constants over one or two random generators, a cell
+    cap that skips the larger rungs, and an empty K."""
+    cases = []
+    for seed in range(12):
+        rng = random.Random(100 + seed)
+        T = random_tower(rng, depth=1 + seed % 2, max_deg=1)
+        gens = tuple(random_ratfun(rng, T.vars, max_deg=1, max_terms=2)
+                     for _ in range(1 + seed % 2))
+        xvars = tuple(f"x{i}" for i in range(len(gens)))
+        targets = [RatFun.const(T.vars, Fraction(seed - 5, 2))]
+        for _ in range(2):
+            formal = random_ratfun(rng, xvars, max_deg=1, max_terms=2)
+            try:
+                targets.append(
+                    formal.substitute(dict(zip(xvars, gens)), T.vars))
+            except DivisionByZero:   # the denominator vanishes on gens
+                pass
+            targets.append(random_ratfun(rng, T.vars, max_deg=2, max_terms=2))
+        cells = (linalg.DEFAULT_MAX_CELLS, 60)[seed % 3 == 2]
+        bounds = Bounds(2, 2, 1, escalation=(), max_cells=cells)
+        cases.append((SubfieldSpec(generators=gens), T, bounds, targets))
+    T = log_tower()
+    cases.append((SubfieldSpec(generators=()), T, SMALL,
+                  [parse_expr(t, T) for t in ("z", "3", "zeta1/z")]))
+    return cases
+
+
+class TestMembershipSearch:
+    def test_find_matches_the_reference(self, monkeypatch):
+        skipped = []
+        check_size = linalg.check_size
+
+        def counting(*args):
+            try:
+                return check_size(*args)
+            except BoundsExceeded:
+                skipped.append(args)
+                raise
+
+        monkeypatch.setattr(linalg, "check_size", counting)
+        outcomes = []
+        for K, T, bounds, targets in _search_cases():
+            search = MembershipSearch(K, T, bounds)
+            for u in targets:
+                want = _reference_membership(u, K, T, bounds)
+                assert search.find(u) == want, (K, u)
+                assert subfield_membership(u, K, T, bounds) == want
+                outcomes.append(type(want))
+        assert Found in outcomes and NoSolutionWithinBounds in outcomes
+        assert skipped, "no rung went over the cell cap"
+
+    def test_no_answer_depends_on_an_earlier_target(self):
+        rng = random.Random(7)
+        for K, T, bounds, targets in _search_cases():
+            want = {u: _reference_membership(u, K, T, bounds)
+                    for u in targets}
+            for _ in range(3):
+                order = targets * 2
+                rng.shuffle(order)
+                search = MembershipSearch(K, T, bounds)
+                assert [search.find(u) for u in order] \
+                    == [want[u] for u in order]
+
+    def test_chains_and_levels_are_built_once(self, monkeypatch):
+        from difftower.tower import Tower
+        T = log_tower()
+        K = SubfieldSpec(generators=(parse_expr("zeta1/z", T),))
+        chain = [K.generators[0], T.differentiate(K.generators[0])]
+        calls, levels = [], []
+        real, cleared = Tower.differentiate, ansatz._cleared_levels
+        monkeypatch.setattr(Tower, "differentiate",
+                            lambda self, u: calls.append(u) or real(self, u))
+        monkeypatch.setattr(ansatz, "_cleared_levels",
+                            lambda v: levels.append(v) or cleared(v))
+        search = MembershipSearch(K, T, SMALL)
+        for text in ("z", "zeta1", "z^2 + zeta1", "1/zeta1 + z"):
+            assert isinstance(search.find(parse_expr(text, T)), Found)
+        # the generator once per order reached, one level chain per order
+        assert calls == chain
+        assert len(levels) == 3
 
 
 class TestCellCap:

@@ -292,14 +292,18 @@ class TestUnitRows:
         # leaves {0} in the third, and the fourth keeps columns 3 and 4
         rows = [{0: F(1), 1: F(1), 3: F(1), 4: F(1)}, {1: F(4), 2: F(1)},
                 {0: F(2), 1: F(3)}, {2: Fraction(1, 2)}]
-        eliminated = []
+        eliminated, copied = [], []
         real = linalg._eliminate
         monkeypatch.setattr(linalg, "_eliminate",
                             lambda *a: eliminated.append(a) or real(*a))
+        cleared = linalg._cleared
+        monkeypatch.setattr(linalg, "_cleared",
+                            lambda *a: copied.append(a[0]) or cleared(*a))
         assert self._check(rows, 5) == (
             [{0: F(1)}, {1: F(1)}, {2: F(1)}, {3: F(1), 4: F(1)}],
             [0, 1, 2, 3])
         assert eliminated == []   # one row is left, with nothing to eliminate
+        assert copied == [rows[0]]   # the unit pass consumed the others
         assert linalg.nullspace(rows, 5) == [[F(0), F(0), F(0), F(-1), F(1)]]
         particular, kernel = linalg.solve_affine(rows, [F(2), 0, 0, 0], 5)
         assert particular == [F(0), F(0), F(0), F(2), F(0)]
@@ -323,6 +327,19 @@ class TestUnitRows:
                 [F(0), F(0), F(0), F(0), F(1)]]
         particular, kernel = linalg.solve_affine(rows, [1, 2, 3, 4], 5)
         assert particular is None
+
+    def test_explicit_zero_left_after_the_unit_columns(self):
+        # the second row keeps only an explicit 0 once column 0 is a unit,
+        # and the third holds nothing else: both are empty, not unit rows
+        rows = [{0: 3}, {0: F(1), 1: 0}, {1: F(0)}, {1: F(2), 2: 0, 3: 1}]
+        before = copy.deepcopy(rows)
+        red, pivots = linalg.rref(rows, 4)
+        assert (red, pivots) \
+            == ([{0: F(1)}, {1: F(1), 3: Fraction(1, 2)}], [0, 1])
+        assert [list(r) for r in red] == [[0], [1, 3]]
+        assert linalg.nullspace(rows, 4) \
+            == [[F(0), F(0), F(1), F(0)], [F(0), Fraction(-1, 2), F(0), F(1)]]
+        assert rows == before and _items(rows) == _items(before)
 
     def test_unit_row_next_to_rows_that_cancel(self):
         rows = [{0: F(1), 1: F(2), 2: F(3)}, {0: F(-2), 1: F(-4), 2: F(-6)},

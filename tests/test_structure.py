@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from difftower import linalg, ratfun, structure
-from difftower.ansatz import Bounds, Witness, _assemble_rows, monomials_upto
+from difftower import ansatz, linalg, ratfun, structure
+from difftower.ansatz import (Bounds, MembershipSearch, Witness,
+                              _assemble_rows, monomials_upto)
 from difftower.errors import (AlreadyInBase, BoundsExceeded, DiffTowerError,
                               MalformedAntiderivative, NotAntiderivative,
                               NotFlat, Unsupported)
@@ -744,9 +745,9 @@ class TestOneOraclePerStep:
                             lambda self, u: calls.append(u) or real(self, u))
         report = subfield_structure(K, T, SMALL)
         assert report.status == "resolved"
-        # each membership search differentiates each K generator once per
-        # order it reaches
-        assert len(calls) == 8
+        # K's generator once per order of the one search in K (2), and z
+        # and zeta1 once each as candidates
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("tower, gens", [
         # the search workload's K = Q((zeta1 + 2)/(z + 1)) over log(z + 1)
@@ -777,3 +778,82 @@ class TestOneOraclePerStep:
         assert report.status == "resolved"
         assert T.gen("zeta1") in calls
         assert set(calls.values()) == {1}
+
+
+# the search workload's K = Q((zeta1 + 2)/(z + 1)) over log(z + 1), and two
+# K over the two-log tower in which zeta1 is OUT in two ascent steps
+ONE_SEARCH_CASES = [
+    (lambda: tower_from_pairs([("zeta1", parse_expr("1/(z + 1)",
+                                                    ("z", "zeta1")))]),
+     ["(zeta1 + 2)/(z + 1)"]),
+    (two_log_tower, ["zeta2/z"]),
+    (two_log_tower, ["zeta1 + zeta2"]),
+]
+
+
+class TestOneSearchPerK:
+    @pytest.mark.parametrize("tower, gens", ONE_SEARCH_CASES)
+    def test_cleared_levels_once_per_order(self, monkeypatch, tower, gens):
+        from collections import Counter
+        T = tower()
+        K = SubfieldSpec(generators=tuple(parse_expr(g, T) for g in gens))
+        built = Counter()   # the value lists a level chain is built over
+        real = ansatz._cleared_levels
+        monkeypatch.setattr(ansatz, "_cleared_levels",
+                            lambda v: built.update([tuple(v)]) or real(v))
+        report = subfield_structure(K, T, SMALL)
+        assert report.status == "resolved"
+        assert tuple(K.generators) in built   # K's order-0 values
+        assert set(built.values()) == {1}
+
+    @pytest.mark.parametrize("tower, gens", ONE_SEARCH_CASES[1:])
+    def test_each_candidate_searched_in_K_once(self, monkeypatch, tower,
+                                               gens):
+        T = tower()
+        K = SubfieldSpec(generators=tuple(parse_expr(g, T) for g in gens))
+        found = []   # (K searched, target)
+
+        class Spy(MembershipSearch):
+            def __init__(self, K, tower, bounds):
+                super().__init__(K, tower, bounds)
+                self.K = K
+
+            def find(self, u):
+                found.append((self.K, u))
+                return super().find(u)
+
+        oracle_steps = []
+        real_query = structure.MembershipOracle.query
+        monkeypatch.setattr(structure, "MembershipSearch", Spy)
+        monkeypatch.setattr(
+            structure.MembershipOracle, "query",
+            lambda self, u: oracle_steps.append((id(self), u))
+            or real_query(self, u))
+        report = subfield_structure(K, T, SMALL)
+        assert report.status == "resolved"
+        zeta1 = T.gen("zeta1")
+        # zeta1 meets an ascent step's oracle more than once...
+        assert len({step for step, u in oracle_steps if u == zeta1}) >= 2
+        # ...but is searched in K once
+        assert found.count((K, zeta1)) == 1
+
+    def test_nonlinear_oracle_builds_its_closure_once(self, monkeypatch):
+        from difftower.tower import Tower
+        T = log_tower()
+        K = SubfieldSpec(generators=(parse_expr("z^2", T),
+                                     parse_expr("z^2*zeta1", T)))
+        chains, calls = [], []
+        closures, real = ansatz._closures, Tower.differentiate
+        monkeypatch.setattr(ansatz, "_closures",
+                            lambda *a: chains.append(a) or closures(*a))
+        monkeypatch.setattr(Tower, "differentiate",
+                            lambda self, u: calls.append(u) or real(self, u))
+        oracle = structure.MembershipOracle(T, K, SMALL)
+        assert oracle.field is None
+        for text in ("zeta1", "z^4", "zeta1^2 + z^2", "zeta1/z^2", "z^6"):
+            status, witness = oracle.query(parse_expr(text, T))
+            assert status == structure.IN
+            assert witness.substituted() == parse_expr(text, T)
+        assert len(chains) == 1
+        # each generator at most once per derivative order of SMALL
+        assert len(calls) <= len(K.generators) * SMALL.max_derivative_order
