@@ -41,8 +41,10 @@ from .tower import SubfieldSpec, Tower
 @dataclass(frozen=True)
 class Bounds:
     """Search caps.  The escalation ladder multiplies the degree caps once
-    (by default) before a search gives up.  max_cells caps the rows*cols of
-    every linear system a search builds; a rung over it is skipped."""
+    (by default) before a search gives up; each step is at least 1, so the
+    escalated caps are never below the base ones.  max_cells caps the
+    rows*cols of every linear system a search builds; a rung over it is
+    skipped."""
 
     max_num_degree: int = 8
     max_den_degree: int = 8
@@ -54,6 +56,8 @@ class Bounds:
         if min(self.max_num_degree, self.max_den_degree,
                self.max_derivative_order, self.max_cells) < 1:
             raise ValueError("bounds must be positive")
+        if any(step < 1 for step in self.escalation):
+            raise ValueError("escalation steps must be at least 1")
 
     def escalated_degrees(self) -> Tuple[int, int]:
         m = 1
@@ -317,22 +321,22 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
         return comb(len(variables) + deg, deg) ** 2 <= bounds.max_cells
 
     # the caps bound w itself; the fixed denominator shifts the numerator.
-    # comb(n + deg, deg) grows with deg, so the rungs that fit are a prefix
-    # of offset+1, ..., offset+max_num_degree, and the walk stops at the
-    # first that does not
-    fitting = set(itertools.takewhile(
-        fits, range(offset + 1, offset + bounds.max_num_degree + 1)))
-    if fits(cap_num + offset):
-        fitting.add(cap_num + offset)
+    # The rungs are offset+1, ..., offset+max_num_degree, then the escalated
+    # offset+cap_num when it is higher; comb(n + deg, deg) grows with deg,
+    # so the rungs that fit are a prefix, and the walk stops at the first
+    # that does not
+    top = [offset + cap_num] if cap_num > bounds.max_num_degree else []
+    degrees = list(itertools.takewhile(fits, itertools.chain(
+        range(offset + 1, offset + bounds.max_num_degree + 1), top)))
     # the columns are built only when a rung fits
-    if fitting:
+    if degrees:
         denom = lcm ** power
         target = lcm * denom * f_num
         shift = (s * tower.cleared(lcm)).scale(power) + lcm * g_num
         ls = lcm * s
         column = cleared_derivation([ls * q for q in tower.images], shift)
     columns: Dict[tuple, MPoly] = {}
-    for deg in sorted(fitting):
+    for deg in degrees:
         monoms = monomials_upto(len(variables), deg)
         for e in monoms:
             if e not in columns:

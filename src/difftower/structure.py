@@ -7,8 +7,10 @@ extraction and the greedy subfield-structure report.
 Subfields generated by z, tower generators and Q-linear combinations of
 generators (with base-field shifts) admit an exact membership test: a
 linear change of generators turns membership into "which variables occur in
-the canonical form".  Everything else falls back to the bounded ansatz and
-is reported as Partial when a query comes back unknown.
+the canonical form".  Membership in any other subfield is one bounded
+MembershipSearch, which finds a witness or misses within its bounds: the
+greedy ascent stops at an F* without the exact test, and a compositum basis
+that adjoins a generator on a miss is reported as partial.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import linalg
 from .ansatz import (Bounds, Found, MembershipSearch, Witness, _kernel_rref,
@@ -28,9 +30,8 @@ from .ratfun import (MPoly, RatFun, _content_over, clear_denominators,
 from .tower import BASE_VAR, SubfieldSpec, Tower
 
 __all__ = [  # with poly_gcd, a binding the layer-trace test of bench/ reads
-    "linear_part", "linearize", "NotLinearField",
-    "LinearField", "MembershipOracle", "IN", "OUT", "UNKNOWN", "Independent",
-    "Relation", "ostrowski_relation", "antiderivative_decompose",
+    "linear_part", "linearize", "NotLinearField", "LinearField",
+    "Independent", "Relation", "ostrowski_relation", "antiderivative_decompose",
     "NormalTower", "normal_tower", "CompositumBasis", "compositum_basis",
     "minimal_shift", "StructureGenerator", "StructureReport",
     "subfield_structure", "poly_gcd"]
@@ -96,17 +97,17 @@ class LinearField:
             elif not rest.is_const():
                 # leftover pure-z dependency like z**2; not representable
                 raise NotLinearField("generators hide a nonlinear base element")
-        zi = tower.vars.index(BASE_VAR)
-        z_in_field = any(col == zi and _is_unit(coeffs, col) and rest.is_const()
-                         for col, coeffs, rest in rows)
-        if not z_in_field:
-            for col, coeffs, _ in rows:
-                if col == zi and _is_unit(coeffs, col):
+        # z is column 0 and the rows run in pivot order, so only the first
+        # row can pivot on z
+        z_in_field = False
+        if rows and rows[0][0] == 0:
+            _, coeffs, rest = rows[0]
+            if _is_unit(coeffs, 0):
+                if not rest.is_const():
                     raise NotLinearField("z entangled with a base shift")
-        z_pivot_combo = any(col == zi and not _is_unit(coeffs, col)
-                            for col, coeffs, _ in rows)
-        if z_pivot_combo and any(not rest.is_const() for _, _, rest in rows):
-            raise NotLinearField("z pivoted inside a combination with shifts")
+                z_in_field = True
+            elif any(not r.is_const() for _, _, r in rows):
+                raise NotLinearField("z pivoted inside a combination with shifts")
         self.allowed = {BASE_VAR} if z_in_field else set()
         plan = []   # the rows that get a synthetic coordinate
         for col, coeffs, rest in rows:
@@ -140,37 +141,6 @@ class LinearField:
 
 def _is_unit(coeffs, col) -> bool:
     return coeffs[col] == 1 and all(c == 0 for j, c in enumerate(coeffs) if j != col)
-
-
-# -- membership front end -----------------------------------------------------
-
-IN, OUT, UNKNOWN = "in", "out", "unknown"
-
-
-class MembershipOracle:
-    """Exact when the subfield generators are linear over the tower,
-    three-valued (bounded ansatz) otherwise; the ansatz is one
-    MembershipSearch in K, shared by every query."""
-
-    def __init__(self, tower: Tower, K: SubfieldSpec, bounds: Bounds):
-        self.search: Optional[MembershipSearch] = None
-        try:
-            self.field: Optional[LinearField] = LinearField(tower, K.generators)
-        except NotLinearField:
-            self.field = None
-            self.search = MembershipSearch(K, tower, bounds)
-
-    def query(self, u: RatFun):
-        """Returns (IN | OUT | UNKNOWN, certificate-or-None)."""
-        if self.field is not None:
-            rewritten = self.field.rewrite(u)
-            if rewritten.used_vars() <= self.field.allowed:
-                return IN, rewritten
-            return OUT, None
-        outcome = self.search.find(u)
-        if isinstance(outcome, Found):
-            return IN, outcome.value
-        return UNKNOWN, None
 
 
 # -- Ostrowski relations ------------------------------------------------------
@@ -328,20 +298,24 @@ def compositum_basis(K: SubfieldSpec, tower: Tower,
                      bounds: Bounds = Bounds()) -> CompositumBasis:
     """Greedy transcendence base of KE over K from the tower's generators:
     take the smallest-index generator not yet in the current field, adjoin,
-    repeat."""
+    repeat.  Membership is exact while the current field's generators are
+    linear over the tower; otherwise it is one MembershipSearch, and a
+    generator adjoined on its miss makes the basis partial."""
     current = list(K.generators)
     chosen = []
     partial = False
     for name in tower.gen_names:
-        oracle = MembershipOracle(
-            tower, SubfieldSpec(generators=tuple(current)), bounds)
-        status, _ = oracle.query(tower.gen(name))
-        if status == IN:
-            continue
-        if status == UNKNOWN:
-            partial = True
-        chosen.append(name)
-        current.append(tower.gen(name))
+        gen = tower.gen(name)
+        try:
+            inside = LinearField(tower, current).contains(gen)
+        except NotLinearField:
+            search = MembershipSearch(
+                SubfieldSpec(generators=tuple(current)), tower, bounds)
+            inside = isinstance(search.find(gen), Found)
+            partial = partial or not inside
+        if not inside:
+            chosen.append(name)
+            current.append(gen)
     return CompositumBasis(chosen=tuple(chosen), partial=partial)
 
 
@@ -369,7 +343,7 @@ def minimal_shift(u: RatFun, tower: Tower, topgen: str) -> RatFun:
 @dataclass(frozen=True)
 class StructureGenerator:
     expr: RatFun
-    derivative_witness: object   # RatFun over the previous field or Witness
+    derivative_witness: RatFun   # D(expr) over the previous field's coordinates
     membership_witness: Witness  # expresses expr over K's closure
 
 
@@ -385,12 +359,13 @@ def subfield_structure(K: SubfieldSpec, tower: Tower,
     """Greedy ascent per the structure theorem: repeatedly adjoin an
     antiderivative of the current field F* that lies in K but not in F*,
     then check that every K generator is expressible over the result.
-    F* is fixed within one ascent step, so each step builds one
-    MembershipOracle; over F* = Q it answers IN for rational constants and
-    OUT for everything else.  Membership in K is one MembershipSearch for
-    the whole call, which also gives the order-2 closure candidates, and
-    each candidate is searched in K at most once; one more search, over
-    the final F*, serves every K generator."""
+    F* is fixed within one ascent step, so each step builds one LinearField
+    over it; over F* = Q it holds the rational constants alone.  Only that
+    exact test can place a candidate outside F*, so the ascent ends at the
+    first F* whose generators are not linear over the tower.  Membership in
+    K is one MembershipSearch for the whole call, which also gives the
+    order-2 closure candidates, and each candidate is searched in K at most
+    once; one more search, over the final F*, serves every K generator."""
     in_K = MembershipSearch(K, tower, bounds)
     candidates = [tower.gen(v) for v in tower.vars]
     candidates += [c for c in in_K.values(2) if c not in candidates]
@@ -412,20 +387,20 @@ def subfield_structure(K: SubfieldSpec, tower: Tower,
     progress = True
     while progress and len(fstar) < max_gens:
         progress = False
-        oracle = MembershipOracle(
-            tower, SubfieldSpec(generators=tuple(g.expr for g in fstar)),
-            bounds)
+        try:
+            field = LinearField(tower, [g.expr for g in fstar])
+        except NotLinearField:
+            break
         for cand in candidates:
-            status, _ = oracle.query(cand)
-            if status != OUT:
+            if field.contains(cand):
                 continue
-            dstatus, dwit = oracle.query(derivative(cand))
-            if dstatus != IN:
+            dwit = field.rewrite(derivative(cand))
+            if not dwit.used_vars() <= field.allowed:
                 continue
             outcome = membership(cand)
             if not isinstance(outcome, Found):
                 continue
-            # F* grows, so this step ends and the next builds a new oracle
+            # F* grows, so this step ends and the next builds a new field
             fstar.append(StructureGenerator(
                 expr=cand, derivative_witness=dwit,
                 membership_witness=outcome.value))

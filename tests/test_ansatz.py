@@ -51,11 +51,17 @@ class TestBounds:
     def test_escalation(self):
         assert Bounds(4, 3, 2, escalation=(2,)).escalated_degrees() == (8, 6)
         assert Bounds(4, 3, 2, escalation=()).escalated_degrees() == (4, 3)
+        assert Bounds(4, 3, 2, escalation=(1,)).escalated_degrees() == (4, 3)
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_cell_cap_positive(self, cap):
         with pytest.raises(ValueError):
             Bounds(max_cells=cap)
+
+    @pytest.mark.parametrize("escalation", [(0,), (-1,), (2, 0)])
+    def test_escalation_steps_at_least_one(self, escalation):
+        with pytest.raises(ValueError):
+            Bounds(2, 2, 1, escalation=escalation)
 
     def test_cell_cap_default(self):
         assert Bounds().max_cells == linalg.DEFAULT_MAX_CELLS
@@ -641,6 +647,30 @@ class TestOdeLadder:
         assert answers[0] == answers[1]
         # lcm = z, power 2: rungs of degree 3, 4, ... while C(2+d, 2)^2 <= 1000
         assert rungs[0] == [10, 15, 21, 28][:len(rungs[0])]
+
+    @pytest.mark.parametrize("caps, rungs", [
+        # lcm = z, power 2: degrees 3 and 4, then the escalated 2*2 + 2
+        (dict(), [10, 15, 28]),
+        # 28^2 is over the cap, 15^2 is not
+        (dict(max_cells=225), [10, 15]),
+        # no escalated rung above the base ones
+        (dict(escalation=()), [10, 15]),
+        (dict(escalation=(1,)), [10, 15]),
+    ])
+    def test_escalated_rung(self, caps, rungs, monkeypatch):
+        T = log_tower()
+        seen = []
+        real = ansatz._solve_columns
+
+        def record(cols, target, max_cells):
+            seen.append(len(cols))
+            return real(cols, target, max_cells)
+
+        monkeypatch.setattr(ansatz, "_solve_columns", record)
+        zero, one = RatFun.const(T.vars, 0), RatFun.const(T.vars, 1)
+        out = solve_first_order(zero, one, T, Bounds(2, 2, 1, **caps))
+        assert isinstance(out, NoSolutionWithinBounds)
+        assert seen == rungs
 
 
 def _reference_membership_at(u, values, num_deg, den_deg, skips):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from difftower import ansatz, linalg, ratfun, structure
-from difftower.ansatz import (Bounds, MembershipSearch, Witness,
+from difftower.ansatz import (Bounds, Found, MembershipSearch, Witness,
                               _assemble_rows, monomials_upto)
 from difftower.errors import (AlreadyInBase, BoundsExceeded, DiffTowerError,
                               MalformedAntiderivative, NotAntiderivative,
@@ -594,8 +594,8 @@ class TestCompositumBasis:
         assert out.chosen == ("zeta1",) and not out.partial
 
     def test_unknown_membership_is_partial(self):
-        # z^2 is a pure base element, so the oracle falls back to the
-        # ansatz, which cannot write zeta1 over Q<z^2>
+        # z^2 is a pure base element, so the exact test does not apply and
+        # the ansatz cannot write zeta1 over Q<z^2>
         T = log_tower()
         K = SubfieldSpec(generators=(parse_expr("z^2", T),))
         out = compositum_basis(K, T, SMALL)
@@ -607,11 +607,12 @@ class TestCompositumBasis:
         T = log_tower()
         K = SubfieldSpec(generators=(parse_expr("z^2", T),
                                      parse_expr("z^2*zeta1", T)))
-        oracle = structure.MembershipOracle(T, K, SMALL)
-        assert oracle.field is None
-        status, witness = oracle.query(T.gen("zeta1"))
-        assert status == structure.IN and isinstance(witness, Witness)
-        assert witness.substituted() == T.gen("zeta1")
+        with pytest.raises(NotLinearField):
+            LinearField(T, K.generators)
+        outcome = MembershipSearch(K, T, SMALL).find(T.gen("zeta1"))
+        assert isinstance(outcome, Found)
+        assert isinstance(outcome.value, Witness)
+        assert outcome.value.substituted() == T.gen("zeta1")
         out = compositum_basis(K, T, SMALL)
         assert out.chosen == () and not out.partial
 
@@ -693,6 +694,33 @@ class TestSubfieldStructure:
                     d, SubfieldSpec(generators=prev), T, SMALL)
                 assert isinstance(out, Found)
 
+    def test_ascent_ends_at_a_nonlinear_fstar(self, monkeypatch):
+        # zeta2 + zeta1/z is not linear over the tower, so nothing can be
+        # placed outside the F* it completes and the ascent stops there
+        T = loglog_tower()
+        K = SubfieldSpec(generators=tuple(
+            parse_expr(g, T) for g in ("z", "zeta1", "zeta2 + zeta1/z")))
+        built = []
+
+        class Spy(MembershipSearch):
+            def __init__(self, K, tower, bounds):
+                built.append(K)
+                super().__init__(K, tower, bounds)
+
+        monkeypatch.setattr(structure, "MembershipSearch", Spy)
+        report = subfield_structure(K, T, Bounds(1, 1, 1, escalation=()))
+        assert report.status == "resolved"
+        assert tuple(g.expr for g in report.generators) == K.generators
+        assert [g.derivative_witness for g in report.generators] == [
+            parse_expr(d, T) for d in
+            ("1", "1/z", "(-zeta1^2 + z + zeta1)/(z^2*zeta1)")]
+        assert [g.membership_witness.expr for g in report.generators] \
+            == [parse_expr(f"x{i}", ("x0", "x1", "x2")) for i in range(3)]
+        assert [format_ratfun(w.expr) for w in report.input_witnesses] \
+            == ["x0", "x1", "x2"]
+        # one search in K and one over the final F*, none over an F*
+        assert built == [K, SubfieldSpec(generators=K.generators)]
+
 
 class CountingLinearField(LinearField):
     built = 0
@@ -719,15 +747,11 @@ class TestOneOraclePerStep:
         assert CountingLinearField.built == len(report.generators) + 1
 
     def test_ostrowski_relation_uses_the_field_alone(self, monkeypatch):
-        def no_oracle(*args):
-            raise AssertionError("ostrowski_relation built a MembershipOracle")
-
         T = two_log_tower()
         ws = [T.gen("zeta1"), T.gen("zeta2"),
               parse_expr("zeta1 - 2*zeta2 + z^2", T)]
         monkeypatch.setattr(CountingLinearField, "built", 0)
         monkeypatch.setattr(structure, "LinearField", CountingLinearField)
-        monkeypatch.setattr(structure, "MembershipOracle", no_oracle)
         out = ostrowski_relation(ws, base_subfield(T), T)
         assert out == Relation(alpha=(1, -2, -1),
                                remainder=parse_expr("-z^2", T))
@@ -754,7 +778,8 @@ class TestOneOraclePerStep:
         (lambda: tower_from_pairs([("zeta1", parse_expr("1/(z + 1)",
                                                         ("z", "zeta1")))]),
          ["(zeta1 + 2)/(z + 1)"]),
-        # zeta1 is OUT in two ascent steps and misses membership in both
+        # zeta1 is outside F* in two ascent steps and misses membership in
+        # both
         (two_log_tower, ["zeta2/z"]),
         (two_log_tower, ["zeta1 + zeta2"]),
     ])
@@ -781,7 +806,7 @@ class TestOneOraclePerStep:
 
 
 # the search workload's K = Q((zeta1 + 2)/(z + 1)) over log(z + 1), and two
-# K over the two-log tower in which zeta1 is OUT in two ascent steps
+# K over the two-log tower in which zeta1 is outside F* in two ascent steps
 ONE_SEARCH_CASES = [
     (lambda: tower_from_pairs([("zeta1", parse_expr("1/(z + 1)",
                                                     ("z", "zeta1")))]),
@@ -822,22 +847,24 @@ class TestOneSearchPerK:
                 found.append((self.K, u))
                 return super().find(u)
 
-        oracle_steps = []
-        real_query = structure.MembershipOracle.query
+        steps = []   # (an ascent step's field, the target it is asked about)
+
+        class FieldSpy(LinearField):
+            def contains(self, u):
+                steps.append((self, u))
+                return super().contains(u)
+
         monkeypatch.setattr(structure, "MembershipSearch", Spy)
-        monkeypatch.setattr(
-            structure.MembershipOracle, "query",
-            lambda self, u: oracle_steps.append((id(self), u))
-            or real_query(self, u))
+        monkeypatch.setattr(structure, "LinearField", FieldSpy)
         report = subfield_structure(K, T, SMALL)
         assert report.status == "resolved"
         zeta1 = T.gen("zeta1")
-        # zeta1 meets an ascent step's oracle more than once...
-        assert len({step for step, u in oracle_steps if u == zeta1}) >= 2
+        # zeta1 meets an ascent step's field more than once...
+        assert len({id(field) for field, u in steps if u == zeta1}) >= 2
         # ...but is searched in K once
         assert found.count((K, zeta1)) == 1
 
-    def test_nonlinear_oracle_builds_its_closure_once(self, monkeypatch):
+    def test_nonlinear_K_search_builds_its_closure_once(self, monkeypatch):
         from difftower.tower import Tower
         T = log_tower()
         K = SubfieldSpec(generators=(parse_expr("z^2", T),
@@ -848,12 +875,11 @@ class TestOneSearchPerK:
                             lambda *a: chains.append(a) or closures(*a))
         monkeypatch.setattr(Tower, "differentiate",
                             lambda self, u: calls.append(u) or real(self, u))
-        oracle = structure.MembershipOracle(T, K, SMALL)
-        assert oracle.field is None
+        search = MembershipSearch(K, T, SMALL)
         for text in ("zeta1", "z^4", "zeta1^2 + z^2", "zeta1/z^2", "z^6"):
-            status, witness = oracle.query(parse_expr(text, T))
-            assert status == structure.IN
-            assert witness.substituted() == parse_expr(text, T)
+            outcome = search.find(parse_expr(text, T))
+            assert isinstance(outcome, Found)
+            assert outcome.value.substituted() == parse_expr(text, T)
         assert len(chains) == 1
         # each generator at most once per derivative order of SMALL
         assert len(calls) <= len(K.generators) * SMALL.max_derivative_order
