@@ -3,14 +3,17 @@
 Membership questions, linear relations and first-order equations all reduce
 to the same move: clear denominators, match coefficients of every monomial
 in the tower variables, and solve the resulting exact linear system over Q.
-The membership and ODE columns are built as polynomials over one fixed
-denominator: den(u)*L^D for a membership rung of degree D over values N/L,
-and lcm^2*denom for solve_first_order, which builds each monomial's column
+The membership and ODE columns are cleared by one fixed factor:
+den(u)*L^D for a membership rung of degree D over values N/L, and
+lcm^2*denom for solve_first_order, which builds each monomial's column
 once per call, with no polynomial product, as the monomial's image under
-one ratfun.cleared_derivation map.  _assemble_rows turns every system of
-polynomial columns into rows, each eliminated once: the homogeneous ones
-(membership rungs, normal-tower steps) by _kernel_rref, the inhomogeneous
-ones (ODE rungs, solve_linear_ansatz and ratint's Horowitz system) by
+one ratfun.cleared_derivation map.  A membership column num(u)*B_e or
+-den(u)*B_e is never built as a polynomial: it reaches _assemble_rows as
+its pair of factors, which ratfun.scatter_product multiplies straight into
+the rows.  _assemble_rows turns every system of columns, polynomials or
+pairs, into rows, each eliminated once: the homogeneous ones (membership
+rungs, normal-tower steps) by _kernel_rref, the inhomogeneous ones (ODE
+rungs, solve_linear_ansatz and ratint's Horowitz system) by
 _solve_columns.  The one division with remainder over Q is
 MPoly.divmod_lead; _poly_part_constant reads the constant term of its
 quotient.
@@ -29,13 +32,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .errors import BoundsExceeded, DiffTowerError
-from .ratfun import MPoly, RatFun, clear_denominators, cleared_derivation
+from .ratfun import (MPoly, RatFun, clear_denominators, cleared_derivation,
+                     scatter_product)
 from .ratint import has_rational_antiderivative
 from .tower import SubfieldSpec, Tower
+
+# a polynomial column, or a pair (f, g) of factors standing for f*g; the
+# columns of one system are all of one kind
+Column = Union[MPoly, Tuple[MPoly, MPoly]]
 
 
 @dataclass(frozen=True)
@@ -112,19 +120,28 @@ def monomials_upto(n_vars: int, max_deg: int) -> List[tuple]:
     return out
 
 
-def _assemble_rows(cols: Sequence[MPoly], max_cells: int) -> List[linalg.Row]:
+def _assemble_rows(cols: Sequence[Column], max_cells: int) -> List[linalg.Row]:
     """Coefficient-matching rows of polynomial columns over one common
     denominator: one row per monomial, in ascending deglex order (the order
     of the packed keys), holding each column's coefficient of that monomial
     times d, the lcm of the columns' denominators, so every entry is an
-    integer and each row keeps its solutions.  BoundsExceeded when the
-    system has over max_cells cells."""
-    d = lcm(*(p.den for p in cols))
+    integer and each row keeps its solutions.  The columns are all MPolys,
+    or all pairs (f, g) standing for f*g over f.den*g.den, which
+    ratfun.scatter_product multiplies straight into the rows with no
+    polynomial built; an entry that cancels there is left out, so the rows
+    are those of the products.  BoundsExceeded when the system has over
+    max_cells cells."""
     by_monom = {}
-    for col, p in enumerate(cols):
-        k = d // p.den
-        for exp, c in p.ints.items():
-            by_monom.setdefault(exp, {})[col] = c * k
+    if cols and type(cols[0]) is tuple:
+        d = lcm(*(f.den * g.den for f, g in cols))
+        for col, (f, g) in enumerate(cols):
+            scatter_product(by_monom, col, f, g, d // (f.den * g.den))
+    else:
+        d = lcm(*(p.den for p in cols))
+        for col, p in enumerate(cols):
+            k = d // p.den
+            for exp, c in p.ints.items():
+                by_monom.setdefault(exp, {})[col] = c * k
     linalg.check_size(len(by_monom), len(cols), max_cells)
     return [by_monom[key] for key in sorted(by_monom)]
 
@@ -142,7 +159,7 @@ def _solve_columns(cols: Sequence[MPoly], target: MPoly,
     return [tuple(v) for v in [particular] + kernel if any(v)]
 
 
-def _kernel_rref(cols: Sequence[MPoly], max_cells: int) -> List[List[Fraction]]:
+def _kernel_rref(cols: Sequence[Column], max_cells: int) -> List[List[Fraction]]:
     """The kernel {c : sum_i c_i*cols_i = 0} in RREF, dense rows with
     leading columns ascending, by one elimination: on the columns reversed,
     nullspace's vector for free column f is 1 at f, 0 at the other free
@@ -201,7 +218,8 @@ def _membership_at(u: RatFun, values: Sequence[RatFun], num_deg: int,
     = {e: B_e = N^e*L^(D-|e|)} is a level of _cleared_levels with
     D >= max(num_deg, den_deg): the Q-columns are num(u)*B_e and the
     P-columns -den(u)*B_e, all with the same nonzero factor, so the kernel
-    is unchanged.
+    is unchanged.  Each column goes to _kernel_rref as its pair of factors,
+    multiplied only into the rows.
 
     Returns the canonical formal witness P/Q: of the kernel's RREF rows
     (denominator coefficients first, deglex descending) with Q(values) != 0,
@@ -213,8 +231,9 @@ def _membership_at(u: RatFun, values: Sequence[RatFun], num_deg: int,
     xvars = tuple(f"x{i}" for i in range(m))
     monoms_q = monomials_upto(m, den_deg)
     monoms_p = monomials_upto(m, num_deg)
-    cols = [u.num * powers[e] for e in monoms_q]
-    cols += [-u.den * powers[e] for e in monoms_p]
+    neg_den = -u.den
+    cols = [(u.num, powers[e]) for e in monoms_q]
+    cols += [(neg_den, powers[e]) for e in monoms_p]
     nq = len(monoms_q)
     for row in reversed(_kernel_rref(cols, max_cells)):
         q_terms = {monoms_q[c]: v for c, v in enumerate(row[:nq]) if v}

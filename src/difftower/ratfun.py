@@ -8,10 +8,11 @@ function.  Every cancellation goes through poly_gcd, which returns
 (g, p/g, q/g); GCDHEU reads p/g and q/g off its accepted trial divisions.
 
 A polynomial is stored as integer numerators over one denominator, unique
-per polynomial.  Every kernel (sums, products, exact division, GCDHEU,
-division with remainder, substitution, the cleared derivation) runs on
-those integers and builds no Fraction; one appears only where a caller
-reads a coefficient (terms, leading_coeff, const_value, eval_rat).
+per polynomial.  Every kernel (sums, products and their scatter into
+coefficient-matching rows, exact division, GCDHEU, division with
+remainder, substitution, the cleared derivation) runs on those integers
+and builds no Fraction; one appears only where a caller reads a
+coefficient (terms, leading_coeff, const_value, eval_rat).
 
 Each exponent (e0, ..., e_{n-1}) is stored as one packed integer key,
 deg << n*S | e0 << (n-1)*S | ... | e_{n-1}, with deg = sum(e) and S = W + 1
@@ -640,6 +641,36 @@ def poly_lcm(p: MPoly, q: MPoly) -> MPoly:
     if p.is_zero() or q.is_zero():
         return MPoly.zero(p.vars)
     return (p * poly_gcd(p, q)[2]).monic()
+
+
+def scatter_product(rows: dict, col: int, f: MPoly, g: MPoly, k: int):
+    """Write k * f.ints * g.ints, the integer numerators of the product
+    f*g times k, into rows as column col: rows[key][col] is the nonzero
+    coefficient of that key, with a new row for a new key.  No polynomial
+    is built, so there is no gcd; an entry that cancels to 0 is left out,
+    and a key whose every entry cancels gets no row.  ExponentOverflow
+    where f*g raises it."""
+    f._check(g)
+    a, b = _times(f.ints, k), g.ints.items()
+    if a and b:
+        deg = max(a) + max(g.ints) >> len(f.vars) * _S
+        if deg >= _LIMIT:
+            raise _overflow(deg)
+    if len(a) == 1:
+        # a one-term f shifts g's keys: no two products share a key, and
+        # none is 0
+        (e1, c1), = a.items()
+        for e2, c2 in b:
+            rows.setdefault(e1 + e2, {})[col] = c1 * c2
+        return
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b:
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+    for e, c in out.items():
+        if c:
+            rows.setdefault(e, {})[col] = c
 
 
 def cleared_derivation(images: Sequence[MPoly], shift: MPoly):

@@ -294,28 +294,39 @@ class CompositumBasis:
     partial: bool
 
 
+def _member_test(tower: Tower, entries: Sequence[RatFun], bounds: Bounds):
+    """(contains, exact) for the field Q(entries): LinearField's exact test
+    while the entries are linear over the tower, else one MembershipSearch,
+    whose miss is not exact."""
+    try:
+        return LinearField(tower, entries).contains, True
+    except NotLinearField:
+        search = MembershipSearch(
+            SubfieldSpec(generators=tuple(entries)), tower, bounds)
+        return (lambda u: isinstance(search.find(u), Found)), False
+
+
 def compositum_basis(K: SubfieldSpec, tower: Tower,
                      bounds: Bounds = Bounds()) -> CompositumBasis:
     """Greedy transcendence base of KE over K from the tower's generators:
     take the smallest-index generator not yet in the current field, adjoin,
     repeat.  Membership is exact while the current field's generators are
     linear over the tower; otherwise it is one MembershipSearch, and a
-    generator adjoined on its miss makes the basis partial."""
+    generator adjoined on its miss makes the basis partial.  The test is
+    built once per field, and again only after a generator is adjoined."""
     current = list(K.generators)
     chosen = []
     partial = False
+    contains = None
     for name in tower.gen_names:
         gen = tower.gen(name)
-        try:
-            inside = LinearField(tower, current).contains(gen)
-        except NotLinearField:
-            search = MembershipSearch(
-                SubfieldSpec(generators=tuple(current)), tower, bounds)
-            inside = isinstance(search.find(gen), Found)
-            partial = partial or not inside
-        if not inside:
+        if contains is None:
+            contains, exact = _member_test(tower, current, bounds)
+        if not contains(gen):
+            partial = partial or not exact
             chosen.append(name)
             current.append(gen)
+            contains = None
     return CompositumBasis(chosen=tuple(chosen), partial=partial)
 
 

@@ -43,6 +43,12 @@ def two_log_tower():
                              ("zeta2", parse_expr("1/(z+1)", v))])
 
 
+def loglog_tower():
+    v = ("z", "zeta1", "zeta2")
+    return tower_from_pairs([("zeta1", parse_expr("1/z", v)),
+                             ("zeta2", parse_expr("1/(zeta1*z)", v))])
+
+
 class TestBounds:
     def test_defaults_positive(self):
         with pytest.raises(ValueError):
@@ -836,6 +842,83 @@ class TestKernelRref:
         assert any(k == 0 for n, k in dims if n > 1)      # empty kernels
         assert any(k == n for n, k in dims if n > 1)      # no equations
         assert any(0 < k < n - 1 for n, k in dims)
+
+
+def _pair_rungs():
+    """Seeded membership rungs, each column as its pair of factors
+    (num(u), B_e) or (-den(u), B_e) and as their MPoly product: levels
+    D = 1, 2 (and 3 at order 0) of _cleared_levels over K's order-0 and
+    order-1 values on the log, two-log and log-log towers, against a zero,
+    a planted and two random targets."""
+    rng = random.Random(27)
+    rungs = []
+    for T, gens in [(log_tower(), ["zeta1/z"]),
+                    (two_log_tower(), ["zeta1 + zeta2", "z*zeta2"]),
+                    (loglog_tower(), ["zeta2/z", "zeta1"])]:
+        chains = _closures([parse_expr(g, T) for g in gens], T)
+        for order, values in zip(range(2), chains):
+            levels = _cleared_levels(values)
+            for D in range(1, 4 - order):
+                powers = next(levels)
+                for u in [RatFun.const(T.vars, 0),
+                          (values[0] * values[-1]).scale(Fraction(2, 3))
+                          + RatFun.const(T.vars, Fraction(5, 2)),
+                          random_ratfun(rng, T.vars, max_deg=2, max_terms=3),
+                          random_ratfun(rng, T.vars, max_deg=1, max_terms=2)]:
+                    monoms = monomials_upto(len(values), D)
+                    pairs = [(u.num, powers[e]) for e in monoms]
+                    pairs += [(-u.den, powers[e]) for e in monoms]
+                    rungs.append((pairs, [f * g for f, g in pairs]))
+    return rungs
+
+
+class TestPairColumns:
+    """A membership column handed over as its two factors assembles to the
+    rows of its MPoly product, up to one positive factor for the whole
+    system, so the kernel and every answer are the same."""
+
+    CAP = linalg.DEFAULT_MAX_CELLS
+
+    def test_rows_match_the_products(self):
+        rungs = _pair_rungs()
+        assert len(rungs) >= 60
+        dims = []
+        for pairs, products in rungs:
+            got = _assemble_rows(pairs, self.CAP)
+            want = _assemble_rows(products, self.CAP)
+            # the same rows in the same order, each with the same columns
+            assert [list(r) for r in got] == [list(r) for r in want]
+            assert all(type(v) is int and v for r in got for v in r.values())
+            ratios = {Fraction(a, b) for r, s in zip(got, want)
+                      for a, b in zip(r.values(), s.values())}
+            assert len(ratios) <= 1 and all(c > 0 for c in ratios)
+            kernel = _kernel_rref(pairs, self.CAP)
+            assert kernel == _kernel_rref(products, self.CAP)
+            dims.append(len(kernel))
+        assert any(f.den != 1 for pairs, _ in rungs for f, _ in pairs)
+        assert 0 in dims and any(dims)
+
+    def test_the_cell_cap_binds_at_the_same_size(self):
+        for pairs, products in _pair_rungs():
+            cells = len(_assemble_rows(products, self.CAP)) * len(products)
+            for cols in (pairs, products):
+                assert len(_assemble_rows(cols, cells)) * len(cols) == cells
+                with pytest.raises(BoundsExceeded):
+                    _assemble_rows(cols, cells - 1)
+
+    def test_a_rung_multiplies_no_column_polynomial(self, monkeypatch):
+        # a miss rung with 6 columns: at the parent of this change each
+        # column num(u)*B_e or -den(u)*B_e was one MPoly.__mul__ (6 calls)
+        T = log_tower()
+        values = [parse_expr("zeta1/z", T)]
+        powers = next(itertools.islice(_cleared_levels(values), 1, None))
+        calls = []
+        real = MPoly.__mul__
+        monkeypatch.setattr(MPoly, "__mul__",
+                            lambda a, b: calls.append((a, b)) or real(a, b))
+        got = _membership_at(parse_expr("z", T), values, 2, 2, powers,
+                             self.CAP)
+        assert got is None and calls == []
 
 
 # the membership answer on log_tower(), computed in a new interpreter

@@ -273,6 +273,87 @@ class TestClearedDerivation:
             cleared_derivation(images, zero)(MPoly.const(("y", "x"), 3))
 
 
+def _scattered(rows, col, variables=V2):
+    """{exponent tuple: entry} of column col in scatter_product's rows."""
+    return {ratfun._unpack(e, len(variables)): row[col]
+            for e, row in rows.items() if col in row}
+
+
+class TestScatterProduct:
+    """scatter_product writes k*f*g over f.den*g.den into rows as one
+    column, with every entry an integer and no zero entry."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mpolys, _mpolys, st.integers(1, 9))
+    @example(P("x - y"), P("x + y"), 1)
+    @example(P("x/2 + 1/3"), P("y/5 - x"), 7)
+    @example(P("3*x*y/4"), P("x^2 - y/6 + 2"), 5)
+    @example(MPoly.zero(V2), P("x + 1"), 3)
+    def test_matches_the_product(self, f, g, k):
+        rows = {key: {0: 1} for key in P("x*y + x^2 + 1").ints}
+        before = {key: dict(row) for key, row in rows.items()}
+        ratfun.scatter_product(rows, 1, f, g, k)
+        scale = f.den * g.den * k
+        want = {e: c * scale for e, c in _ref_mul(f, g).items()}
+        assert _scattered(rows, 1) == want
+        assert all(type(v) is int and v for r in rows.values()
+                   for v in r.values())
+        # column 0 is untouched, and a row is new only where f*g is nonzero
+        assert _scattered(rows, 0) == _scattered(before, 0)
+        assert {ratfun._unpack(e, 2) for e in rows.keys() - before.keys()} \
+            <= want.keys()
+
+    def test_cancellation_in_a_column_drops_the_entry(self):
+        # (x - y)*(x + y): the two x*y products cancel
+        rows = {}
+        ratfun.scatter_product(rows, 0, P("x - y"), P("x + y"), 1)
+        assert _scattered(rows, 0) == {(2, 0): 1, (0, 2): -1}
+        assert P("x*y").ints.keys() & rows.keys() == set()
+
+    def test_a_cancelled_monomial_keeps_the_other_columns(self):
+        rows = {}
+        ratfun.scatter_product(rows, 0, P("x"), P("y"), 1)
+        ratfun.scatter_product(rows, 1, P("x + y"), P("x - y"), 2)
+        (xy,) = P("x*y").ints
+        assert rows[xy] == {0: 1}
+        assert _scattered(rows, 1) == {(2, 0): 2, (0, 2): -2}
+
+    def test_denominators_on_both_factors(self):
+        # k = 7 over f.den*g.den = 6*5: entries are 7*6*5 times f*g's
+        f, g = P("x/2 + 1/3"), P("y/5 - x")
+        assert (f.den, g.den) == (6, 5)
+        rows = {}
+        ratfun.scatter_product(rows, 2, f, g, 7)
+        assert _scattered(rows, 2) == {
+            e: c * 210 for e, c in (f * g).terms.items()}
+        assert _scattered(rows, 2) == {(1, 1): 21, (0, 1): 14,
+                                       (2, 0): -105, (1, 0): -70}
+
+    def test_an_empty_factor_gives_an_empty_column(self):
+        for f, g in [(MPoly.zero(V2), P("x + 1")), (P("x/3 - y"),
+                                                    MPoly.zero(V2))]:
+            rows = {}
+            ratfun.scatter_product(rows, 0, f, g, 5)
+            assert rows == {}
+
+    def test_foreign_variables_raise(self):
+        with pytest.raises(VariableMismatch):
+            ratfun.scatter_product({}, 0, P("x"), P("x", V3), 1)
+
+    def test_overflow_where_the_product_overflows(self):
+        x, y = MPoly.var(V2, "x"), MPoly.var(V2, "y")
+        half = x ** 2 ** (W - 1)
+        for f in (half, half + y):   # one term, and the general loop
+            fits, spills = y ** (2 ** (W - 1) - 1), y ** 2 ** (W - 1)
+            rows = {}
+            ratfun.scatter_product(rows, 0, f, fits, 1)
+            assert _scattered(rows, 0) == (f * fits).terms
+            with pytest.raises(ExponentOverflow):
+                f * spills
+            with pytest.raises(ExponentOverflow):
+                ratfun.scatter_product({}, 0, f, spills, 1)
+
+
 class TestStoredForm:
     """Every MPoly an operation returns is in the stored form, and its terms
     view equals the Fraction reference."""

@@ -616,6 +616,22 @@ class TestCompositumBasis:
         out = compositum_basis(K, T, SMALL)
         assert out.chosen == () and not out.partial
 
+    def test_one_search_per_field(self, monkeypatch):
+        # zeta1 lies in the non-linear Q<z^2, z^2*zeta1> and zeta2 does not:
+        # the field does not grow between the two, so one search serves
+        # both (two closure chains over the same field before)
+        T = two_log_tower()
+        K = SubfieldSpec(generators=(parse_expr("z^2", T),
+                                     parse_expr("z^2*zeta1", T)))
+        chains = []
+        real = ansatz._closures
+        monkeypatch.setattr(ansatz, "_closures",
+                            lambda g, t: chains.append(tuple(g)) or real(g, t))
+        out = compositum_basis(K, T, SMALL)
+        assert out == structure.CompositumBasis(chosen=("zeta2",),
+                                                partial=True)
+        assert chains == [K.generators]
+
 
 class TestMinimalShift:
     def test_affine(self):
