@@ -20,7 +20,13 @@ quotient.
 Membership in a subfield K is one MembershipSearch: K's closure chains and
 each order's cleared levels are built once, as its effort ladder first
 reaches them, and shared by every target it is asked about;
-subfield_membership is one such search for one target.
+subfield_membership is one such search for one target.  Before a rung is
+built, its columns' leading keys are read off as sums of packed keys, with
+no product (the leading monomial of a product is the sum of the leading
+monomials; Cox, Little & O'Shea, ch. 2).  Each distinct lead is a row of
+the system, so too many of them skip the rung over the cell cap, and when
+all are distinct the columns are independent and the rung is a miss with
+no level, no assembly and no elimination.
 Searches are three-valued by design: a Found result always carries a
 substitution-verified witness, and a miss only ever means "not within these
 bounds".
@@ -36,8 +42,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .errors import BoundsExceeded, DiffTowerError
-from .ratfun import (MPoly, RatFun, clear_denominators, cleared_derivation,
-                     scatter_product)
+from .ratfun import (_LIMIT, MPoly, RatFun, clear_denominators,
+                     cleared_derivation, scatter_product)
 from .ratint import has_rational_antiderivative
 from .tower import SubfieldSpec, Tower
 
@@ -52,7 +58,9 @@ class Bounds:
     (by default) before a search gives up; each step is at least 1, so the
     escalated caps are never below the base ones.  max_cells caps the
     rows*cols of every linear system a search builds; a rung over it is
-    skipped."""
+    skipped, a membership rung before any product when its columns'
+    distinct leading keys (a lower bound on its rows) already put it
+    over."""
 
     max_num_degree: int = 8
     max_den_degree: int = 8
@@ -259,34 +267,93 @@ def _degree_ladder(bounds: Bounds):
             yield min(d, cap_num), min(d, cap_den), order
 
 
+def _lead_steps(values: Sequence[RatFun]) -> Tuple[List[int], int]:
+    """(lam, reach) for values v_i = n_i/d_i cleared as N/L.  lam_i =
+    lead(n_i) - lead(d_i) in packed keys, so the leading key of B_e =
+    N^e*L^(D-|e|) is D*lead(L) + e.lam, a sum of keys with no product.
+    deg(B_e) <= D*reach for |e| <= D, as deg(L) is at most the sum of the
+    distinct d_i's degrees."""
+    lam = [max(v.num.ints) - max(v.den.ints) for v in values]
+    steps = [v.num.total_degree() - v.den.total_degree() for v in values]
+    reach = sum(d.total_degree() for d in dict.fromkeys(v.den for v in values))
+    return lam, reach + max([0] + steps)
+
+
 class MembershipSearch:
     """The ascending-effort membership search in one K, for any number of
     targets.  K's closure chains (_closures) and, per order, the cleared
     levels (_cleared_levels) are built once, when the ladder first reaches
     them, and shared by every find; a found witness does not depend on the
-    targets searched before it.  Nothing outlives the object."""
+    targets searched before it.  Each rung is first sized from its columns'
+    leading keys (_certified_miss), so a rung over the cell cap or with an
+    empty kernel builds no level, and a level is built only for a rung that
+    needs it.  Nothing outlives the object."""
 
     def __init__(self, K: SubfieldSpec, tower: Tower,
                  bounds: Bounds = Bounds()):
         self.bounds = bounds
         self._orders = _closures(K.generators, tower)
-        self._by_order = []   # per order: (values, levels built, the rest)
+        # per order: (values, levels built, the rest, _lead_steps(values))
+        self._by_order = []
+        self._sums = {}   # order -> per degree d, the e.lam for |e| = d, <= d
 
     def values(self, order: int) -> List[RatFun]:
         """K's generators and their derivatives up to order, as _closures
         yields them."""
         while len(self._by_order) <= order:
             values = next(self._orders)
-            self._by_order.append((values, [], _cleared_levels(values)))
+            self._by_order.append((values, [], _cleared_levels(values),
+                                   _lead_steps(values)))
         return self._by_order[order][0]
 
     def _level(self, order: int, degree: int) -> Optional[Dict[tuple, MPoly]]:
         """The cleared level of degree D = degree over the order's values;
         None when there are no values."""
-        _, levels, more = self._by_order[order]
+        _, levels, more, _ = self._by_order[order]
         while len(levels) < degree:
             levels.append(next(more, None))
         return levels[degree - 1]
+
+    def _lead_sums(self, order: int, degree: int) -> set:
+        """{e.lam : |e| <= degree} over the order's values: the leading
+        keys of the level's entries, less the common D*lead(L).  Built a
+        degree at a time, the sums with |e| = d being those with |e| = d-1
+        plus some lam_i."""
+        lam, _ = self._by_order[order][3]
+        sums = self._sums.setdefault(order, [({0}, {0})])   # (|e| = d, <= d)
+        while len(sums) <= degree:
+            top, upto = sums[-1]
+            top = {s + step for s in top for step in lam}
+            sums.append((top, upto | top))
+        return sums[degree][1]
+
+    def _certified_miss(self, u: RatFun, order: int, num_deg: int,
+                        den_deg: int) -> bool:
+        """Sizes the rung from its columns' leading keys, less D*lead(L):
+        lead(num u) + e.lam for the Q-columns and lead(den u) + e.lam for
+        the P-columns.  A lead never cancels, so the distinct leads are at
+        least the rows, and BoundsExceeded (linalg.check_size) skips a rung
+        they put over max_cells.  True when every lead is distinct: the
+        column with the largest lead has no partner, so the kernel is empty
+        and _membership_at would return None.  False, and the rung is built,
+        for no values, a zero target or one over other variables, and when
+        its top column might not fit the packed keys, so that building it
+        raises ExponentOverflow as before."""
+        values, _, _, (_, reach) = self._by_order[order]
+        D = max(num_deg, den_deg)
+        if (not values or u.is_zero() or u.vars != values[0].vars
+                or max(u.num.total_degree(), u.den.total_degree())
+                + D * reach >= _LIMIT):
+            return False
+        sums_q = self._lead_sums(order, den_deg)
+        sums_p = self._lead_sums(order, num_deg)
+        shift = max(u.den.ints) - max(u.num.ints)
+        leads = len(sums_q) + len(sums_p) - len(
+            sums_q.intersection(map(shift.__add__, sums_p)))
+        m = len(values)
+        n_cols = comb(m + den_deg, den_deg) + comb(m + num_deg, num_deg)
+        linalg.check_size(leads, n_cols, self.bounds.max_cells)
+        return leads == n_cols
 
     def find(self, u: RatFun) -> Found | NoSolutionWithinBounds:
         """Search for u as a rational expression in K's generators and their
@@ -294,8 +361,10 @@ class MembershipSearch:
         at the least (degree, order) bound."""
         for num_deg, den_deg, order in _degree_ladder(self.bounds):
             values = self.values(order)
-            powers = self._level(order, max(num_deg, den_deg))
             try:
+                if self._certified_miss(u, order, num_deg, den_deg):
+                    continue
+                powers = self._level(order, max(num_deg, den_deg))
                 expr = _membership_at(u, values, num_deg, den_deg, powers,
                                       self.bounds.max_cells)
             except BoundsExceeded:

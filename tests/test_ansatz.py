@@ -23,7 +23,8 @@ from difftower.ansatz import (Bounds, Found, MembershipSearch,
                               _membership_at,
                               _poly_part_constant, monomials_upto, solve_first_order,
                               solve_linear_ansatz, subfield_membership)
-from difftower.errors import BoundsExceeded, DiffTowerError, DivisionByZero
+from difftower.errors import (BoundsExceeded, DiffTowerError, DivisionByZero,
+                              ExponentOverflow, VariableMismatch)
 from difftower.parser import format_ratfun, parse_expr
 from difftower.randexpr import random_mpoly, random_ratfun, random_tower
 from difftower.ratfun import (MPoly, RatFun, clear_denominators,
@@ -47,6 +48,12 @@ def loglog_tower():
     v = ("z", "zeta1", "zeta2")
     return tower_from_pairs([("zeta1", parse_expr("1/z", v)),
                              ("zeta2", parse_expr("1/(zeta1*z)", v))])
+
+
+def flat_tower():
+    v = ("z", "zeta1", "zeta2")
+    return tower_from_pairs([("zeta1", parse_expr("1/(z+1)", v)),
+                             ("zeta2", parse_expr("1/(z+4)", v))])
 
 
 class TestBounds:
@@ -919,6 +926,188 @@ class TestPairColumns:
         got = _membership_at(parse_expr("z", T), values, 2, 2, powers,
                              self.CAP)
         assert got is None and calls == []
+
+
+SIZING = Bounds(2, 2, 2, escalation=())
+
+
+def _sized_rungs():
+    """Every rung of the SIZING ladder, as (search, u, num_deg, den_deg,
+    order), for one- and two-generator Ks on the log, two-log, log-log and
+    flat towers, against a zero target, two planted hits, the last and the
+    first tower variable and a random target."""
+    rng = random.Random(28)
+    rungs = []
+    for T, gens in [(log_tower(), ["zeta1/z", "z^2"]),
+                    (two_log_tower(), ["zeta1 + zeta2", "z*zeta2"]),
+                    (loglog_tower(), ["zeta2/z", "zeta1"]),
+                    (flat_tower(), ["zeta1 + 2*zeta2", "z^2"])]:
+        for n in (1, 2):
+            K = SubfieldSpec(
+                generators=tuple(parse_expr(g, T) for g in gens[:n]))
+            k = K.generators[0]
+            c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            for u in [RatFun.const(T.vars, 0), k * k + k.scale(c),
+                      k * T.differentiate(k), T.gen(T.vars[-1]), T.gen("z"),
+                      random_ratfun(rng, T.vars, max_deg=2, max_terms=3)]:
+                search = MembershipSearch(K, T, SIZING)
+                for num_deg, den_deg, order in _degree_ladder(SIZING):
+                    rungs.append((search, u, num_deg, den_deg, order))
+    return rungs
+
+
+def _sized_outcomes(monkeypatch):
+    """Per rung of _sized_rungs: (certified, the lower bound on the rows
+    that _certified_miss passed to check_size or None, the rows, the
+    kernel's dimension, whether _membership_at hits, whether u = 0), the
+    last four from the rung built in full."""
+    bounds = []
+    check_size = linalg.check_size
+    monkeypatch.setattr(linalg, "check_size",
+                        lambda *a: bounds.append(a[0]) or check_size(*a))
+    out = []
+    for search, u, num_deg, den_deg, order in _sized_rungs():
+        values = search.values(order)
+        bounds.clear()
+        certified = search._certified_miss(u, order, num_deg, den_deg)
+        bound = bounds[0] if bounds else None
+        levels = _cleared_levels(values)
+        for _ in range(max(num_deg, den_deg)):
+            powers = next(levels, None)
+        rows, kernel = 0, []
+        if values:
+            m = len(values)
+            cols = [(u.num, powers[e]) for e in monomials_upto(m, den_deg)]
+            cols += [(-u.den, powers[e]) for e in monomials_upto(m, num_deg)]
+            rows = len(_assemble_rows(cols, linalg.DEFAULT_MAX_CELLS))
+            kernel = _kernel_rref(cols, linalg.DEFAULT_MAX_CELLS)
+        hit = _membership_at(u, values, num_deg, den_deg, powers,
+                             linalg.DEFAULT_MAX_CELLS) is not None
+        out.append((certified, bound, rows, len(kernel), hit, u.is_zero()))
+    return out
+
+
+class TestLeadCertificate:
+    """A rung whose columns' leading keys are all distinct is a miss,
+    decided from the keys alone; the distinct leads bound its rows."""
+
+    def test_certified_rungs_have_empty_kernels(self, monkeypatch):
+        outcomes = _sized_outcomes(monkeypatch)
+        assert len(outcomes) >= 250
+        for certified, bound, rows, kernel, hit, zero in outcomes:
+            if certified:
+                assert kernel == 0 and not hit
+            if bound is not None:
+                # each distinct lead is a row of the built system
+                assert bound <= rows
+            if zero:
+                assert bound is None and not certified
+        kinds = {(c, k > 0, h) for c, _, _, k, h, _ in outcomes}
+        # certified misses, misses with colliding leads, and hits
+        assert {(True, False, False), (False, False, False),
+                (False, True, True)} <= kinds
+
+    def test_a_planted_lead_bug_certifies_a_hit(self, monkeypatch):
+        """The soundness test above fails on a wrong lead: here lam_i
+        without its denominator's lead."""
+        steps = ansatz._lead_steps
+        monkeypatch.setattr(ansatz, "_lead_steps", lambda values: (
+            [max(v.num.ints) for v in values], steps(values)[1]))
+        outcomes = _sized_outcomes(monkeypatch)
+        assert any(certified and kernel
+                   for certified, _, _, kernel, _, _ in outcomes)
+
+    def test_overflow_is_raised_before_any_certificate(self):
+        # at D = 2 the column z^(2^32) does not fit the packed keys; the
+        # D = 1 rung is a certified miss
+        T = log_tower()
+        K = SubfieldSpec(generators=(
+            RatFun.from_poly(MPoly(T.vars, {(2 ** 31, 0): 1})),))
+        search = MembershipSearch(K, T, Bounds(2, 2, 1, escalation=()))
+        with pytest.raises(ExponentOverflow):
+            search.find(T.gen("zeta1"))
+
+    def test_a_target_over_other_variables_raises_as_before(self):
+        T = log_tower()
+        K = SubfieldSpec(generators=(parse_expr("zeta1/z", T),))
+        with pytest.raises(VariableMismatch):
+            MembershipSearch(K, T, SMALL).find(parse_expr("z^3 + 1", ("z",)))
+
+
+# the capped log-log miss: every rung above D = 3 is over the cell cap
+CAPPED = """
+import resource, sys, time
+from difftower.ansatz import Bounds, subfield_membership
+from difftower.parser import parse_expr
+from difftower.tower import SubfieldSpec, tower_from_pairs
+v = ("z", "zeta1", "zeta2")
+T = tower_from_pairs([("zeta1", parse_expr("1/z", v)),
+                      ("zeta2", parse_expr("1/(zeta1*z)", v))])
+K = SubfieldSpec(generators=(parse_expr("zeta1/z", T),))
+deg = int(sys.argv[1])
+t = time.perf_counter()
+out = subfield_membership(T.gen("zeta2"), K, T,
+                          Bounds(deg, deg, 2, escalation=(), max_cells=2000))
+print(type(out).__name__, time.perf_counter() - t,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestRungSizing:
+    """A rung over the cell cap is skipped before its level is built, so
+    the capped search's work does not grow with the degree cap."""
+
+    def test_capped_search_builds_only_the_levels_its_rungs_use(
+            self, monkeypatch):
+        T = loglog_tower()
+        K = SubfieldSpec(generators=(parse_expr("zeta1/z", T),))
+        built, used, skipped = {}, {}, []
+        cleared, rung = ansatz._cleared_levels, ansatz._membership_at
+
+        def counting_levels(values):
+            for level in cleared(values):
+                built[id(values)] = built.get(id(values), 0) + 1
+                yield level
+
+        def counting_rung(u, values, num_deg, den_deg, powers, cells):
+            D = max(num_deg, den_deg)
+            used[id(values)] = max(used.get(id(values), 0), D)
+            return rung(u, values, num_deg, den_deg, powers, cells)
+
+        check_size = linalg.check_size
+
+        def counting_size(*args):
+            try:
+                return check_size(*args)
+            except BoundsExceeded:
+                skipped.append(args)
+                raise
+
+        monkeypatch.setattr(ansatz, "_cleared_levels", counting_levels)
+        monkeypatch.setattr(ansatz, "_membership_at", counting_rung)
+        monkeypatch.setattr(linalg, "check_size", counting_size)
+        bounds = Bounds(40, 40, 2, escalation=(), max_cells=2000)
+        out = MembershipSearch(K, T, bounds).find(T.gen("zeta2"))
+        assert isinstance(out, NoSolutionWithinBounds)
+        # levels 1..D are built for the highest D a rung ran at, no more.
+        # D = 3 at order 2 is the last rung whose leads fit the cap (its
+        # rows then do not); every rung above is skipped from its leads
+        assert built == used and max(used.values()) == 3
+        assert skipped
+
+    def test_capped_search_stays_near_its_small_degree_cost(self):
+        src = str(Path(difftower.__file__).resolve().parents[1])
+        runs = {}
+        for deg in (8, 40):
+            done = subprocess.run([sys.executable, "-c", CAPPED, str(deg)],
+                                  env={**os.environ, "PYTHONPATH": src},
+                                  capture_output=True, text=True, check=True)
+            name, seconds, rss_kb = done.stdout.split()
+            assert name == "NoSolutionWithinBounds"
+            runs[deg] = float(seconds), int(rss_kb)
+        # unsized, --deg 40 took seconds and hundreds of MB
+        assert runs[40][0] < runs[8][0] + 0.5
+        assert runs[40][1] < runs[8][1] + 10 * 1024
 
 
 # the membership answer on log_tower(), computed in a new interpreter
