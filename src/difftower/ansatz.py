@@ -203,10 +203,9 @@ def _closures(gens: Sequence[RatFun], tower: Tower) -> Iterator[List[RatFun]]:
 
 def _cleared_levels(values: Sequence[RatFun]) -> Iterator[Dict[tuple, MPoly]]:
     """Yields {e: N^e * L^(D-|e|) for |e| <= D} for D = 1, 2, ..., where
-    values = N/L is cleared once.  Each level is built from the one before
-    at one product per entry: B_e = B'_(e-1_i) * N_i, and B_0 = B'_0 * L."""
-    if not values:
-        return
+    values = N/L, nonempty, is cleared once.  Each level is built from the
+    one before at one product per entry: B_e = B'_(e-1_i) * N_i, and
+    B_0 = B'_0 * L."""
     lcm, nums = clear_denominators(values)
     level = {(0,) * len(values): MPoly.const(lcm.vars, 1)}
     for d in itertools.count(1):
@@ -234,8 +233,6 @@ def _membership_at(u: RatFun, values: Sequence[RatFun], num_deg: int,
     the one leading furthest right, whose Q has the deglex-least leading term.
     """
     m = len(values)
-    if m == 0:
-        return None
     xvars = tuple(f"x{i}" for i in range(m))
     monoms_q = monomials_upto(m, den_deg)
     monoms_p = monomials_upto(m, num_deg)
@@ -306,12 +303,11 @@ class MembershipSearch:
                                    _lead_steps(values)))
         return self._by_order[order][0]
 
-    def _level(self, order: int, degree: int) -> Optional[Dict[tuple, MPoly]]:
-        """The cleared level of degree D = degree over the order's values;
-        None when there are no values."""
+    def _level(self, order: int, degree: int) -> Dict[tuple, MPoly]:
+        """The cleared level of degree D = degree over the order's values."""
         _, levels, more, _ = self._by_order[order]
         while len(levels) < degree:
-            levels.append(next(more, None))
+            levels.append(next(more))
         return levels[degree - 1]
 
     def _lead_sums(self, order: int, degree: int) -> set:
@@ -336,12 +332,12 @@ class MembershipSearch:
         they put over max_cells.  True when every lead is distinct: the
         column with the largest lead has no partner, so the kernel is empty
         and _membership_at would return None.  False, and the rung is built,
-        for no values, a zero target or one over other variables, and when
-        its top column might not fit the packed keys, so that building it
-        raises ExponentOverflow as before."""
+        for a zero target or one over other variables, and when its top
+        column might not fit the packed keys, so that building it raises
+        ExponentOverflow as before."""
         values, _, _, (_, reach) = self._by_order[order]
         D = max(num_deg, den_deg)
-        if (not values or u.is_zero() or u.vars != values[0].vars
+        if (u.is_zero() or u.vars != values[0].vars
                 or max(u.num.total_degree(), u.den.total_degree())
                 + D * reach >= _LIMIT):
             return False
@@ -358,7 +354,10 @@ class MembershipSearch:
     def find(self, u: RatFun) -> Found | NoSolutionWithinBounds:
         """Search for u as a rational expression in K's generators and their
         derivatives.  Ascending effort ladder, so a Found witness is the one
-        at the least (degree, order) bound."""
+        at the least (degree, order) bound.  A K of constants, whose every
+        order has no values, misses before any rung."""
+        if not self.values(0):
+            return NoSolutionWithinBounds(self.bounds)
         for num_deg, den_deg, order in _degree_ladder(self.bounds):
             values = self.values(order)
             try:

@@ -27,11 +27,14 @@ from .parser import (format_fraction, format_ratfun, parse_expr,
 from .ratfun import RatFun
 from .tower import SubfieldSpec, Tower, base_subfield
 
-ALL_BOUNDS = ("--deg", "--order", "--max-cells")
 # derive --order takes one derivative per step, so it is capped like the
 # parser's power degree: a larger order is an input error, not a run that
 # never ends
 MAX_DERIVE_ORDER = 10_000
+# so are --deg and --order of member, recover, basis and structure, whose
+# ladders climb every rung up to both; solve-ode stops at the cell cap
+MAX_SEARCH_DEGREE = 20
+MAX_SEARCH_ORDER = 20
 
 Report = Tuple[List[str], List[Tuple[str, str]], int]  # lines, kv, exit code
 
@@ -252,25 +255,33 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _derive_order(text: str) -> int:
-    value = int(text)
-    if value > MAX_DERIVE_ORDER:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_DERIVE_ORDER}, got {value}")
-    return value
+def _at_most(cap: int):
+    """An argparse type: an int no larger than cap."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {cap}, got {value}")
+        return value
+    return parse
+
+
+SEARCH_BOUNDS = {"--deg": _at_most(MAX_SEARCH_DEGREE),
+                 "--order": _at_most(MAX_SEARCH_ORDER),
+                 "--max-cells": _positive_int}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="difftower")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, subfield=False, bounds=()):
+    def common(p, subfield=False, bounds=None):
         p.add_argument("--tower", required=True, help="tower definition file")
         if subfield:
             p.add_argument("--subfield", help="named subfield from the file")
-        for flag in bounds:   # only the search bounds the subcommand reads
-            p.add_argument(flag, type=_positive_int
-                           if flag == "--max-cells" else int)
+        # only the search bounds the subcommand reads: {flag: type}
+        for flag, kind in (bounds or {}).items():
+            p.add_argument(flag, type=kind)
 
     p = sub.add_parser("validate")
     common(p)
@@ -279,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive")
     common(p)
     p.add_argument("expr")
-    p.add_argument("--order", type=_derive_order, default=1)
+    p.add_argument("--order", type=_at_most(MAX_DERIVE_ORDER), default=1)
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser("const")
@@ -299,26 +310,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ostrowski)
 
     p = sub.add_parser("normal-tower")
-    common(p, bounds=("--max-cells",))
+    common(p, bounds={"--max-cells": _positive_int})
     p.set_defaults(func=_cmd_normal_tower)
 
     p = sub.add_parser("basis")
-    common(p, subfield=True, bounds=ALL_BOUNDS)
+    common(p, subfield=True, bounds=SEARCH_BOUNDS)
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("member")
-    common(p, subfield=True, bounds=ALL_BOUNDS)
+    common(p, subfield=True, bounds=SEARCH_BOUNDS)
     p.add_argument("expr")
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("solve-ode")
-    common(p, bounds=("--deg", "--max-cells"))
+    common(p, bounds={"--deg": int, "--max-cells": _positive_int})
     p.add_argument("--f", required=True)
     p.add_argument("--g")
     p.set_defaults(func=_cmd_solve_ode)
 
     p = sub.add_parser("recover")
-    common(p, bounds=ALL_BOUNDS)
+    common(p, bounds=SEARCH_BOUNDS)
     p.add_argument("--from", required=True, dest="from")
     p.add_argument("--target", required=True)
     p.set_defaults(func=_cmd_recover)
@@ -331,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_aut)
 
     p = sub.add_parser("structure")
-    common(p, subfield=True, bounds=ALL_BOUNDS)
+    common(p, subfield=True, bounds=SEARCH_BOUNDS)
     p.set_defaults(func=_cmd_structure)
     return top
 

@@ -9,10 +9,12 @@ function.  Every cancellation goes through poly_gcd, which returns
 
 A polynomial is stored as integer numerators over one denominator, unique
 per polynomial.  Every kernel (sums, products and their scatter into
-coefficient-matching rows, exact division, GCDHEU, division with
-remainder, substitution, the cleared derivation) runs on those integers
-and builds no Fraction; one appears only where a caller reads a
-coefficient (terms, leading_coeff, const_value, eval_rat).
+coefficient-matching rows, division, GCDHEU, substitution, the cleared
+derivation) runs on those integers and builds no Fraction; one appears
+only where a caller reads a coefficient (terms, leading_coeff,
+const_value, eval_rat).  One fraction-free lead division, _divide_lead,
+serves exact quotients (try_divexact, GCDHEU's trial divisions) and
+divmod_lead.
 
 Each exponent (e0, ..., e_{n-1}) is stored as one packed integer key,
 deg << n*S | e0 << (n-1)*S | ... | e_{n-1}, with deg = sum(e) and S = W + 1
@@ -21,9 +23,10 @@ stored key (Monagan & Pearce, CASC 2007).  Integer order on keys is deglex
 order, the key of a product is the sum of the keys, and with G the guard
 bits, ((a | G) - b) & G == G exactly when monomial b divides monomial a.  A
 total degree of 2**W or more would spill into the next field, so the
-constructors, products, shift_var and powers raise ExponentOverflow first.
-The public surface (the constructor, terms, sorted_terms, leading_exp,
-degree_in, coeff_in, shift_var) speaks exponent tuples and indices.
+constructors, products (shift_var is one) and powers raise ExponentOverflow
+first.  The public surface (the constructor, terms, sorted_terms,
+leading_exp, degree_in, coeff_in, shift_var) speaks exponent tuples and
+indices.
 """
 
 from __future__ import annotations
@@ -300,11 +303,8 @@ class MPoly:
         """Multiply by vars[i]**k, k >= 0."""
         if k < 0:
             raise ValueError("negative shift of a polynomial")
-        if self.ints and self.total_degree() + k >= _LIMIT:
-            raise _overflow(self.total_degree() + k)
-        kx = k * _unit(len(self.vars), i)[1]
-        out = {e + kx: c for e, c in self.ints.items()}
-        return MPoly._over(self.vars, out, self.den)
+        return self * MPoly._over(self.vars,
+                                  {k * _unit(len(self.vars), i)[1]: 1})
 
     # -- calculus-flavoured helpers --------------------------------------
 
@@ -350,45 +350,21 @@ class MPoly:
         if other.is_zero():
             return None
         cont, b = _primitive(other.ints)
-        quo = _divexact_int(self.ints, b)
-        if quo is None:
+        got = _divide_lead(self.ints, b, True)
+        if got is None:
             return None
         # (ints/den) / (cont*b/other.den) = quo*other.den / (den*cont)
-        return MPoly._over(self.vars, _times(quo, other.den), self.den * cont)
+        return MPoly._over(self.vars, _times(got[0], other.den),
+                           self.den * cont)
 
     def divmod_lead(self, other: "MPoly"):
         """(q, r) with self = q*other + r: divide by other's deglex leading
         term while it divides the leading term of r, then stop.  For
-        univariate input this is Euclidean division.  Runs fraction-free on
-        the numerators, keeping s*self.ints = quo*other.ints + rem."""
+        univariate input this is Euclidean division."""
         self._check(other)
         if other.is_zero():
             raise DivisionByZero("division by the zero polynomial")
-        b = other.ints.items()
-        le_b = max(other.ints)
-        lc_b = other.ints[le_b]
-        guard = _guards(le_b)
-        quo, rem, s = {}, dict(self.ints), 1
-        while rem:
-            le = max(rem)
-            if ((le | guard) - le_b) & guard != guard:
-                break
-            diff = le - le_b
-            m = lc_b // gcd(rem[le], lc_b)
-            if m != 1:   # scale so that lc_b divides rem's leading term
-                s *= m
-                quo = _times(quo, m)
-                rem = _times(rem, m)
-            c = rem[le] // lc_b
-            # the leading terms of rem strictly fall, so each diff is new
-            quo[diff] = c
-            for e, v in b:
-                tgt = e + diff
-                nv = rem.get(tgt, 0) - c * v
-                if nv:
-                    rem[tgt] = nv
-                else:
-                    del rem[tgt]
+        quo, rem, s = _divide_lead(self.ints, other.ints, False)
         d = s * self.den
         return (MPoly._over(self.vars, _times(quo, other.den), d),
                 MPoly._over(self.vars, rem, d))
@@ -409,13 +385,14 @@ class MPoly:
 
 # -- integer kernels ---------------------------------------------------------
 
-def _divexact_int(a: dict, b: dict):
-    """Exact quotient a / b of integer polynomials, b nonzero and primitive
-    (integer content 1), else None.  By Gauss's lemma an exact quotient is
-    integral, so a step that leaves an integer remainder proves that b does
-    not divide a."""
-    quo = {}
-    rem = dict(a)
+def _divide_lead(a: dict, b: dict, exact: bool):
+    """Fraction-free division of the integer polynomial a by the leading
+    term of b != 0 while that divides the remainder's: (quo, rem, s) with
+    s*a = quo*b + rem.  A step whose leading coefficient lc(b) does not
+    divide scales quo, rem and s by lc(b)/gcd.  With exact, that step, or a
+    lead that b's does not divide, returns None at once, so rem = {} and
+    s = 1: for primitive b an exact quotient is integral (Gauss's lemma)."""
+    quo, rem, s = {}, dict(a), 1
     le_b = max(b)
     lc_b = b[le_b]
     guard = _guards(le_b)
@@ -423,10 +400,16 @@ def _divexact_int(a: dict, b: dict):
     while rem:
         le = max(rem)
         if ((le | guard) - le_b) & guard != guard:
-            return None
+            return None if exact else (quo, rem, s)
         c, r = divmod(rem[le], lc_b)
         if r:
-            return None
+            if exact:
+                return None
+            m = lc_b // gcd(rem[le], lc_b)
+            s *= m
+            quo = _times(quo, m)
+            rem = _times(rem, m)
+            c = rem[le] // lc_b
         diff = le - le_b
         # the leading terms of rem strictly fall, so each diff is new
         quo[diff] = c
@@ -437,7 +420,7 @@ def _divexact_int(a: dict, b: dict):
                 rem[tgt] = nv
             else:
                 del rem[tgt]
-    return quo
+    return quo, rem, s
 
 
 def _primitive(a: dict):
@@ -546,11 +529,11 @@ def _heu_gcd_int(a: dict, b: dict):
                 g = _primitive(_lift_digits(got[0], x, xi))[1]
                 if g.keys() == {0}:
                     return {0: cont}, _times(a, ka), _times(b, kb)
-                qa = _divexact_int(a, g)
-                qb = None if qa is None else _divexact_int(b, g)
+                qa = _divide_lead(a, g, True)
+                qb = None if qa is None else _divide_lead(b, g, True)
                 if qb is not None:
                     return ({e: c * cont for e, c in g.items()},
-                            _times(qa, ka), _times(qb, kb))
+                            _times(qa[0], ka), _times(qb[0], kb))
         xi = xi * 73 // 32 + 31
     return None
 

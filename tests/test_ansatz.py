@@ -238,7 +238,9 @@ def _reference_membership(u, K, tower, bounds):
             values = next(orders)
             closures.append((values, _cleared_levels(values)))
         values, levels = closures[order]
-        powers = next(levels, None)
+        if not values:   # no values, no ansatz: the rung misses
+            continue
+        powers = next(levels)
         try:
             expr = _membership_at(u, values, num_deg, den_deg, powers,
                                   bounds.max_cells)
@@ -252,7 +254,8 @@ def _reference_membership(u, K, tower, bounds):
 def _search_cases():
     """Seeded (K, tower, bounds, targets): planted hits, random targets
     (mostly misses) and constants over one or two random generators, a cell
-    cap that skips the larger rungs, and an empty K."""
+    cap that skips the larger rungs, and two Ks of constants: one random,
+    and the empty K."""
     cases = []
     for seed in range(12):
         rng = random.Random(100 + seed)
@@ -301,6 +304,42 @@ class TestMembershipSearch:
                 outcomes.append(type(want))
         assert Found in outcomes and NoSolutionWithinBounds in outcomes
         assert skipped, "no rung went over the cell cap"
+
+    def test_a_k_of_constants_builds_no_rung(self, monkeypatch):
+        """K's generators and all their derivatives are constants, so no
+        order has values: find misses before any rung, with no lead
+        sizing, no level and no system.  _cleared_levels is a generator,
+        so its spy records when its body first runs."""
+        calls = []
+        sized, cleared, rung = (MembershipSearch._certified_miss,
+                                ansatz._cleared_levels, ansatz._membership_at)
+
+        def counting_levels(values):
+            calls.append("_cleared_levels")
+            yield from cleared(values)
+
+        monkeypatch.setattr(MembershipSearch, "_certified_miss",
+                            lambda *a: calls.append("_certified_miss")
+                            or sized(*a))
+        monkeypatch.setattr(ansatz, "_cleared_levels", counting_levels)
+        monkeypatch.setattr(ansatz, "_membership_at",
+                            lambda *a: calls.append("_membership_at")
+                            or rung(*a))
+        constant_ks = [(K, T, bounds, targets)
+                       for K, T, bounds, targets in _search_cases()
+                       if not next(_closures(K.generators, T))]
+        T = log_tower()
+        constant_ks.append((SubfieldSpec(generators=(
+            RatFun.const(T.vars, 3), RatFun.const(T.vars, 0))), T, SMALL,
+            [parse_expr(t, T) for t in ("0", "3", "z", "zeta1/z")]))
+        assert len(constant_ks) == 3
+        for K, T, bounds, targets in constant_ks:
+            search = MembershipSearch(K, T, bounds)
+            for u in targets:
+                assert search.find(u) == NoSolutionWithinBounds(bounds)
+                assert subfield_membership(u, K, T, bounds) \
+                    == NoSolutionWithinBounds(bounds)
+        assert calls == []
 
     def test_no_answer_depends_on_an_earlier_target(self):
         rng = random.Random(7)
@@ -692,8 +731,6 @@ def _reference_membership_at(u, values, num_deg, den_deg, skips):
     substitution.  Appends to `skips` each candidate it passes over because
     Q(values) = 0."""
     m = len(values)
-    if m == 0:
-        return None
     xvars = tuple(f"x{i}" for i in range(m))
     monoms_q = monomials_upto(m, den_deg)
     monoms_p = monomials_upto(m, num_deg)
@@ -733,7 +770,9 @@ def _reference_membership_at(u, values, num_deg, den_deg, skips):
 def _rung_cases():
     """Seeded rungs (u, values, num_deg, den_deg) on random towers of depth
     1-3: zero and constant targets, planted hits and random targets, plus
-    algebraically dependent values, where Q(values) can vanish."""
+    algebraically dependent values, where Q(values) can vanish.  A seed
+    whose generators are constants has no values and no rung (see
+    test_a_k_of_constants_builds_no_rung)."""
     cases = []
     for seed in range(32):
         rng = random.Random(seed)
@@ -741,6 +780,8 @@ def _rung_cases():
         gens = [random_ratfun(rng, T.vars, max_deg=1 + seed % 2, max_terms=2)
                 for _ in range(1 + seed % 2)]
         values = next(itertools.islice(_closures(gens, T), seed % 2, None))
+        if not values:
+            continue
         kind = seed % 4
         if kind == 0:
             u = RatFun.const(T.vars, 0)
@@ -770,7 +811,7 @@ class TestClearedRung:
             want = _reference_membership_at(u, values, num_deg, den_deg, skips)
             levels = _cleared_levels(values)
             for _ in range(max(num_deg, den_deg)):
-                powers = next(levels, None)
+                powers = next(levels)
             got = _membership_at(u, values, num_deg, den_deg, powers,
                                  linalg.DEFAULT_MAX_CELLS)
             assert got == want, (u, values, num_deg, den_deg)
@@ -789,12 +830,11 @@ class TestClearedRung:
         for u, values, num_deg, den_deg in _rung_cases():
             levels = _cleared_levels(values)
             for _ in range(max(num_deg, den_deg)):
-                powers = next(levels, None)
+                powers = next(levels)
             calls.clear()
             got = _membership_at(u, values, num_deg, den_deg, powers,
                                  linalg.DEFAULT_MAX_CELLS)
-            # no values, no system
-            assert len(calls) == (1 if values else 0), (u, values)
+            assert len(calls) == 1, (u, values)
             found.add(got is not None)
         assert found == {True, False}
 
@@ -973,14 +1013,12 @@ def _sized_outcomes(monkeypatch):
         bound = bounds[0] if bounds else None
         levels = _cleared_levels(values)
         for _ in range(max(num_deg, den_deg)):
-            powers = next(levels, None)
-        rows, kernel = 0, []
-        if values:
-            m = len(values)
-            cols = [(u.num, powers[e]) for e in monomials_upto(m, den_deg)]
-            cols += [(-u.den, powers[e]) for e in monomials_upto(m, num_deg)]
-            rows = len(_assemble_rows(cols, linalg.DEFAULT_MAX_CELLS))
-            kernel = _kernel_rref(cols, linalg.DEFAULT_MAX_CELLS)
+            powers = next(levels)
+        m = len(values)
+        cols = [(u.num, powers[e]) for e in monomials_upto(m, den_deg)]
+        cols += [(-u.den, powers[e]) for e in monomials_upto(m, num_deg)]
+        rows = len(_assemble_rows(cols, linalg.DEFAULT_MAX_CELLS))
+        kernel = _kernel_rref(cols, linalg.DEFAULT_MAX_CELLS)
         hit = _membership_at(u, values, num_deg, den_deg, powers,
                              linalg.DEFAULT_MAX_CELLS) is not None
         out.append((certified, bound, rows, len(kernel), hit, u.is_zero()))

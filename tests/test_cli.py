@@ -10,7 +10,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from difftower import cli, corpus
+from difftower import ansatz, cli, corpus
 from difftower.cli import main
 from difftower.errors import (BoundsExceeded, DiffTowerError,
                               ExprSyntaxError, ForwardReference,
@@ -21,7 +21,7 @@ from difftower.parser import (format_mpoly, format_ratfun, parse_expr,
 from difftower.randexpr import random_ratfun, random_tower
 from difftower.ratfun import RatFun
 from difftower.structure import NotLinearField
-from difftower.tower import tower_from_pairs
+from difftower.tower import Tower, tower_from_pairs
 
 LOG_TWR = """base z
 gen zeta1 ; D(zeta1) = 1/z
@@ -325,13 +325,40 @@ class TestCli:
                          "--order", str(cli.MAX_DERIVE_ORDER)])
         assert code == 0 and "result=0" in out
 
+    # member, recover, basis and structure, each with a question that the
+    # log tower answers at low degree and order
+    SEARCHES = [["member", "--subfield", "K", "z"],
+                ["recover", "--from", "zeta1/z", "--target", "z"],
+                ["basis", "--subfield", "K"],
+                ["structure", "--subfield", "K"]]
+
+    @pytest.mark.parametrize("argv", SEARCHES, ids=lambda v: v[0])
+    def test_search_degree_and_order_are_capped(self, log_file, monkeypatch,
+                                                capsys, argv):
+        argv = [argv[0], "--tower", log_file, *argv[1:]]
+        caps = {"--deg": cli.MAX_SEARCH_DEGREE,
+                "--order": cli.MAX_SEARCH_ORDER}
+        both = [arg for flag, cap in caps.items() for arg in (flag, str(cap))]
+        accepted = run(argv + both)
+        assert accepted[0] in (0, 2)
+        for flag, cap in caps.items():
+            assert run(argv + [flag, str(cap)])[0] in (0, 2)
+        monkeypatch.setattr(Tower, "differentiate", None)   # a call raises
+        monkeypatch.setattr(ansatz.MembershipSearch, "find", None)
+        for flag, cap in caps.items():
+            for value in (cap + 1, 10 ** 9):
+                assert run(argv + [flag, str(value)]) == (3, "")
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("f, g", [("0", "1"), ("1/z", "0")])
     def test_huge_ode_degree_stops_at_the_cell_cap(self, log_file, f, g):
-        # the ladder ends at the cap, so --deg 10^9 answers as --deg 10^4
+        # the ladder ends at the cap, so --deg 10^9 answers as --deg 10^4;
+        # unlike the membership searches' --deg, it is not an input error
         runs = [run(["solve-ode", "--tower", log_file, "--f", f, "--g", g,
                      "--deg", deg, "--max-cells", "1000"])
                 for deg in ("10000", "1000000000")]
         assert runs[0] == runs[1]
+        assert runs[0][0] == 1 and "status=no-solution" in runs[0][1]
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_max_cells_must_be_positive(self, log_file, cap):

@@ -217,15 +217,31 @@ class TestIntegerKernels:
 
     def test_integer_division_exits(self):
         b = _packed({(1, 0): 2, (0, 0): 3})  # 2x + 3, primitive
-        got = ratfun._divexact_int(
-            _packed({(2, 0): 4, (1, 0): 12, (0, 0): 9}), b)
-        assert all(type(e) is int for e in got)
-        assert _unpacked(got) == {(1, 0): 2, (0, 0): 3}
-        assert ratfun._divexact_int({}, b) == {}
+        quo, rem, s = ratfun._divide_lead(
+            _packed({(2, 0): 4, (1, 0): 12, (0, 0): 9}), b, True)
+        assert all(type(e) is int for e in quo)
+        assert (_unpacked(quo), rem, s) == ({(1, 0): 2, (0, 0): 3}, {}, 1)
+        assert ratfun._divide_lead({}, b, True) == ({}, {}, 1)
         # 1 = 0*2 + 1: the leading quotient coefficient is not an integer
-        assert ratfun._divexact_int(_packed({(1, 0): 1, (0, 0): 1}), b) is None
+        assert ratfun._divide_lead(
+            _packed({(1, 0): 1, (0, 0): 1}), b, True) is None
         # y / x: the exponent difference goes negative
-        assert ratfun._divexact_int(_packed({(0, 1): 1}), b) is None
+        assert ratfun._divide_lead(_packed({(0, 1): 1}), b, True) is None
+
+    def test_lead_division_exits_or_scales(self):
+        """The one kernel's two ways past a leading coefficient that lc(b)
+        does not divide: exact gives up at once, otherwise quo and rem are
+        scaled and s*a = quo*b + rem."""
+        b = _packed({(1, 0): 2, (0, 0): 3})   # 2x + 3
+        a = _packed({(2, 0): 1, (0, 1): 1})   # x^2 + y
+        assert ratfun._divide_lead(a, b, True) is None
+        quo, rem, s = ratfun._divide_lead(a, b, False)
+        # 4*(x^2 + y) = (2x - 3)*(2x + 3) + 4y + 9
+        assert (_unpacked(quo), _unpacked(rem), s) \
+            == ({(1, 0): 2, (0, 0): -3}, {(0, 1): 4, (0, 0): 9}, 4)
+        # a leading term that b's does not divide stops the division
+        y = _packed({(0, 1): 1})
+        assert ratfun._divide_lead(y, b, False) == ({}, y, 1)
 
 
 def _ref_cleared_derivation(p, images, shift):
@@ -1135,10 +1151,10 @@ class TestPackedKeys:
     def test_monomial_division_at_the_field_edge(self, a, b):
         # one guard-masked subtraction decides divisibility, with no borrow
         # from a field that is short into its neighbour
-        got = ratfun._divexact_int({_pack(a, V3): 3}, {_pack(b, V3): 1})
+        got = ratfun._divide_lead({_pack(a, V3): 3}, {_pack(b, V3): 1}, True)
         if all(i >= j for i, j in zip(a, b)):
             diff = tuple(i - j for i, j in zip(a, b))
-            assert got == {_pack(diff, V3): 3}
+            assert got == ({_pack(diff, V3): 3}, {}, 1)
         else:
             assert got is None
 
