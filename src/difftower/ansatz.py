@@ -42,8 +42,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .errors import BoundsExceeded, DiffTowerError
-from .ratfun import (_LIMIT, MPoly, RatFun, clear_denominators,
-                     cleared_derivation, scatter_product)
+from .ratfun import (MPoly, RatFun, clear_denominators, cleared_derivation,
+                     degree_fits, scatter_product)
 from .ratint import has_rational_antiderivative
 from .tower import SubfieldSpec, Tower
 
@@ -338,8 +338,8 @@ class MembershipSearch:
         values, _, _, (_, reach) = self._by_order[order]
         D = max(num_deg, den_deg)
         if (u.is_zero() or u.vars != values[0].vars
-                or max(u.num.total_degree(), u.den.total_degree())
-                + D * reach >= _LIMIT):
+                or not degree_fits(max(u.num.total_degree(),
+                                       u.den.total_degree()) + D * reach)):
             return False
         sums_q = self._lead_sums(order, den_deg)
         sums_p = self._lead_sums(order, num_deg)

@@ -22,8 +22,8 @@ from . import ansatz, autgroup, structure
 from .ansatz import Bounds, Found
 from .errors import (BoundsExceeded, DiffTowerError, DivisionByZero,
                      NotAntiderivative, TowerFileError)
-from .parser import (format_fraction, format_ratfun, parse_expr,
-                     parse_tower_file)
+from .parser import (_MAX_DIGITS, format_fraction, format_ratfun,
+                     parse_expr, parse_tower_file)
 from .ratfun import RatFun
 from .tower import SubfieldSpec, Tower, base_subfield
 
@@ -201,8 +201,23 @@ def _cmd_recover(args, tower, subfields) -> Report:
 
 
 def _parse_alpha(text: str) -> List[Fraction]:
+    """The --alpha parts as Fractions.  Fraction expands an exponent before
+    anything could refuse it, so a part whose mantissa digits plus |exponent|
+    exceed the parser's digit cap is refused first."""
+    parts = text.split(",")
+    for part in parts:
+        mantissa, _, exp = part.lower().partition("e")
+        exp = exp.strip().lstrip("+-").replace("_", "")
+        digits = sum(c.isdigit() for c in mantissa)
+        if exp.isdecimal():
+            # a longer exponent is over the cap before int() reads it
+            digits += (int(exp) if len(exp) <= len(str(_MAX_DIGITS))
+                       else _MAX_DIGITS + 1)
+        if digits > _MAX_DIGITS:
+            raise ValueError(f"--alpha part of {len(part)} characters "
+                             f"denotes more than {_MAX_DIGITS} digits")
     try:
-        return [Fraction(part) for part in text.split(",")]
+        return [Fraction(part) for part in parts]
     except ZeroDivisionError:
         raise DivisionByZero(f"--alpha {text!r} has a zero denominator") from None
 

@@ -12,9 +12,9 @@ per polynomial.  Every kernel (sums, products and their scatter into
 coefficient-matching rows, division, GCDHEU, substitution, the cleared
 derivation) runs on those integers and builds no Fraction; one appears
 only where a caller reads a coefficient (terms, leading_coeff,
-const_value, eval_rat).  One fraction-free lead division, _divide_lead,
-serves exact quotients (try_divexact, GCDHEU's trial divisions) and
-divmod_lead.
+const_value, eval_rat).  One product kernel, _product, serves MPoly
+products, scatter_product and substitution; one fraction-free lead
+division, _divide_lead, serves exact quotients and divmod_lead.
 
 Each exponent (e0, ..., e_{n-1}) is stored as one packed integer key,
 deg << n*S | e0 << (n-1)*S | ... | e_{n-1}, with deg = sum(e) and S = W + 1
@@ -32,10 +32,10 @@ indices.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate
 from math import gcd, lcm
-from operator import mul, or_
+from operator import or_
 from typing import Mapping, Sequence
 
 from .errors import (DivisionByZero, ExponentOverflow, VariableMismatch,
@@ -47,6 +47,10 @@ _W = 32                  # bits of one exponent field
 _S = _W + 1              # a field and its guard bit
 _MASK = (1 << _W) - 1
 _LIMIT = 1 << _W         # every total degree stays below this
+
+
+def degree_fits(deg: int) -> bool:   # whether keys hold this total degree
+    return deg < _LIMIT
 
 
 def _overflow(deg: int) -> ExponentOverflow:
@@ -258,19 +262,8 @@ class MPoly:
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        a, b = self.ints, other.ints.items()
-        if a and b:
-            # the leading keys' degree fields bound every product's
-            deg = max(a) + max(other.ints) >> len(self.vars) * _S
-            if deg >= _LIMIT:
-                raise _overflow(deg)
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b:
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return MPoly._over(self.vars, {e: c for e, c in out.items() if c},
-                           self.den * other.den)
+        out = _product(self.ints, other.ints, len(self.vars))
+        return MPoly._over(self.vars, out, self.den * other.den)
 
     def scale(self, c) -> "MPoly":
         c = Fraction(c)
@@ -421,6 +414,29 @@ def _divide_lead(a: dict, b: dict, exact: bool):
             else:
                 del rem[tgt]
     return quo, rem, s
+
+
+def _product(a: dict, b: dict, n: int) -> dict:
+    """The nonzero coefficients of a*b over keys in n variables, or
+    ExponentOverflow first where the leading keys' degree fields, which
+    bound every product's, sum past a field.  A one-term operand, swapped
+    to a, shifts b's keys: no two products share a key, and none is 0."""
+    if not (a and b):
+        return {}
+    if (deg := max(a) + max(b) >> n * _S) >= _LIMIT:
+        raise _overflow(deg)
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        (e1, c1), = a.items()
+        return {e1 + e2: c1 * c2 for e2, c2 in b.items()}
+    out: dict = {}
+    b = b.items()
+    for e1, c1 in a.items():
+        for e2, c2 in b:
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def _primitive(a: dict):
@@ -629,31 +645,13 @@ def poly_lcm(p: MPoly, q: MPoly) -> MPoly:
 def scatter_product(rows: dict, col: int, f: MPoly, g: MPoly, k: int):
     """Write k * f.ints * g.ints, the integer numerators of the product
     f*g times k, into rows as column col: rows[key][col] is the nonzero
-    coefficient of that key, with a new row for a new key.  No polynomial
-    is built, so there is no gcd; an entry that cancels to 0 is left out,
-    and a key whose every entry cancels gets no row.  ExponentOverflow
-    where f*g raises it."""
+    coefficient of that key from _product, with a new row for a new key.
+    No polynomial is built, so there is no gcd; an entry that cancels to 0
+    is left out, and a key whose every entry cancels gets no row.
+    ExponentOverflow where f*g raises it."""
     f._check(g)
-    a, b = _times(f.ints, k), g.ints.items()
-    if a and b:
-        deg = max(a) + max(g.ints) >> len(f.vars) * _S
-        if deg >= _LIMIT:
-            raise _overflow(deg)
-    if len(a) == 1:
-        # a one-term f shifts g's keys: no two products share a key, and
-        # none is 0
-        (e1, c1), = a.items()
-        for e2, c2 in b:
-            rows.setdefault(e1 + e2, {})[col] = c1 * c2
-        return
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b:
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    for e, c in out.items():
-        if c:
-            rows.setdefault(e, {})[col] = c
+    for e, c in _product(_times(f.ints, k), g.ints, len(f.vars)).items():
+        rows.setdefault(e, {})[col] = c
 
 
 def cleared_derivation(images: Sequence[MPoly], shift: MPoly):
@@ -814,11 +812,11 @@ class RatFun:
                    target_vars: Sequence[str]) -> "RatFun":
         """Simultaneous substitution; an unmapped variable must be in
         target_vars and maps to itself.  With images n_i/d_i, n_i and d_i
-        scaled to integer coefficients, and D_i = max(deg_i num, deg_i den),
-        num and den both go over prod d_i^D_i as sum c_e prod n_i^e_i
-        d_i^(D_i-e_i), with integer products only, then one reduction."""
+        integral, and D_i = max(deg_i num, deg_i den), num and den both go
+        over prod d_i^D_i as sum c_e prod n_i^e_i d_i^(D_i-e_i), each term
+        a chain of _product calls, then one reduction."""
         target_vars = tuple(target_vars)
-        one = MPoly.const(target_vars, 1)
+        times = partial(_product, n=len(target_vars))
         tables = []   # (sh_i, [n_i^k * d_i^(D_i - k) for k = 0..D_i])
         for i, name in enumerate(self.vars):
             image = (mapping[name] if name in mapping
@@ -826,21 +824,22 @@ class RatFun:
             top = max(self.num.degree_in(i), self.den.degree_in(i))
             if top > 0:
                 n, d = image.num, image.den
-                n, d = (MPoly._over(n.vars, _times(n.ints, d.den)),
-                        MPoly._over(d.vars, _times(d.ints, n.den)))
-                n_pows = list(accumulate([n] * top, mul, initial=one))
-                d_pows = list(accumulate([d] * top, mul, initial=one))
+                if n.vars != target_vars:
+                    raise VariableMismatch(f"{n.vars!r} vs {target_vars!r}")
+                n, d = _times(n.ints, d.den), _times(d.ints, n.den)
+                n_pows = list(accumulate([n] * top, times, initial={0: 1}))
+                d_pows = list(accumulate([d] * top, times, initial={0: 1}))
                 tables.append((_unit(len(self.vars), i)[0],
-                               [n * d for n, d in zip(n_pows, d_pows[::-1])]))
+                               list(map(times, n_pows, d_pows[::-1]))))
 
         def cleared(p: MPoly) -> MPoly:
             out: dict = {}
             for e, c in p.ints.items():
-                term = one
+                term = {0: c}
                 for sh, table in tables:
-                    term = term * table[e >> sh & _MASK]
-                for e2, v in term.ints.items():
-                    out[e2] = out.get(e2, 0) + c * v
+                    term = times(term, table[e >> sh & _MASK])
+                for e2, v in term.items():
+                    out[e2] = out.get(e2, 0) + v
             return MPoly._over(target_vars,
                                {e: v for e, v in out.items() if v}, p.den)
 

@@ -307,6 +307,25 @@ class TestCli:
         code, out = run(["aut", "--tower", log_file, "--alpha", ""])
         assert code == 3 and "error=ValueError" in out
 
+    def test_aut_alpha_digits_are_capped(self, tmp_path, monkeypatch):
+        flat = tmp_path / "flat.twr"
+        flat.write_text("base z\ngen a ; D(a) = 1/z\n"
+                        "gen b ; D(b) = 1/(z + 1)\n")
+        aut = ["aut", "--tower", str(flat), "--alpha"]
+        assert run(aut + ["1,-1/2"]) == (0, "sigma(a) = a + 1\n"
+                                         "sigma(b) = b - 1/2\n---\n"
+                                         "status=ok\nalpha=1,-1/2\n")
+        assert "alpha=1/2,100000\n" in run(aut + ["0.5,1e5"])[1]
+        # 10^999 has 1000 digits, the parser's cap
+        assert "alpha=1" + "0" * 999 + ",0\n" in run(aut + ["1e999,0"])[1]
+        # Fraction would expand the exponent first, so none is built
+        monkeypatch.setattr(cli, "Fraction", None)
+        for alpha in ["1e1000,0", "0,1E+1_000", "1e-1000,0", "9" * 1001,
+                      "1e1000000000,0", "1e" + "9" * 5000]:
+            code, out = run(aut + [alpha])
+            assert code == 3 and "error=ValueError" in out
+            assert "denotes more than 1000 digits" in out
+
     def test_max_cells_applies_to_one_run(self, log_file):
         capped = ["recover", "--tower", log_file, "--from", "zeta1/z",
                   "--target", "z", "--deg", "2", "--order", "2",

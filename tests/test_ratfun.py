@@ -181,11 +181,25 @@ class TestIntegerKernels:
 
     @settings(max_examples=150, deadline=None)
     @given(_mpolys, _mpolys)
+    # an empty operand on each side
     @example(MPoly.zero(V2), MPoly(V2, {(1, 0): Fraction(3, 4)}))
+    @example(P("x - y/2"), MPoly.zero(V2))
+    # a one-term left operand, and the same on the right (the swap)
+    @example(P("3*x*y/4"), P("x^2 - y/6 + 2"))
+    @example(P("x^2 - y/6 + 2"), P("-5*y^3/4"))
+    # the general loop, where the two x*y products cancel
+    @example(P("x - y"), P("x + y"))
     def test_mul_matches_fraction_loop(self, p, q):
         got = p * q
         assert got.terms == _ref_mul(p, q)
         assert all(type(c) is Fraction for c in got.terms.values())
+        # the kernel itself, in both orders: the integer numerators over
+        # p.den*q.den, with no zero coefficient
+        want = {e: c * p.den * q.den for e, c in _ref_mul(p, q).items()}
+        for a, b in [(p, q), (q, p)]:
+            ints = ratfun._product(a.ints, b.ints, 2)
+            assert _unpacked(ints) == want
+            assert all(type(c) is int and c for c in ints.values())
 
     @settings(max_examples=150, deadline=None)
     @given(_mpolys, _mpolys, st.integers(1, 12), st.integers(1, 7))
@@ -359,15 +373,25 @@ class TestScatterProduct:
     def test_overflow_where_the_product_overflows(self):
         x, y = MPoly.var(V2, "x"), MPoly.var(V2, "y")
         half = x ** 2 ** (W - 1)
-        for f in (half, half + y):   # one term, and the general loop
-            fits, spills = y ** (2 ** (W - 1) - 1), y ** 2 ** (W - 1)
-            rows = {}
-            ratfun.scatter_product(rows, 0, f, fits, 1)
-            assert _scattered(rows, 0) == (f * fits).terms
-            with pytest.raises(ExponentOverflow):
-                f * spills
-            with pytest.raises(ExponentOverflow):
-                ratfun.scatter_product({}, 0, f, spills, 1)
+        # total degree _LIMIT - 1 fits, _LIMIT spills
+        fits, spills = y ** (2 ** (W - 1) - 1), y ** 2 ** (W - 1)
+        assert (fits + y).total_degree() + half.total_degree() \
+            == ratfun._LIMIT - 1
+        # one term each, and a two-term f on either side of the kernel
+        for f in (half, half + y):
+            for g in (fits, fits + y):
+                rows = {}
+                ratfun.scatter_product(rows, 0, f, g, 1)
+                assert _scattered(rows, 0) == (f * g).terms
+                assert _unpacked(ratfun._product(g.ints, f.ints, 2)) \
+                    == (f * g).terms
+            for g in (spills, spills + y):
+                with pytest.raises(ExponentOverflow):
+                    f * g
+                with pytest.raises(ExponentOverflow):
+                    ratfun.scatter_product({}, 0, f, g, 1)
+                with pytest.raises(ExponentOverflow):
+                    ratfun._product(g.ints, f.ints, 2)
 
 
 class TestStoredForm:
@@ -1017,6 +1041,12 @@ class TestSubstitute:
         with pytest.raises(ValueError):
             # y is unmapped and target_vars does not hold it
             R("x/y").substitute({"x": R("x", ("x",))}, ("x",))
+        # an image over other variables than target_vars, in either order
+        for target in [V3, ("y", "x")]:
+            with pytest.raises(VariableMismatch):
+                R("x/y").substitute({"x": R("x + 1")}, target)
+        # an image for a variable the function does not use is not read
+        assert R("y").substitute({"x": R("w", V3)}, V2) == R("y")
 
     def test_no_ratfun_arithmetic_and_one_reduction(self, monkeypatch):
         cases = _substitution_cases(71, 30)
