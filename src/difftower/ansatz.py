@@ -7,15 +7,15 @@ The membership and ODE columns are cleared by one fixed factor:
 den(u)*L^D for a membership rung of degree D over values N/L, and
 lcm^2*denom for solve_first_order, which builds each monomial's column
 once per call, with no polynomial product, as the monomial's image under
-one ratfun.cleared_derivation map.  A membership column num(u)*B_e or
--den(u)*B_e is never built as a polynomial: it reaches _assemble_rows as
-its pair of factors, which ratfun.scatter_product multiplies straight into
-the rows.  _assemble_rows turns every system of columns, polynomials or
-pairs, into rows, each eliminated once: the homogeneous ones (membership
-rungs, normal-tower steps) by _kernel_rref, the inhomogeneous ones (ODE
-rungs, solve_linear_ansatz and ratint's Horowitz system) by
-_solve_columns.  The one division with remainder over Q is
-MPoly.divmod_lead; _poly_part_constant reads the constant term of its
+one ratfun.cleared_derivation map.  Every system reaches _assemble_rows
+as integer maps {packed key: int}, its columns all on one positive scale:
+polynomials go over the lcm of their denominators by ratfun.common_ints,
+and a membership column num(u)*B_e or -den(u)*B_e is one ratfun._product
+of integer maps, never a polynomial.  Each system is eliminated once: the
+homogeneous ones (membership rungs, normal-tower steps) by _kernel_rref,
+the inhomogeneous ones (ODE rungs, solve_linear_ansatz and ratint's
+Horowitz system) by _solve_columns.  The one division with remainder over
+Q is MPoly.divmod_lead; _poly_part_constant reads the constant term of its
 quotient.
 Membership in a subfield K is one MembershipSearch: K's closure chains and
 each order's cleared levels are built once, as its effort ladder first
@@ -38,18 +38,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import BoundsExceeded, DiffTowerError
-from .ratfun import (MPoly, RatFun, clear_denominators, cleared_derivation,
-                     degree_fits, scatter_product)
+from .errors import BoundsExceeded, DiffTowerError, VariableMismatch
+from .ratfun import (MPoly, RatFun, _product, clear_denominators,
+                     cleared_derivation, common_ints, degree_fits)
 from .ratint import has_rational_antiderivative
 from .tower import SubfieldSpec, Tower
 
-# a polynomial column, or a pair (f, g) of factors standing for f*g; the
-# columns of one system are all of one kind
-Column = Union[MPoly, Tuple[MPoly, MPoly]]
+Column = Dict[int, int]   # nonzero integer coefficients under packed keys
 
 
 @dataclass(frozen=True)
@@ -129,36 +127,27 @@ def monomials_upto(n_vars: int, max_deg: int) -> List[tuple]:
 
 
 def _assemble_rows(cols: Sequence[Column], max_cells: int) -> List[linalg.Row]:
-    """Coefficient-matching rows of polynomial columns over one common
-    denominator: one row per monomial, in ascending deglex order (the order
-    of the packed keys), holding each column's coefficient of that monomial
-    times d, the lcm of the columns' denominators, so every entry is an
-    integer and each row keeps its solutions.  The columns are all MPolys,
-    or all pairs (f, g) standing for f*g over f.den*g.den, which
-    ratfun.scatter_product multiplies straight into the rows with no
-    polynomial built; an entry that cancels there is left out, so the rows
-    are those of the products.  BoundsExceeded when the system has over
-    max_cells cells."""
+    """Coefficient-matching rows of integer columns: one row per packed key,
+    in ascending deglex order (the order of the keys), holding each
+    column's nonzero entry under that key.  Every column is its polynomial
+    times one positive factor shared by the whole system, so the rows keep
+    the system's solutions; a key that no column holds, as one whose
+    products all cancelled, gets no row.  BoundsExceeded when the system
+    has over max_cells cells."""
     by_monom = {}
-    if cols and type(cols[0]) is tuple:
-        d = lcm(*(f.den * g.den for f, g in cols))
-        for col, (f, g) in enumerate(cols):
-            scatter_product(by_monom, col, f, g, d // (f.den * g.den))
-    else:
-        d = lcm(*(p.den for p in cols))
-        for col, p in enumerate(cols):
-            k = d // p.den
-            for exp, c in p.ints.items():
-                by_monom.setdefault(exp, {})[col] = c * k
+    for col, ints in enumerate(cols):
+        for key, c in ints.items():
+            by_monom.setdefault(key, {})[col] = c
     linalg.check_size(len(by_monom), len(cols), max_cells)
     return [by_monom[key] for key in sorted(by_monom)]
 
 
 def _solve_columns(cols: Sequence[MPoly], target: MPoly,
                    max_cells: int) -> List[Tuple[Fraction, ...]]:
-    """Solutions of sum_i c_i * cols_i = target, as for solve_linear_ansatz."""
+    """Solutions of sum_i c_i * cols_i = target, as for solve_linear_ansatz,
+    the polynomials put over one denominator by common_ints."""
     n = len(cols)
-    rows = _assemble_rows(list(cols) + [target], max_cells)
+    rows = _assemble_rows(common_ints([*cols, target]), max_cells)
     rhs = [r.pop(n, 0) for r in rows]
     particular, kernel = linalg.solve_affine(rows, rhs, n)
     if particular is None:
@@ -201,50 +190,63 @@ def _closures(gens: Sequence[RatFun], tower: Tower) -> Iterator[List[RatFun]]:
             chain.append(tower.differentiate(chain[-1]))
 
 
-def _cleared_levels(values: Sequence[RatFun]) -> Iterator[Dict[tuple, MPoly]]:
-    """Yields {e: N^e * L^(D-|e|) for |e| <= D} for D = 1, 2, ..., where
-    values = N/L, nonempty, is cleared once.  Each level is built from the
-    one before at one product per entry: B_e = B'_(e-1_i) * N_i, and
-    B_0 = B'_0 * L."""
-    lcm, nums = clear_denominators(values)
-    level = {(0,) * len(values): MPoly.const(lcm.vars, 1)}
+def _cleared_levels(values: Sequence[RatFun]) -> Iterator[Dict[tuple, Column]]:
+    """Yields {e: B_e = c^D * N^e * L^(D-|e|) for |e| <= D}, as integer
+    maps, for D = 1, 2, ..., where values = N/L, nonempty, is cleared once
+    and L and every N_i are put over c, the lcm of their denominators, once.
+    Every entry of level D is on the one positive scale c^D.  Each level is
+    built from the one before at one _product per entry, with no MPoly and
+    no gcd: B_e = B'_(e-1_i) * c*N_i, and B_0 = B'_0 * c*L."""
+    common, nums = clear_denominators(values)
+    n = len(common.vars)
+    base, *nums = common_ints([common, *nums])
+    level = {(0,) * len(values): {0: 1}}
     for d in itertools.count(1):
         below, level = level, {}
         for e in monomials_upto(len(values), d):
             i = next((i for i, k in enumerate(e) if k), None)
-            level[e] = (below[e] * lcm if i is None
-                        else below[e[:i] + (e[i] - 1,) + e[i + 1:]] * nums[i])
+            prev = e if i is None else e[:i] + (e[i] - 1,) + e[i + 1:]
+            level[e] = _product(below[prev], base if i is None else nums[i], n)
         yield level
 
 
 def _membership_at(u: RatFun, values: Sequence[RatFun], num_deg: int,
-                   den_deg: int, powers: Dict[tuple, MPoly],
+                   den_deg: int, powers: Dict[tuple, Column],
                    max_cells: int) -> Optional[RatFun]:
     """Fixed-degree bilinear ansatz u*Q(values) - P(values) = 0, cleared
     as den(u)*L^D*(u*Q(values) - P(values)) for values = N/L, where powers
-    = {e: B_e = N^e*L^(D-|e|)} is a level of _cleared_levels with
+    = {e: B_e = c^D*N^e*L^(D-|e|)} is a level of _cleared_levels with
     D >= max(num_deg, den_deg): the Q-columns are num(u)*B_e and the
     P-columns -den(u)*B_e, all with the same nonzero factor, so the kernel
-    is unchanged.  Each column goes to _kernel_rref as its pair of factors,
-    multiplied only into the rows.
+    is unchanged.  num(u) and -den(u) go over one denominator d once, and
+    each column is one _product, so all are on the one positive scale
+    d*c^D.  VariableMismatch for a target over other variables.
 
     Returns the canonical formal witness P/Q: of the kernel's RREF rows
     (denominator coefficients first, deglex descending) with Q(values) != 0,
     the one leading furthest right, whose Q has the deglex-least leading term.
     """
-    m = len(values)
+    if u.vars != values[0].vars:
+        raise VariableMismatch(f"{u.vars!r} vs {values[0].vars!r}")
+    m, n = len(values), len(u.vars)
     xvars = tuple(f"x{i}" for i in range(m))
     monoms_q = monomials_upto(m, den_deg)
     monoms_p = monomials_upto(m, num_deg)
-    neg_den = -u.den
-    cols = [(u.num, powers[e]) for e in monoms_q]
-    cols += [(neg_den, powers[e]) for e in monoms_p]
+    num, neg_den = common_ints([u.num, -u.den])
+    cols = [_product(num, powers[e], n) for e in monoms_q]
+    cols += [_product(neg_den, powers[e], n) for e in monoms_p]
     nq = len(monoms_q)
     for row in reversed(_kernel_rref(cols, max_cells)):
         q_terms = {monoms_q[c]: v for c, v in enumerate(row[:nq]) if v}
-        # L^D*Q(values) = sum q_e*B_e is 0 exactly when Q(values) is, as when Q = 0
-        if sum((powers[e].scale(v) for e, v in q_terms.items()),
-               MPoly.zero(u.vars)).is_zero():
+        # c^D*L^D*Q(values) = sum q_e*B_e is 0 exactly when Q(values) is, as
+        # when Q = 0; summed with the q_e cleared to integers
+        k = lcm(*(v.denominator for v in q_terms.values()))
+        total = {}
+        for e, v in q_terms.items():
+            w = v.numerator * (k // v.denominator)
+            for key, c in powers[e].items():
+                total[key] = total.get(key, 0) + w * c
+        if not any(total.values()):
             continue
         p_poly = MPoly(xvars, {monoms_p[c]: v for c, v in enumerate(row[nq:]) if v})
         return RatFun(p_poly, MPoly(xvars, q_terms))
@@ -303,7 +305,7 @@ class MembershipSearch:
                                    _lead_steps(values)))
         return self._by_order[order][0]
 
-    def _level(self, order: int, degree: int) -> Dict[tuple, MPoly]:
+    def _level(self, order: int, degree: int) -> Dict[tuple, Column]:
         """The cleared level of degree D = degree over the order's values."""
         _, levels, more, _ = self._by_order[order]
         while len(levels) < degree:

@@ -98,8 +98,9 @@ def verify_differential(assignments: Sequence[RatFun], tower: Tower,
 
 
 def compose(a: AutMap, b: AutMap) -> AutMap:
-    """(a o b)(v) = a(b(v)).  Translation data adds."""
-    if a.tower is not b.tower and a.tower.vars != b.tower.vars:
+    """(a o b)(v) = a(b(v)).  Translation data adds.  ValueError unless the
+    towers have the same derivatives, on which verified depends."""
+    if a.tower is not b.tower and a.tower.derivatives != b.tower.derivatives:
         raise ValueError("automorphisms over different towers")
     assignments = tuple(apply(a, img) for img in b.assignments)
     alpha = None

@@ -8,13 +8,13 @@ function.  Every cancellation goes through poly_gcd, which returns
 (g, p/g, q/g); GCDHEU reads p/g and q/g off its accepted trial divisions.
 
 A polynomial is stored as integer numerators over one denominator, unique
-per polynomial.  Every kernel (sums, products and their scatter into
-coefficient-matching rows, division, GCDHEU, substitution, the cleared
-derivation) runs on those integers and builds no Fraction; one appears
-only where a caller reads a coefficient (terms, leading_coeff,
-const_value, eval_rat).  One product kernel, _product, serves MPoly
-products, scatter_product and substitution; one fraction-free lead
-division, _divide_lead, serves exact quotients and divmod_lead.
+per polynomial.  Every kernel (sums, products, division, GCDHEU,
+substitution, the cleared derivation) runs on those integers and builds no
+Fraction; one appears only where a caller reads a coefficient (terms,
+leading_coeff, const_value, eval_rat).  One product kernel, _product,
+serves MPoly products, substitution and ansatz's membership columns; one
+fraction-free lead division, _divide_lead, serves exact quotients and
+divmod_lead.  common_ints gives ansatz's other columns as integers.
 
 Each exponent (e0, ..., e_{n-1}) is stored as one packed integer key,
 deg << n*S | e0 << (n-1)*S | ... | e_{n-1}, with deg = sum(e) and S = W + 1
@@ -642,18 +642,6 @@ def poly_lcm(p: MPoly, q: MPoly) -> MPoly:
     return (p * poly_gcd(p, q)[2]).monic()
 
 
-def scatter_product(rows: dict, col: int, f: MPoly, g: MPoly, k: int):
-    """Write k * f.ints * g.ints, the integer numerators of the product
-    f*g times k, into rows as column col: rows[key][col] is the nonzero
-    coefficient of that key from _product, with a new row for a new key.
-    No polynomial is built, so there is no gcd; an entry that cancels to 0
-    is left out, and a key whose every entry cancels gets no row.
-    ExponentOverflow where f*g raises it."""
-    f._check(g)
-    for e, c in _product(_times(f.ints, k), g.ints, len(f.vars)).items():
-        rows.setdefault(e, {})[col] = c
-
-
 def cleared_derivation(images: Sequence[MPoly], shift: MPoly):
     """The map p -> sum_i dp/dx_i * images[i] - p*shift, one image per
     variable: L*D(p) for images[i] = L*D(x_i) and shift 0.  Images and
@@ -891,10 +879,17 @@ def _monic_pair(num: MPoly, den: MPoly):
 def clear_denominators(exprs: Sequence[RatFun]):
     """(L, [L*e for e in exprs]): the monic lcm L of the denominators of
     exprs (nonempty) and each expression over it, as polynomials."""
-    common = MPoly.const(exprs[0].vars, 1)
-    for den in dict.fromkeys(e.den for e in exprs):
-        common = poly_lcm(common, den)
-    return common, [e.num * common.try_divexact(e.den) for e in exprs]
+    common = reduce(poly_lcm, dict.fromkeys(e.den for e in exprs))
+    return common, [e.num if e.den == common
+                    else e.num * common.try_divexact(e.den) for e in exprs]
+
+
+def common_ints(polys: Sequence[MPoly]) -> list:
+    """{key: c*d/den} for each of polys, {key: c}/den, with d the lcm of
+    their denominators: all on one positive scale.  A polynomial over d
+    gives its own ints, which the caller must not change."""
+    d = lcm(*(p.den for p in polys))
+    return [_times(p.ints, d // p.den) for p in polys]
 
 
 def linear_part(u: RatFun, names: Sequence[str]):

@@ -26,7 +26,7 @@ from .ansatz import (Bounds, Found, MembershipSearch, Witness, _kernel_rref,
 from .errors import (AlreadyInBase, DiffTowerError, MalformedAntiderivative,
                      NotAntiderivative, NotFlat, Unsupported)
 from .ratfun import (MPoly, RatFun, _content_over, clear_denominators,
-                     linear_part, poly_gcd)
+                     common_ints, linear_part, poly_gcd)
 from .tower import BASE_VAR, SubfieldSpec, Tower
 
 __all__ = [  # with poly_gcd, a binding the layer-trace test of bench/ reads
@@ -277,7 +277,7 @@ def _closure_step(tower: Tower, field: LinearField, unplaced: List[str],
     # the beta columns pp*m are independent, so every kernel row leads in
     # alpha, and the rows cut to alpha are the RREF of the alpha projection
     out = []
-    for row in _kernel_rref(cols, bounds.max_cells):
+    for row in _kernel_rref(common_ints(cols), bounds.max_cells):
         expr = RatFun.const(tower.vars, 0)
         for i, c in enumerate(row[:n_alpha]):
             if c:

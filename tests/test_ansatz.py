@@ -27,8 +27,8 @@ from difftower.errors import (BoundsExceeded, DiffTowerError, DivisionByZero,
                               ExponentOverflow, VariableMismatch)
 from difftower.parser import format_ratfun, parse_expr
 from difftower.randexpr import random_mpoly, random_ratfun, random_tower
-from difftower.ratfun import (MPoly, RatFun, clear_denominators,
-                              cleared_derivation)
+from difftower.ratfun import (MPoly, RatFun, _product, clear_denominators,
+                              cleared_derivation, common_ints)
 from difftower.tower import SubfieldSpec, base_subfield, tower_from_pairs
 
 SMALL = Bounds(3, 3, 2, escalation=())
@@ -159,7 +159,7 @@ class TestLinearAnsatz:
             want = [{c: t[e] for c, t in enumerate(terms) if e in t}
                     for e in sorted({e for t in terms for e in t})]
             want = linalg.rref(want, len(cols))
-            rows = _assemble_rows(cols, linalg.DEFAULT_MAX_CELLS)
+            rows = _assemble_rows(common_ints(cols), linalg.DEFAULT_MAX_CELLS)
             assert all(type(v) is int for r in rows for v in r.values())
             with monkeypatch.context() as m:
                 m.setattr(linalg, "lcm", None)   # a call would raise
@@ -747,7 +747,7 @@ def _reference_membership_at(u, values, num_deg, den_deg, skips):
 
     exprs = [u * value_of(e) for e in monoms_q] + [-value_of(e) for e in monoms_p]
     n_cols = len(exprs)
-    rows = _assemble_rows(clear_denominators(exprs)[1],
+    rows = _assemble_rows(common_ints(clear_denominators(exprs)[1]),
                           linalg.DEFAULT_MAX_CELLS)
     kernel = linalg.nullspace(rows, n_cols)
     if not kernel:
@@ -874,8 +874,9 @@ class TestKernelRref:
         """_kernel_rref is linalg.rref applied to nullspace's vectors of the
         system in its own column order, as dense rows."""
         dims = []
-        for cols in _integer_systems():
-            n = len(cols)
+        for polys in _integer_systems():
+            n = len(polys)
+            cols = common_ints(polys)
             kernel = linalg.nullspace(
                 _assemble_rows(cols, linalg.DEFAULT_MAX_CELLS), n)
             red, _ = linalg.rref(
@@ -891,47 +892,92 @@ class TestKernelRref:
         assert any(0 < k < n - 1 for n, k in dims)
 
 
-def _pair_rungs():
-    """Seeded membership rungs, each column as its pair of factors
-    (num(u), B_e) or (-den(u), B_e) and as their MPoly product: levels
-    D = 1, 2 (and 3 at order 0) of _cleared_levels over K's order-0 and
-    order-1 values on the log, two-log and log-log towers, against a zero,
-    a planted and two random targets."""
+def _rung_columns(u, powers, monoms_q, monoms_p):
+    """A membership rung's integer columns as _membership_at builds them
+    from a level of _cleared_levels: num(u) and -den(u) over one
+    denominator, each times every B_e by one _product."""
+    num, neg_den = common_ints([u.num, -u.den])
+    n = len(u.vars)
+    return ([_product(num, powers[e], n) for e in monoms_q]
+            + [_product(neg_den, powers[e], n) for e in monoms_p])
+
+
+def _reference_level(values, D):
+    """{e: B_e = N^e * L^(D-|e|) for |e| <= D} as MPoly products, for
+    values = N/L cleared by clear_denominators."""
+    L, nums = clear_denominators(values)
+    level = {}
+    for e in monomials_upto(len(values), D):
+        b = L ** (D - sum(e))
+        for n, k in zip(nums, e):
+            b = b * n ** k
+        level[e] = b
+    return level
+
+
+def _level_scale(powers, reference):
+    """The one positive integer c^D with powers[e] = c^D * B_e for every e,
+    B_e the MPoly reference."""
+    assert powers.keys() == reference.keys()
+    ratios = set()
+    for e, ints in powers.items():
+        assert ints.keys() == reference[e].ints.keys()
+        ratios |= {Fraction(c * reference[e].den, reference[e].ints[key])
+                   for key, c in ints.items()}
+    (scale,) = ratios
+    assert scale > 0 and scale.denominator == 1
+    return scale
+
+
+def _integer_rungs():
+    """Seeded membership rungs (u, values, D, level, integer columns, MPoly
+    reference columns u.num*B_e and -u.den*B_e with B_e built by MPoly
+    products, the level's scale c^D): levels D = 1, 2 (and 3 at order 0)
+    of _cleared_levels over K's order-0 and order-1 values on the log,
+    two-log and log-log towers, two of the Ks with rational content, so
+    that c > 1, against a zero, a planted and two random targets."""
     rng = random.Random(27)
     rungs = []
     for T, gens in [(log_tower(), ["zeta1/z"]),
                     (two_log_tower(), ["zeta1 + zeta2", "z*zeta2"]),
-                    (loglog_tower(), ["zeta2/z", "zeta1"])]:
+                    (loglog_tower(), ["zeta2/z", "zeta1"]),
+                    (log_tower(), ["3*zeta1/(2*z)"]),
+                    (loglog_tower(), ["z^3/5 + zeta1"])]:
         chains = _closures([parse_expr(g, T) for g in gens], T)
         for order, values in zip(range(2), chains):
             levels = _cleared_levels(values)
             for D in range(1, 4 - order):
                 powers = next(levels)
+                ref = _reference_level(values, D)
+                scale = _level_scale(powers, ref)
                 for u in [RatFun.const(T.vars, 0),
                           (values[0] * values[-1]).scale(Fraction(2, 3))
                           + RatFun.const(T.vars, Fraction(5, 2)),
                           random_ratfun(rng, T.vars, max_deg=2, max_terms=3),
                           random_ratfun(rng, T.vars, max_deg=1, max_terms=2)]:
                     monoms = monomials_upto(len(values), D)
-                    pairs = [(u.num, powers[e]) for e in monoms]
-                    pairs += [(-u.den, powers[e]) for e in monoms]
-                    rungs.append((pairs, [f * g for f, g in pairs]))
+                    products = [u.num * ref[e] for e in monoms]
+                    products += [-u.den * ref[e] for e in monoms]
+                    rungs.append((u, values, D, powers,
+                                  _rung_columns(u, powers, monoms, monoms),
+                                  common_ints(products), scale))
     return rungs
 
 
-class TestPairColumns:
-    """A membership column handed over as its two factors assembles to the
-    rows of its MPoly product, up to one positive factor for the whole
-    system, so the kernel and every answer are the same."""
+class TestIntegerColumns:
+    """A membership rung's integer columns, built from the integer levels
+    with no polynomial, assemble to the rows of its MPoly products up to
+    one positive factor for the whole system, so the kernel and every
+    answer are the same."""
 
     CAP = linalg.DEFAULT_MAX_CELLS
 
-    def test_rows_match_the_products(self):
-        rungs = _pair_rungs()
-        assert len(rungs) >= 60
+    def test_rows_match_the_products(self, monkeypatch):
+        rungs = _integer_rungs()
+        assert len(rungs) >= 90
         dims = []
-        for pairs, products in rungs:
-            got = _assemble_rows(pairs, self.CAP)
+        for _, _, _, _, cols, products, _ in rungs:
+            got = _assemble_rows(cols, self.CAP)
             want = _assemble_rows(products, self.CAP)
             # the same rows in the same order, each with the same columns
             assert [list(r) for r in got] == [list(r) for r in want]
@@ -939,33 +985,58 @@ class TestPairColumns:
             ratios = {Fraction(a, b) for r, s in zip(got, want)
                       for a, b in zip(r.values(), s.values())}
             assert len(ratios) <= 1 and all(c > 0 for c in ratios)
-            kernel = _kernel_rref(pairs, self.CAP)
+            kernel = _kernel_rref(cols, self.CAP)
             assert kernel == _kernel_rref(products, self.CAP)
             dims.append(len(kernel))
-        assert any(f.den != 1 for pairs, _ in rungs for f, _ in pairs)
         assert 0 in dims and any(dims)
+        # c > 1 on the Ks with rational content
+        assert max(scale for *_, scale in rungs) > 1
+        # these are the columns _membership_at hands to _kernel_rref
+        seen = []
+        real = ansatz._kernel_rref
+        monkeypatch.setattr(ansatz, "_kernel_rref",
+                            lambda cols, cap: seen.append(cols)
+                            or real(cols, cap))
+        for u, values, D, powers, cols, _, _ in rungs:
+            seen.clear()
+            _membership_at(u, values, D, D, powers, self.CAP)
+            assert seen == [cols]
 
     def test_the_cell_cap_binds_at_the_same_size(self):
-        for pairs, products in _pair_rungs():
+        for _, _, _, _, ints, products, _ in _integer_rungs():
             cells = len(_assemble_rows(products, self.CAP)) * len(products)
-            for cols in (pairs, products):
+            for cols in (ints, products):
                 assert len(_assemble_rows(cols, cells)) * len(cols) == cells
                 with pytest.raises(BoundsExceeded):
                     _assemble_rows(cols, cells - 1)
 
     def test_a_rung_multiplies_no_column_polynomial(self, monkeypatch):
-        # a miss rung with 6 columns: at the parent of this change each
-        # column num(u)*B_e or -den(u)*B_e was one MPoly.__mul__ (6 calls)
+        # a miss rung with 6 columns: each column num(u)*B_e or -den(u)*B_e
+        # was once one MPoly.__mul__, and each entry B_e of a level another
         T = log_tower()
         values = [parse_expr("zeta1/z", T)]
-        powers = next(itertools.islice(_cleared_levels(values), 1, None))
         calls = []
         real = MPoly.__mul__
         monkeypatch.setattr(MPoly, "__mul__",
                             lambda a, b: calls.append((a, b)) or real(a, b))
+        levels = _cleared_levels(values)
+        powers = next(itertools.islice(levels, 1, None))
+        next(levels)
         got = _membership_at(parse_expr("z", T), values, 2, 2, powers,
                              self.CAP)
         assert got is None and calls == []
+
+    def test_a_foreign_target_raises(self):
+        T = log_tower()
+        values = [parse_expr("zeta1/z", T)]
+        powers = next(_cleared_levels(values))
+        K = SubfieldSpec(generators=tuple(values))
+        for text in ("z^3 + 1", "0"):
+            u = parse_expr(text, ("z",))
+            with pytest.raises(VariableMismatch):
+                _membership_at(u, values, 1, 1, powers, self.CAP)
+            with pytest.raises(VariableMismatch):
+                MembershipSearch(K, T, SMALL).find(u)
 
 
 SIZING = Bounds(2, 2, 2, escalation=())
@@ -1015,8 +1086,8 @@ def _sized_outcomes(monkeypatch):
         for _ in range(max(num_deg, den_deg)):
             powers = next(levels)
         m = len(values)
-        cols = [(u.num, powers[e]) for e in monomials_upto(m, den_deg)]
-        cols += [(-u.den, powers[e]) for e in monomials_upto(m, num_deg)]
+        cols = _rung_columns(u, powers, monomials_upto(m, den_deg),
+                             monomials_upto(m, num_deg))
         rows = len(_assemble_rows(cols, linalg.DEFAULT_MAX_CELLS))
         kernel = _kernel_rref(cols, linalg.DEFAULT_MAX_CELLS)
         hit = _membership_at(u, values, num_deg, den_deg, powers,

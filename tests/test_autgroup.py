@@ -172,6 +172,25 @@ class TestBadArguments:
         with pytest.raises(ValueError, match="different towers"):
             autgroup.compose(a, b)
 
+    def test_compose_across_towers_with_the_same_names(self):
+        # b is differential on T2 but not on T1, whose variable names match
+        T1 = two_log_tower()
+        v = T1.vars
+        T2 = tower_from_pairs([("zeta1", parse_expr("1/z", v)),
+                               ("zeta2", parse_expr("zeta1/z", v))])
+        b = autgroup.verify_differential(
+            [parse_expr(e, T2) for e in ("z", "zeta1 + 1", "zeta2 + zeta1")],
+            T2, samples=0)
+        a = autgroup.make_translation_aut(T1, (0, 0))
+        with pytest.raises(NotDifferential):
+            autgroup.verify_differential(b.assignments, T1, samples=0)
+        with pytest.raises(ValueError, match="different towers"):
+            autgroup.compose(a, b)
+        # towers built apart from the same declaration still compose
+        again = two_log_tower()
+        c = autgroup.make_translation_aut(again, (1, 2))
+        assert autgroup.compose(a, c).alpha == (1, 2)
+
 
 class TestFixedField:
     def test_moved_element(self):

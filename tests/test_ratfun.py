@@ -13,6 +13,7 @@ from difftower.errors import (DiffTowerError, DivisionByZero,
                                ExponentOverflow, VariableMismatch,
                                ZeroDenominator)
 from difftower import ratfun
+from difftower.ansatz import _assemble_rows
 from difftower.ratfun import (MPoly, RatFun, cleared_derivation, poly_gcd,
                               poly_lcm)
 
@@ -303,72 +304,88 @@ class TestClearedDerivation:
             cleared_derivation(images, zero)(MPoly.const(("y", "x"), 3))
 
 
-def _scattered(rows, col, variables=V2):
-    """{exponent tuple: entry} of column col in scatter_product's rows."""
-    return {ratfun._unpack(e, len(variables)): row[col]
-            for e, row in rows.items() if col in row}
+def _scatter(cols):
+    """_assemble_rows's rows of integer columns over V2, keyed by exponent
+    tuple: the rows come in ascending key order, one per key a column
+    holds."""
+    keys = sorted(set().union(*cols))
+    rows = _assemble_rows(cols, 10 ** 6)
+    assert len(rows) == len(keys)
+    return {ratfun._unpack(e, 2): row for e, row in zip(keys, rows)}
+
+
+def _entries(rows, col):
+    """{exponent tuple: entry} of column col in _scatter's rows."""
+    return {e: row[col] for e, row in rows.items() if col in row}
+
+
+def _column(f, g):
+    """The integer column of f*g: both put over one denominator d by
+    common_ints, then one _product, so the column is d^2*f*g."""
+    return ratfun._product(*ratfun.common_ints([f, g]), 2)
 
 
 class TestScatterProduct:
-    """scatter_product writes k*f*g over f.den*g.den into rows as one
-    column, with every entry an integer and no zero entry."""
+    """A product of two polynomials put over one denominator by
+    common_ints and multiplied by _product scatters into _assemble_rows's
+    rows as one column, with every entry an integer and no zero entry."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_mpolys, _mpolys, st.integers(1, 9))
-    @example(P("x - y"), P("x + y"), 1)
-    @example(P("x/2 + 1/3"), P("y/5 - x"), 7)
-    @example(P("3*x*y/4"), P("x^2 - y/6 + 2"), 5)
-    @example(MPoly.zero(V2), P("x + 1"), 3)
-    def test_matches_the_product(self, f, g, k):
-        rows = {key: {0: 1} for key in P("x*y + x^2 + 1").ints}
-        before = {key: dict(row) for key, row in rows.items()}
-        ratfun.scatter_product(rows, 1, f, g, k)
-        scale = f.den * g.den * k
-        want = {e: c * scale for e, c in _ref_mul(f, g).items()}
-        assert _scattered(rows, 1) == want
+    @given(_mpolys, _mpolys)
+    @example(P("x - y"), P("x + y"))
+    @example(P("x/2 + 1/3"), P("y/5 - x"))
+    @example(P("3*x*y/4"), P("x^2 - y/6 + 2"))
+    @example(MPoly.zero(V2), P("x + 1"))
+    def test_matches_the_product(self, f, g):
+        other = {key: 1 for key in P("x*y + x^2 + 1").ints}
+        rows = _scatter([other, _column(f, g)])
+        d = lcm(f.den, g.den)
+        want = {e: c * d * d for e, c in _ref_mul(f, g).items()}
+        assert _entries(rows, 1) == want
         assert all(type(v) is int and v for r in rows.values()
                    for v in r.values())
         # column 0 is untouched, and a row is new only where f*g is nonzero
-        assert _scattered(rows, 0) == _scattered(before, 0)
-        assert {ratfun._unpack(e, 2) for e in rows.keys() - before.keys()} \
-            <= want.keys()
+        assert _entries(rows, 0) == _unpacked(other)
+        assert rows.keys() - _unpacked(other).keys() <= want.keys()
 
     def test_cancellation_in_a_column_drops_the_entry(self):
         # (x - y)*(x + y): the two x*y products cancel
-        rows = {}
-        ratfun.scatter_product(rows, 0, P("x - y"), P("x + y"), 1)
-        assert _scattered(rows, 0) == {(2, 0): 1, (0, 2): -1}
-        assert P("x*y").ints.keys() & rows.keys() == set()
+        col = _column(P("x - y"), P("x + y"))
+        assert _unpacked(col) == {(2, 0): 1, (0, 2): -1}
+        assert _scatter([col]).keys() == {(2, 0), (0, 2)}
 
     def test_a_cancelled_monomial_keeps_the_other_columns(self):
-        rows = {}
-        ratfun.scatter_product(rows, 0, P("x"), P("y"), 1)
-        ratfun.scatter_product(rows, 1, P("x + y"), P("x - y"), 2)
-        (xy,) = P("x*y").ints
-        assert rows[xy] == {0: 1}
-        assert _scattered(rows, 1) == {(2, 0): 2, (0, 2): -2}
+        rows = _scatter([_column(P("x"), P("y")),
+                         _column(P("2*x + 2*y"), P("x - y"))])
+        assert rows[(1, 1)] == {0: 1}
+        assert _entries(rows, 1) == {(2, 0): 2, (0, 2): -2}
+        # with no other column there, the cancelled x*y gets no row
+        assert (1, 1) not in _scatter([_column(P("2*x + 2*y"), P("x - y"))])
 
     def test_denominators_on_both_factors(self):
-        # k = 7 over f.den*g.den = 6*5: entries are 7*6*5 times f*g's
+        # common_ints puts f and g over lcm(6, 5) = 30, so the column is
+        # 30^2 = 900 times f*g
         f, g = P("x/2 + 1/3"), P("y/5 - x")
         assert (f.den, g.den) == (6, 5)
-        rows = {}
-        ratfun.scatter_product(rows, 2, f, g, 7)
-        assert _scattered(rows, 2) == {
-            e: c * 210 for e, c in (f * g).terms.items()}
-        assert _scattered(rows, 2) == {(1, 1): 21, (0, 1): 14,
-                                       (2, 0): -105, (1, 0): -70}
+        a, b = ratfun.common_ints([f, g])
+        assert _unpacked(a) == {(1, 0): 15, (0, 0): 10}
+        assert _unpacked(b) == {(0, 1): 6, (1, 0): -30}
+        rows = _scatter([ratfun._product(a, b, 2)])
+        assert _entries(rows, 0) == {
+            e: c * 900 for e, c in (f * g).terms.items()}
+        assert _entries(rows, 0) == {(1, 1): 90, (0, 1): 60,
+                                     (2, 0): -450, (1, 0): -300}
+        # a polynomial already over the lcm keeps its own numerators
+        assert ratfun.common_ints([f, P("x/3")])[0] is f.ints
 
     def test_an_empty_factor_gives_an_empty_column(self):
+        other = {key: 1 for key in P("x + 1").ints}
         for f, g in [(MPoly.zero(V2), P("x + 1")), (P("x/3 - y"),
                                                     MPoly.zero(V2))]:
-            rows = {}
-            ratfun.scatter_product(rows, 0, f, g, 5)
-            assert rows == {}
-
-    def test_foreign_variables_raise(self):
-        with pytest.raises(VariableMismatch):
-            ratfun.scatter_product({}, 0, P("x"), P("x", V3), 1)
+            col = _column(f, g)
+            assert col == {}
+            assert _assemble_rows([col], 10) == []
+            assert _entries(_scatter([col, other]), 0) == {}
 
     def test_overflow_where_the_product_overflows(self):
         x, y = MPoly.var(V2, "x"), MPoly.var(V2, "y")
@@ -380,16 +397,15 @@ class TestScatterProduct:
         # one term each, and a two-term f on either side of the kernel
         for f in (half, half + y):
             for g in (fits, fits + y):
-                rows = {}
-                ratfun.scatter_product(rows, 0, f, g, 1)
-                assert _scattered(rows, 0) == (f * g).terms
+                assert _entries(_scatter([_column(f, g)]), 0) \
+                    == (f * g).terms
                 assert _unpacked(ratfun._product(g.ints, f.ints, 2)) \
                     == (f * g).terms
             for g in (spills, spills + y):
                 with pytest.raises(ExponentOverflow):
                     f * g
                 with pytest.raises(ExponentOverflow):
-                    ratfun.scatter_product({}, 0, f, g, 1)
+                    _column(f, g)
                 with pytest.raises(ExponentOverflow):
                     ratfun._product(g.ints, f.ints, 2)
 

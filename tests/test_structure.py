@@ -437,7 +437,7 @@ def _reference_closure_step(tower, field, unplaced, bounds):
     n_alpha = len(unplaced)
     cols = nums + [-(pp * MPoly(field.ext_vars, {exp: Fraction(1)}))
                    for exp in beta_monoms]
-    rows = _assemble_rows(cols, bounds.max_cells)
+    rows = _assemble_rows(ratfun.common_ints(cols), bounds.max_cells)
     kernel = linalg.nullspace(rows, len(cols))
     alpha_rows = [{i: v for i, v in enumerate(vec[:n_alpha]) if v}
                   for vec in kernel]
