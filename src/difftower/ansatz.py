@@ -5,18 +5,20 @@ to the same move: clear denominators, match coefficients of every monomial
 in the tower variables, and solve the resulting exact linear system over Q.
 The membership and ODE columns are cleared by one fixed factor:
 den(u)*L^D for a membership rung of degree D over values N/L, and
-lcm^2*denom for solve_first_order, which builds each monomial's column
-once per call, with no polynomial product, as the monomial's image under
-one ratfun.cleared_derivation map.  Every system reaches _assemble_rows
-as integer maps {packed key: int}, its columns all on one positive scale:
-polynomials go over the lcm of their denominators by ratfun.common_ints,
-and a membership column num(u)*B_e or -den(u)*B_e is one ratfun._product
-of integer maps, never a polynomial.  Each system is eliminated once: the
-homogeneous ones (membership rungs, normal-tower steps) by _kernel_rref,
-the inhomogeneous ones (ODE rungs, solve_linear_ansatz and ratint's
-Horowitz system) by _solve_columns.  The one division with remainder over
-Q is MPoly.divmod_lead; _poly_part_constant reads the constant term of its
-quotient.
+lcm^2*denom for solve_first_order.  Every system reaches _assemble_rows
+as integer maps {packed key: int}, its columns all on one positive scale,
+and neither of those two families is built as a polynomial: an ODE column
+is the integer map of the monomial's image under one
+ratfun.cleared_derivation map, built once per call with no product and no
+gcd, and a membership column num(u)*B_e or -den(u)*B_e is one
+ratfun._product of integer maps.  The polynomial columns of
+solve_linear_ansatz, ratint's Horowitz system and the normal-tower steps go
+over the lcm of their denominators by ratfun.common_ints.  Each system is
+eliminated once: the homogeneous ones (membership rungs, normal-tower
+steps) by _kernel_rref, the inhomogeneous ones (ODE rungs,
+solve_linear_ansatz and ratint's Horowitz system) by _solve_columns.  The
+one division with remainder over Q is MPoly.divmod_lead;
+_poly_part_constant reads the constant term of its quotient.
 Membership in a subfield K is one MembershipSearch: K's closure chains and
 each order's cleared levels are built once, as its effort ladder first
 reaches them, and shared by every target it is asked about;
@@ -42,7 +44,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import BoundsExceeded, DiffTowerError, VariableMismatch
-from .ratfun import (MPoly, RatFun, _product, clear_denominators,
+from .ratfun import (MPoly, RatFun, _product, _times, clear_denominators,
                      cleared_derivation, common_ints, degree_fits)
 from .ratint import has_rational_antiderivative
 from .tower import SubfieldSpec, Tower
@@ -142,12 +144,13 @@ def _assemble_rows(cols: Sequence[Column], max_cells: int) -> List[linalg.Row]:
     return [by_monom[key] for key in sorted(by_monom)]
 
 
-def _solve_columns(cols: Sequence[MPoly], target: MPoly,
+def _solve_columns(cols: Sequence[Column], target: Column,
                    max_cells: int) -> List[Tuple[Fraction, ...]]:
     """Solutions of sum_i c_i * cols_i = target, as for solve_linear_ansatz,
-    the polynomials put over one denominator by common_ints."""
+    for integer columns and target all on one positive scale, as
+    _kernel_rref's columns are."""
     n = len(cols)
-    rows = _assemble_rows(common_ints([*cols, target]), max_cells)
+    rows = _assemble_rows([*cols, target], max_cells)
     rhs = [r.pop(n, 0) for r in rows]
     particular, kernel = linalg.solve_affine(rows, rhs, n)
     if particular is None:
@@ -174,8 +177,9 @@ def solve_linear_ansatz(terms: Sequence[RatFun], target: RatFun) -> List[Tuple[F
     particular solution (free coordinates zero) followed by the kernel
     basis, or [] when inconsistent.  Ordering is deterministic.
     """
-    _, cols = clear_denominators(list(terms) + [target])
-    return _solve_columns(cols[:-1], cols[-1], linalg.DEFAULT_MAX_CELLS)
+    _, polys = clear_denominators(list(terms) + [target])
+    *cols, rhs = common_ints(polys)
+    return _solve_columns(cols, rhs, linalg.DEFAULT_MAX_CELLS)
 
 
 def _closures(gens: Sequence[RatFun], tower: Tower) -> Iterator[List[RatFun]]:
@@ -394,9 +398,12 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
     column: C*(D(x^e/denom) - g*x^e/denom) = sum_i e_i*x^(e - 1_i)*images[i]
     - x^e*shift with images[i] = lcm*s*L*D(x_i) and shift = power*s*L*D(lcm)
     + lcm*(lcm*g) from the tower's cleared derivation; the target is C*f.
-    One cleared_derivation map takes x^e to its column, built once, on the
-    first rung that needs it, and shared by the rungs above; for f = 0 and
-    g != 0 the trivial solution w = 0 is excluded.
+    One cleared_derivation map takes x^e to its column, an integer map over
+    the map's one denominator d, built once, on the first rung that needs
+    it, and shared by the rungs above.  The columns times den(C*f) and the
+    target's integers times d are all on the one positive scale
+    d*den(C*f), so no column is rescaled per rung.  For f = 0 and g != 0
+    the trivial solution w = 0 is excluded.
     """
     variables = tower.vars
     lcm, (f_num, g_num, s) = clear_denominators(
@@ -423,15 +430,18 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
         target = lcm * denom * f_num
         shift = (s * tower.cleared(lcm)).scale(power) + lcm * g_num
         ls = lcm * s
-        column = cleared_derivation([ls * q for q in tower.images], shift)
-    columns: Dict[tuple, MPoly] = {}
+        derive, d = cleared_derivation([ls * q for q in tower.images], shift)
+        # on the scale d*den(C*f), x^e goes in as den(C*f)*x^e
+        rhs = _times(target.ints, d)
+    columns: Dict[tuple, Column] = {}
     for deg in degrees:
         monoms = monomials_upto(len(variables), deg)
         for e in monoms:
             if e not in columns:
-                columns[e] = column(MPoly.monomial(variables, e))
+                key, = MPoly.monomial(variables, e).ints
+                columns[e] = derive({key: target.den})
         try:
-            sols = _solve_columns([columns[e] for e in monoms], target,
+            sols = _solve_columns([columns[e] for e in monoms], rhs,
                                   bounds.max_cells)
         except BoundsExceeded:
             continue

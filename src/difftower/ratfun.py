@@ -14,7 +14,10 @@ Fraction; one appears only where a caller reads a coefficient (terms,
 leading_coeff, const_value, eval_rat).  One product kernel, _product,
 serves MPoly products, substitution and ansatz's membership columns; one
 fraction-free lead division, _divide_lead, serves exact quotients and
-divmod_lead.  common_ints gives ansatz's other columns as integers.
+divmod_lead; one derivation loop, cleared_derivation, maps an integer map
+to the integer map of its image over one denominator, for
+Tower.differentiate and ansatz's ODE columns.  common_ints puts ansatz's
+other polynomial columns on one scale as integers.
 
 Each exponent (e0, ..., e_{n-1}) is stored as one packed integer key,
 deg << n*S | e0 << (n-1)*S | ... | e_{n-1}, with deg = sum(e) and S = W + 1
@@ -643,12 +646,17 @@ def poly_lcm(p: MPoly, q: MPoly) -> MPoly:
 
 
 def cleared_derivation(images: Sequence[MPoly], shift: MPoly):
-    """The map p -> sum_i dp/dx_i * images[i] - p*shift, one image per
-    variable: L*D(p) for images[i] = L*D(x_i) and shift 0.  Images and
-    shift go over one denominator once, image i's keys lowered by x_i's,
-    so a call adds p's keys to theirs in one dict, with one gcd.
-    VariableMismatch when the shift or a p is over other variables."""
-    variables, n = images[0].vars, len(images[0].vars)
+    """(derive, d) for the map p -> sum_i dp/dx_i * images[i] - p*shift,
+    one image per variable: L*D(p) for images[i] = L*D(x_i) and shift 0.
+    Images and shift go over their one denominator d > 0 once, image i's
+    keys lowered by x_i's, so derive(ints), for the integer map of a
+    polynomial p, adds its keys to theirs in one dict, with no gcd, and
+    returns the integer map of d*(image of p); the image of ints/den is
+    derive(ints) / (d*den).  derive keeps no state between calls and
+    raises ExponentOverflow before an image's total degree reaches the
+    key limit.  VariableMismatch when the shift is over other variables
+    than the images; the caller matches p's variables."""
+    n = len(images[0].vars)
     for q in (*images, shift):
         q._check(images[0])
     d = lcm(shift.den, *(q.den for q in images))
@@ -658,12 +666,11 @@ def cleared_derivation(images: Sequence[MPoly], shift: MPoly):
     reach = max(shift.total_degree(), *(q.total_degree() - 1 for q in images))
     top = _LIMIT - reach << n * _S   # p overflows a result from key top up
 
-    def derive(p: MPoly) -> MPoly:
-        p._check(images[0])
-        if p.ints and max(p.ints) >= top:
-            raise _overflow(p.total_degree() + reach)
+    def derive(ints: dict) -> dict:
+        if ints and max(ints) >= top:
+            raise _overflow((max(ints) >> n * _S) + reach)
         out: dict = {}
-        for e, c in p.ints.items():
+        for e, c in ints.items():
             for k, v in minus:
                 k += e
                 out[k] = out.get(k, 0) + c * v
@@ -673,10 +680,9 @@ def cleared_derivation(images: Sequence[MPoly], shift: MPoly):
                     for k, v in image:
                         k += e
                         out[k] = out.get(k, 0) + ce * v
-        return MPoly._over(variables, {k: c for k, c in out.items() if c},
-                           d * p.den)
+        return {k: c for k, c in out.items() if c}
 
-    return derive
+    return derive, d
 
 
 class RatFun:

@@ -6,14 +6,15 @@ when all residues at its poles are zero.  The decomposition itself is
 computed Horowitz-style as one exact linear solve, so the answer depends
 on no degree or order bound; only the cell cap applies to that solve.
 The proper part comes from MPoly.divmod_lead, and the Horowitz columns are
-polynomials solved through ansatz._solve_columns, the shared assembly path.
+polynomials, put on one scale by ratfun.common_ints and solved through
+ansatz._solve_columns, the shared assembly path.
 """
 
 from __future__ import annotations
 
 from . import linalg
 from .errors import DiffTowerError
-from .ratfun import RatFun, poly_gcd
+from .ratfun import RatFun, common_ints, poly_gcd
 from .tower import BASE_VAR
 
 
@@ -50,7 +51,8 @@ def has_rational_antiderivative(f: RatFun,
     cols = [d2.shift_var(zi, k - 1).scale(k) - t.shift_var(zi, k) if k else -t
             for k in range(deg_a)]
     cols += [dstar.shift_var(zi, k) for k in range(deg_b)]
-    sols = _solve_columns(cols, rem, max_cells)
+    *cols, target = common_ints([*cols, rem])
+    sols = _solve_columns(cols, target, max_cells)
     if not sols:
         raise DiffTowerError("Horowitz system unexpectedly inconsistent")
     # rem != 0, so sols[0] is the particular solution, not a kernel vector

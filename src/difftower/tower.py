@@ -10,8 +10,9 @@ functions over the tower by the chain rule
 together with the quotient rule, and maps the tower's function field into
 itself.  It is computed cleared (Bronstein 2005, ch. 3): with L the monic
 lcm of the derivatives' denominators and images[i] = L*D(x_i), the map
-cleared: p -> L*D(p), built once by ratfun.cleared_derivation (shift 0),
-needs no gcd, and D(n/d) = (L*D(n)*d - n*L*D(d)) / (L*d^2) is reduced once.
+cleared: p -> L*D(p) is ratfun.cleared_derivation's integer map (shift 0),
+built once and wrapped in one MPoly per call, and
+D(n/d) = (L*D(n)*d - n*L*D(d)) / (L*d^2) is reduced once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (DuplicateName, ForwardReference, InvalidTowerConstant,
-                     UnknownSymbol)
+                     UnknownSymbol, VariableMismatch)
 from .ratfun import MPoly, RatFun, clear_denominators, cleared_derivation
 
 BASE_VAR = "z"
@@ -37,7 +38,8 @@ class Tower:
         # derivative table indexed like self.vars; z first with D(z) = 1
         self.derivatives = (RatFun.const(self.vars, 1),) + tuple(derivatives)
         self.lcm, self.images = clear_denominators(self.derivatives)
-        self.cleared = cleared_derivation(self.images, MPoly.zero(self.vars))
+        self._derive, self._scale = cleared_derivation(
+            self.images, MPoly.zero(self.vars))
 
     def gen(self, name: str) -> RatFun:
         if name not in self.vars:
@@ -52,6 +54,13 @@ class Tower:
         return all(d.used_vars() <= {BASE_VAR} for d in self.derivatives[1:])
 
     # -- the derivation ---------------------------------------------------
+
+    def cleared(self, p: MPoly) -> MPoly:
+        """L*D(p) for a polynomial p over the tower's variables."""
+        if p.vars != self.vars:
+            raise VariableMismatch(f"{p.vars!r} vs {self.vars!r}")
+        return MPoly._over(self.vars, self._derive(p.ints),
+                           self._scale * p.den)
 
     def differentiate(self, u: RatFun) -> RatFun:
         n, d = u.num, u.den

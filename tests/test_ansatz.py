@@ -520,10 +520,22 @@ def _ode_tower(shape):
                              for name, d in zip(v[1:], derivs)])
 
 
+def _ratios(cols, polys):
+    """The ratios col/poly over every entry of the integer maps cols
+    against the polynomials polys, which must hold the same keys: one
+    positive ratio means all of cols are polys on one positive scale."""
+    ratios = set()
+    for col, p in zip(cols, polys, strict=True):
+        assert col.keys() == p.ints.keys()
+        ratios |= {Fraction(c * p.den, p.ints[k]) for k, c in col.items()}
+    return ratios
+
+
 class TestOdeColumns:
     """What solve_first_order hands to _solve_columns: for the ansatz
     denominator denom = lcm^power and C = lcm^2*denom, the target C*f and,
-    in monomials_upto order, the columns C*(D(m/denom) - g*m/denom)."""
+    in monomials_upto order, the columns C*(D(m/denom) - g*m/denom), as
+    integer maps all on one positive scale per call."""
 
     @pytest.mark.parametrize("shape", sorted(ODE_TOWERS))
     def test_column_is_cleared_derivative(self, shape, monkeypatch):
@@ -544,19 +556,29 @@ class TestOdeColumns:
         lcm, _ = clear_denominators([f, g, *T.derivatives])
         denom = lcm ** max(1, bounds.max_den_degree
                            // max(1, lcm.total_degree()))
-        common = lcm * lcm * denom
+        common = RatFun.from_poly(lcm * lcm * denom)
         denom_rf = RatFun.from_poly(denom)
+
+        def cleared(u):   # C*u, a polynomial
+            u = u * common
+            assert u.den == MPoly.const(T.vars, 1)
+            return u.num
+
         # one rung per numerator degree offset + 1, offset + 2
         assert len(calls) == 2
+        ratios = set()
         for deg, (cols, target) in enumerate(calls,
                                              denom.total_degree() + 1):
-            assert RatFun(target, common) == f
+            ratios |= _ratios([target], [cleared(f)])
             monoms = monomials_upto(len(T.vars), deg)
-            assert len(cols) == len(monoms)
-            for exp, col in zip(monoms, cols):
+            want = []
+            for exp in monoms:
                 w = RatFun.from_poly(MPoly(T.vars, {exp: Fraction(1)})) \
                     / denom_rf
-                assert RatFun(col, common) == T.differentiate(w) - g * w
+                want.append(cleared(T.differentiate(w) - g * w))
+            ratios |= _ratios(cols, want)
+        (scale,) = ratios
+        assert scale > 0
 
     @pytest.mark.parametrize("shape, builds", [
         ("log", 16), ("arctan", 16), ("loglog", 36), ("dilog", 36)])
@@ -564,17 +586,17 @@ class TestOdeColumns:
         """The exponential obstruction D(w) = w misses on both rungs.  Of
         the derivations, one is the tower's, of lcm, for the shift, and one
         is a column per monomial of the top rung (15 or 35), all by one
-        cleared_derivation map, none again for the monomials the lower rung
-        already built."""
+        cleared_derivation map of integer maps, none again for the
+        monomials the lower rung already built."""
         T = _ode_tower(shape)
         zero, one = RatFun.const(T.vars, 0), RatFun.const(T.vars, 1)
         maps, lcms = [], []   # per map built: (its shift, what it maps)
         real, tower_map = ansatz.cleared_derivation, T.cleared
 
         def spy(images, shift=None):
-            derive, mapped = real(images, shift), []
+            (derive, d), mapped = real(images, shift), []
             maps.append((shift, mapped))
-            return lambda p: mapped.append(p) or derive(p)
+            return (lambda ints: mapped.append(ints) or derive(ints)), d
 
         monkeypatch.setattr(ansatz, "cleared_derivation", spy)
         monkeypatch.setattr(T, "cleared",
@@ -585,6 +607,8 @@ class TestOdeColumns:
         [(shift, monoms)] = maps
         assert shift is not None
         assert len(lcms) == 1 and len(lcms) + len(monoms) == builds
+        # f = 0, so the target is over 1 and each x^e goes in as itself
+        monoms = [MPoly._over(T.vars, ints) for ints in monoms]
         exps = [p.leading_exp() for p in monoms]
         assert monoms == [MPoly.monomial(T.vars, e) for e in exps]
         assert len(exps) == len(set(exps))
@@ -600,13 +624,15 @@ def _product_derivation(p, images):
     return total
 
 
-def _ode_images_and_shift(f, g, T, bounds):
-    """images[i] = lcm*lcm*D(x_i) and shift = power*lcm*D(lcm) +
-    lcm*(lcm*g), as solve_first_order's docstring defines them."""
+def _ode_system(f, g, T, bounds):
+    """images[i] = lcm*lcm*D(x_i), shift = power*lcm*D(lcm) + lcm*(lcm*g)
+    and the target C*f = lcm*lcm^power*(lcm*f), as solve_first_order's
+    docstring defines them."""
     lcm, (f_num, g_num, *d_nums) = clear_denominators([f, g, *T.derivatives])
     power = max(1, bounds.max_den_degree // max(1, lcm.total_degree()))
     return ([lcm * d for d in d_nums],
-            _product_derivation(lcm, d_nums).scale(power) + lcm * g_num)
+            _product_derivation(lcm, d_nums).scale(power) + lcm * g_num,
+            lcm ** (power + 1) * f_num)
 
 
 def _product_column(variables, e, images, shift):
@@ -619,15 +645,16 @@ def _product_column(variables, e, images, shift):
 class TestOdeColumnsByKeyShifts:
     def test_random_towers_match_products(self, monkeypatch):
         """Every column solve_first_order hands to _solve_columns, on
-        random towers of depth 0-3 with g zero and nonzero, equals the
-        column built by products."""
+        random towers of depth 0-3 with g zero and nonzero, is the column
+        built by products, and the target C*f, all on one positive scale
+        per call."""
         rng = random.Random(20261019)
         bounds = Bounds(2, 2, 1, escalation=())
         calls = []
         real = ansatz._solve_columns
 
         def record(cols, target, max_cells):
-            calls.append(list(cols))
+            calls.append((list(cols), target))
             return real(cols, target, max_cells)
 
         monkeypatch.setattr(ansatz, "_solve_columns", record)
@@ -640,20 +667,27 @@ class TestOdeColumnsByKeyShifts:
                  else random_ratfun(rng, T.vars, max_deg=1, max_terms=2))
             calls.clear()
             solve_first_order(f, g, T, bounds)
-            images, shift = _ode_images_and_shift(f, g, T, bounds)
+            images, shift, want = _ode_system(f, g, T, bounds)
             n = len(T.vars)
-            for cols in calls:
+            ratios = set()
+            for cols, target in calls:
                 # a rung of degree d has C(n + d, d) columns
                 deg = next(d for d in itertools.count()
                            if comb(n + d, d) >= len(cols))
-                for e, col in zip(monomials_upto(n, deg), cols, strict=True):
-                    assert col == _product_column(T.vars, e, images, shift)
-                    checked.add((depth, not g.is_zero()))
+                ratios |= _ratios(
+                    [target, *cols],
+                    [want, *(_product_column(T.vars, e, images, shift)
+                             for e in monomials_upto(n, deg))])
+                checked.add((depth, not g.is_zero()))
+            if calls:
+                (scale,) = ratios
+                assert scale > 0
         assert checked == {(d, nz) for d in range(4) for nz in (False, True)}
 
     def test_images_over_different_denominators(self):
-        """Images and shift with unlike rational coefficients: the map of
-        every monomial up to degree 3 equals the product-built column."""
+        """Images and shift with unlike rational coefficients: the integer
+        map of every monomial up to degree 3, over the map's one
+        denominator, equals the product-built column."""
         rng = random.Random(7)
         unlike = 0
         for n in (1, 2, 3):
@@ -663,9 +697,10 @@ class TestOdeColumnsByKeyShifts:
                           for _ in range(n)]
                 shift = random_mpoly(rng, variables, max_deg=3)
                 unlike += len({p.den for p in images + [shift]}) > 1
-                column = cleared_derivation(images, shift)
+                derive, d = cleared_derivation(images, shift)
                 for e in monomials_upto(n, 3):
-                    assert column(MPoly.monomial(variables, e)) \
+                    key, = MPoly.monomial(variables, e).ints
+                    assert MPoly._over(variables, derive({key: 1}), d) \
                         == _product_column(variables, e, images, shift)
         assert unlike > 6
 

@@ -70,9 +70,9 @@ class TestMPoly:
             p = random_mpoly(rng, V3, max_deg=4)
             for i in range(len(V3)):
                 unit = [MPoly.const(V3, int(j == i)) for j in range(len(V3))]
-                assert cleared_derivation(unit, zero)(p) == p.partial(i)
+                assert _cleared(unit, zero)(p) == p.partial(i)
         ones = [MPoly.const(V3, 1)] * len(V3)
-        assert cleared_derivation(ones, zero)(MPoly.const(V3, 5)) == zero
+        assert _cleared(ones, zero)(MPoly.const(V3, 5)) == zero
 
     def test_try_divexact(self):
         p = P("x^2 - y^2")
@@ -259,6 +259,13 @@ class TestIntegerKernels:
         assert ratfun._divide_lead(y, b, False) == ({}, y, 1)
 
 
+def _cleared(images, shift):
+    """cleared_derivation's map on polynomials, as Tower.cleared wraps it:
+    the integer map of p, over d*den(p)."""
+    derive, d = cleared_derivation(images, shift)
+    return lambda p: MPoly._over(p.vars, derive(p.ints), d * p.den)
+
+
 def _ref_cleared_derivation(p, images, shift):
     """sum_i dp/dx_i * images[i] - p*shift by MPoly partials, products and
     sums."""
@@ -269,8 +276,8 @@ def _ref_cleared_derivation(p, images, shift):
 
 
 class TestClearedDerivation:
-    """The map of cleared_derivation against the same sum built from
-    partials and products."""
+    """The integer map of cleared_derivation, over its one denominator d,
+    against the same sum built from partials and products."""
 
     @settings(max_examples=150, deadline=None)
     @given(_mpolys, _mpolys, _mpolys, _mpolys)
@@ -283,25 +290,26 @@ class TestClearedDerivation:
     @example(P("5/3"), P("x/3"), P("y/2"), P("x/4 + 1"))
     @example(P("5/3"), P("x/3"), P("y/2"), MPoly.zero(V2))
     def test_matches_partials_and_products(self, p, a, b, shift):
-        derive = cleared_derivation([a, b], shift)
-        got = derive(p)
-        assert got == _ref_cleared_derivation(p, [a, b], shift)
-        assert got.den > 0 and gcd(got.den, *got.ints.values()) == 1
+        derive, d = cleared_derivation([a, b], shift)
+        assert d == lcm(a.den, b.den, shift.den)
+        # p's integer map goes to d*den(p) times p's image, no zero stored
+        got = derive(p.ints)
+        assert all(type(c) is int and c for c in got.values())
+        assert MPoly._over(V2, got, d * p.den) \
+            == _ref_cleared_derivation(p, [a, b], shift)
         # the map keeps no state from one call to the next
-        assert derive(p + P("x*y")) \
-            == _ref_cleared_derivation(p + P("x*y"), [a, b], shift)
+        q = p + P("x*y")
+        assert MPoly._over(V2, derive(q.ints), d * q.den) \
+            == _ref_cleared_derivation(q, [a, b], shift)
 
     def test_foreign_variables_raise(self):
+        # a p over other variables is caught where it is wrapped, in
+        # Tower.cleared (tests/test_tower.py)
         images, zero = [P("x + 1"), P("y/2")], MPoly.zero(V2)
-        with pytest.raises(VariableMismatch):
-            cleared_derivation(images, zero)(P("x*w", V3))
         with pytest.raises(VariableMismatch):
             cleared_derivation(images, P("w", V3))
         with pytest.raises(VariableMismatch):
             cleared_derivation([P("x"), P("v", ("x", "v"))], zero)
-        # a constant p over other variables is caught as well
-        with pytest.raises(VariableMismatch):
-            cleared_derivation(images, zero)(MPoly.const(("y", "x"), 3))
 
 
 def _scatter(cols):
@@ -1309,14 +1317,25 @@ class TestExponentWidth:
             == {(2 ** (W - 1), 2 ** (W - 1) - 1): 1}
 
     def test_cleared_derivation(self):
+        """Through the integer entry solve_first_order calls, a monomial's
+        key with a scale: an image of total degree 2**W raises, one of
+        2**W - 1 is built."""
         x, y = MPoly.var(V2, "x"), MPoly.var(V2, "y")
-        top, zero = x ** _MAX, MPoly.zero(V2)
-        # d(x^MAX)/dx * x^2 has total degree MAX + 1
+        zero = MPoly.zero(V2)
+
+        def column(images, shift, exp):
+            derive, _ = cleared_derivation(images, shift)
+            key, = MPoly.monomial(V2, exp).ints
+            return MPoly._over(V2, derive({key: 3})).terms
+
+        # d(x^MAX)/dx * x^2 and x^MAX * y have total degree MAX + 1 = 2**W
         with pytest.raises(ExponentOverflow):
-            cleared_derivation([x * x, y], zero)(top)
+            column([x * x, y], zero, (_MAX, 0))
         with pytest.raises(ExponentOverflow):
-            cleared_derivation([y, y], y)(top)
-        assert cleared_derivation([x, y], zero)(top).terms == {(_MAX, 0): _MAX}
+            column([y, y], y, (_MAX, 0))
+        assert column([x, y], zero, (_MAX, 0)) == {(_MAX, 0): 3 * _MAX}
+        assert column([y, y], y, (_MAX - 1, 0)) \
+            == {(_MAX - 2, 1): 3 * (_MAX - 1), (_MAX - 1, 1): -3}
 
     def test_power_and_shift(self):
         x = MPoly.var(V2, "x")

@@ -157,6 +157,8 @@ class TestClearedDerivation:
             u = parse_expr(text.replace("zeta1", variables[-1]), variables)
             with pytest.raises(VariableMismatch):
                 T.differentiate(u)
+            with pytest.raises(VariableMismatch):
+                T.cleared(u.num)
 
 
 def _sympy_poly(p, symbols):
