@@ -45,7 +45,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from . import linalg
 from .errors import BoundsExceeded, DiffTowerError, VariableMismatch
 from .ratfun import (MPoly, RatFun, _product, _times, clear_denominators,
-                     cleared_derivation, common_ints, degree_fits)
+                     cleared_derivation, common_ints, degree_fits,
+                     monomial_keys)
 from .ratint import has_rational_antiderivative
 from .tower import SubfieldSpec, Tower
 
@@ -436,10 +437,9 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
     columns: Dict[tuple, Column] = {}
     for deg in degrees:
         monoms = monomials_upto(len(variables), deg)
-        for e in monoms:
-            if e not in columns:
-                key, = MPoly.monomial(variables, e).ints
-                columns[e] = derive({key: target.den})
+        new = [e for e in monoms if e not in columns]
+        for e, key in zip(new, monomial_keys(variables, new)):
+            columns[e] = derive({key: target.den})
         try:
             sols = _solve_columns([columns[e] for e in monoms], rhs,
                                   bounds.max_cells)

@@ -7,6 +7,15 @@ forms, so two values compare equal exactly when they denote the same
 function.  Every cancellation goes through poly_gcd, which returns
 (g, p/g, q/g); GCDHEU reads p/g and q/g off its accepted trial divisions.
 
+GCDHEU (Char, Geddes & Gonnet, 1989) evaluates one variable per level, so
+each level's integers are larger than the last.  Where the images left
+have one variable and the point is above the prime _P = 2**30 - 35, Euclid
+over GF(_P) may first prove them coprime over Q (Brown, 1971): a common
+factor of positive degree keeps its degree mod _P when _P does not divide
+the leading coefficient, so gcd 1 mod _P rules it out.  Their gcd over Z is
+then the gcd of their coefficients, and no larger point is evaluated; any
+other outcome takes the evaluation level as before.
+
 A polynomial is stored as integer numerators over one denominator, unique
 per polynomial.  Every kernel (sums, products, division, GCDHEU,
 substitution, the cleared derivation) runs on those integers and builds no
@@ -75,6 +84,13 @@ def _pack(exp: Sequence[int], variables: tuple) -> int:
     if deg >= _LIMIT:
         raise _overflow(deg)
     return deg << len(exp) * _S | key
+
+
+def monomial_keys(variables: Sequence[str], exps) -> list:
+    """The packed keys of the exponent tuples exps over variables, in
+    order: the keys of integer maps, without building a polynomial."""
+    variables = tuple(variables)
+    return [_pack(e, variables) for e in exps]
 
 
 def _unpack(key: int, n: int) -> tuple:
@@ -521,11 +537,67 @@ def _heu_gcd(p: MPoly, q: MPoly):
             MPoly._over(p.vars, _times(cb, lc), q.den))
 
 
+_P = 1073741789   # the largest prime below 2**30
+
+
+def _coprime_mod_p(a: dict, b: dict) -> bool:
+    """Whether Euclid over GF(_P) proves the nonzero integer polynomials a
+    and b coprime over Q.  Tried only when they use exactly one variable
+    between them; False when they do not, when _P divides lc(a), or when
+    the gcd mod _P has positive degree.  Sound: a common factor g of
+    positive degree over Q may be taken primitive over Z, so lc(g)
+    divides lc(a), g mod _P keeps its degree and divides a and b mod _P,
+    and Euclid cannot end at degree 0 (Brown, JACM 1971)."""
+    used = reduce(or_, a, 0) | reduce(or_, b, 0)
+    # the total degree's field is the top one; the one variable's degree
+    # is then each key's top field
+    top = max(used.bit_length() - 1, 0) // _S * _S
+    var = used & (1 << top) - 1
+    if not var or var >> ((var & -var).bit_length() - 1) // _S * _S + _S:
+        return False
+    u, v = _dense_mod_p(a, top), _dense_mod_p(b, top)
+    if not u[-1]:
+        return False
+    while v and not v[-1]:
+        v.pop()
+    # Euclid on coefficient lists, the constant first, each with a nonzero
+    # lead: u becomes u mod v, then the two swap
+    while len(v) > 1:
+        m = len(v) - 1
+        inv = pow(v[m], -1, _P)
+        for i in range(len(u) - 1, m - 1, -1):
+            c = u[i] * inv % _P
+            if c:
+                for j in range(m):
+                    u[i - m + j] = (u[i - m + j] - c * v[j]) % _P
+        del u[m:]
+        while u and not u[-1]:
+            u.pop()
+        u, v = v, u
+    return len(v) == 1 or len(u) == 1
+
+
+def _dense_mod_p(a: dict, top: int) -> list:
+    """The coefficients mod _P of a, whose keys hold their degree from bit
+    top up, the constant first."""
+    out = [0] * ((max(a) >> top) + 1)
+    for e, c in a.items():
+        out[e >> top] = c % _P
+    return out
+
+
 def _heu_gcd_int(a: dict, b: dict):
     """(g, a/g, b/g) over Z for nonzero integer polynomials, or None: strip
     integer content, evaluate one variable at a large integer, recurse, lift
     balanced digits.  g is accepted only when both trial divisions are
-    exact, so it is a true gcd over Z and the quotients are its cofactors."""
+    exact, so it is a true gcd over Z and the quotients are its cofactors.
+
+    At a point xi above _P, images univariate in the one variable left
+    have large coefficients, and the recursion would evaluate them at a
+    point larger still.  There _coprime_mod_p tests them first: when it
+    proves them coprime over Q, their gcd over Z is the gcd of all their
+    coefficients, the value the recursion returns when it succeeds, and it
+    is lifted and trial-divided the same way.  Any other outcome recurses."""
     cont_a, a = _primitive(a)
     cont_b, b = _primitive(b)
     cont = gcd(cont_a, cont_b)
@@ -543,9 +615,13 @@ def _heu_gcd_int(a: dict, b: dict):
         ah = _eval_var_int(a, x, xi)
         bh = _eval_var_int(b, x, xi)
         if ah and bh:
-            got = _heu_gcd_int(ah, bh)
-            if got is not None:
-                g = _primitive(_lift_digits(got[0], x, xi))[1]
+            if xi > _P and _coprime_mod_p(ah, bh):
+                gh = {0: gcd(*ah.values(), *bh.values())}
+            else:
+                got = _heu_gcd_int(ah, bh)
+                gh = got and got[0]
+            if gh:
+                g = _primitive(_lift_digits(gh, x, xi))[1]
                 if g.keys() == {0}:
                     return {0: cont}, _times(a, ka), _times(b, kb)
                 qa = _divide_lead(a, g, True)
@@ -793,8 +869,11 @@ class RatFun:
         if k < 0:
             if self.is_zero():
                 raise DivisionByZero("negative power of zero")
-            return RatFun(self.den ** (-k), self.num ** (-k))
-        return RatFun(self.num ** k, self.den ** k)
+            # gcd(den**-k, num**-k) = 1; only num**-k's lead needs scaling
+            return RatFun(*_monic_pair(self.den ** -k, self.num ** -k),
+                          _canonical=True)
+        # reduced, and den**k is monic as den is
+        return RatFun(self.num ** k, self.den ** k, _canonical=True)
 
     def scale(self, c) -> "RatFun":
         # c*num/den is still reduced over the same monic denominator

@@ -28,7 +28,8 @@ from difftower.errors import (BoundsExceeded, DiffTowerError, DivisionByZero,
 from difftower.parser import format_ratfun, parse_expr
 from difftower.randexpr import random_mpoly, random_ratfun, random_tower
 from difftower.ratfun import (MPoly, RatFun, _product, clear_denominators,
-                              cleared_derivation, common_ints)
+                              cleared_derivation, common_ints,
+                              monomial_keys)
 from difftower.tower import SubfieldSpec, base_subfield, tower_from_pairs
 
 SMALL = Bounds(3, 3, 2, escalation=())
@@ -699,7 +700,7 @@ class TestOdeColumnsByKeyShifts:
                 unlike += len({p.den for p in images + [shift]}) > 1
                 derive, d = cleared_derivation(images, shift)
                 for e in monomials_upto(n, 3):
-                    key, = MPoly.monomial(variables, e).ints
+                    key, = monomial_keys(variables, [e])
                     assert MPoly._over(variables, derive({key: 1}), d) \
                         == _product_column(variables, e, images, shift)
         assert unlike > 6

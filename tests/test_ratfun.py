@@ -14,8 +14,8 @@ from difftower.errors import (DiffTowerError, DivisionByZero,
                                ZeroDenominator)
 from difftower import ratfun
 from difftower.ansatz import _assemble_rows
-from difftower.ratfun import (MPoly, RatFun, cleared_derivation, poly_gcd,
-                              poly_lcm)
+from difftower.ratfun import (MPoly, RatFun, cleared_derivation,
+                              monomial_keys, poly_gcd, poly_lcm)
 
 V2 = ("x", "y")
 V3 = ("x", "y", "w")
@@ -858,6 +858,150 @@ class TestGcdOracle:
             assert u.den.leading_coeff() == 1
 
 
+    def test_three_and_four_variables_reach_both_certificate_branches(
+            self, monkeypatch):
+        # wide coefficients put the two-variable level's points above the
+        # prime, so its univariate images meet the modular certificate;
+        # coprime pairs mostly pass it, shared factors never do
+        certified = []
+        real = ratfun._coprime_mod_p
+
+        def spy(a, b):
+            out = real(a, b)
+            certified.append(out)
+            return out
+
+        monkeypatch.setattr(ratfun, "_coprime_mod_p", spy)
+        rng = random.Random(71)
+        for variables in (V3, V3 + ("v",)):
+            for shared in (False, True):
+                for _ in range(10):
+                    a, b, g = (_wide_mpoly(rng, variables) for _ in range(3))
+                    if shared:
+                        a, b = a * g, b * g
+                    if len(a.ints) > 1 and len(b.ints) > 1:
+                        _assert_sympy_gcd(a, b)
+        assert True in certified and False in certified
+
+
+def _wide_mpoly(rng, variables, max_deg=3, terms=4, span=10 ** 4):
+    """A seeded integer polynomial with coefficients up to span."""
+    out = {}
+    for _ in range(terms):
+        exp = [0] * len(variables)
+        for _ in range(rng.randint(0, max_deg)):
+            exp[rng.randrange(len(variables))] += 1
+        out[tuple(exp)] = rng.randint(-span, span)
+    return MPoly(variables, out)
+
+
+# -- the modular coprimality certificate of GCDHEU ----------------------------
+
+_PRIME = ratfun._P
+_Y = ("y",)
+_huge = st.integers(-2 ** 1100, 2 ** 1100).filter(
+    lambda c: abs(c) >= 2 ** 1000)
+
+
+def _uni(coeffs):
+    """The integer map of sum(coeffs[k] * y**k) over ("y",)."""
+    return MPoly(_Y, {(k,): c for k, c in enumerate(coeffs)}).ints
+
+
+def _coeffs(min_deg, elements=st.integers(-10 ** 6, 10 ** 6)):
+    """Coefficient lists, the constant first, of degree min_deg to 4."""
+    return st.lists(elements, min_size=min_deg + 1, max_size=5).filter(
+        lambda c: c[-1] != 0)
+
+
+def _times_linear(coeffs, root):
+    """coeffs times (y - root), both constant first."""
+    out = [0] + coeffs
+    for k, c in enumerate(coeffs):
+        out[k] -= root * c
+    return out
+
+
+class TestCoprimeModP:
+    """ratfun._coprime_mod_p: Euclid over GF(p) on univariate images, which
+    GCDHEU takes as proof of gcd 1 over Q."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_coeffs(1, st.one_of(_huge, st.integers(-9, 9))), _coeffs(0),
+           _coeffs(0, _huge))
+    @example([-1, 1], [_PRIME, 1], [-_PRIME, 1])
+    def test_never_certifies_a_planted_common_factor(self, g, h1, h2):
+        g = _uni(g)
+        a, b = (ratfun._product(g, _uni(h), 1) for h in (h1, h2))
+        assert not ratfun._coprime_mod_p(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_coeffs(0, _huge), st.integers(-2 ** 64, 2 ** 64).filter(bool),
+           _coeffs(1))
+    def test_refuses_when_p_divides_the_leading_coefficient(self, low, k, b):
+        a = _uni(low + [k * _PRIME])
+        assert not ratfun._coprime_mod_p(a, _uni(b))
+
+    def test_the_leading_coefficient_check_is_needed(self):
+        # a and b share p*y + 1, which is the unit 1 mod p: their images
+        # mod p are y + 2 and y + 3, coprime, yet gcd(a, b) is not 1
+        a = _uni(_times_linear([1, _PRIME], -2))
+        b = _uni(_times_linear([1, _PRIME], -3))
+        assert not ratfun._coprime_mod_p(a, b)
+        assert ratfun._heu_gcd_int(a, b)[0] == _uni([1, _PRIME])
+        # with the leading coefficients reduced first, Euclid says 1
+        assert ratfun._coprime_mod_p(_uni([2, 1]), _uni([3, 1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, _PRIME - 1), min_size=2, max_size=6,
+                    unique=True),
+           st.integers(1, 5), st.integers(1, _PRIME - 1),
+           st.integers(1, _PRIME - 1), st.lists(_huge, min_size=12,
+                                                max_size=12))
+    def test_certifies_coprime_pairs_with_huge_coefficients(
+            self, roots, split, lead_a, lead_b, lifts):
+        # a = lead_a * prod(y - r) and b = lead_b * prod(y - s) over
+        # disjoint roots mod p, each coefficient moved by p times a
+        # 1000-bit or larger integer: coprime mod p with lc(a) != 0 there
+        split = min(split, len(roots) - 1)
+        a0, b0 = [lead_a], [lead_b]
+        for r in roots[:split]:
+            a0 = _times_linear(a0, r)
+        for s in roots[split:]:
+            b0 = _times_linear(b0, s)
+        a = [c + _PRIME * lifts.pop() for c in a0]
+        b = [c + _PRIME * lifts.pop() for c in b0]
+        assert all(abs(c) >= 2 ** 1000 for c in a + b)
+        assert ratfun._coprime_mod_p(_uni(a), _uni(b))
+
+    def test_certified_pairs_are_coprime_over_q(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(89)
+        y = sympy.Symbol("y")
+        checked = 0
+        while checked < 20:
+            a, b = ([rng.randint(-2 ** 1000, 2 ** 1000)
+                     for _ in range(rng.randint(2, 5))] for _ in range(2))
+            if ratfun._coprime_mod_p(_uni(a), _uni(b)):
+                checked += 1
+                pa, pb = (sympy.Poly(c[::-1], y) for c in (a, b))
+                assert sympy.gcd(pa, pb).degree() == 0
+
+    def test_only_a_must_keep_its_degree_mod_p(self):
+        # b = p*y**2 + y + 2 is y + 2 mod p, coprime to y + 1 over Q too
+        assert ratfun._coprime_mod_p(_uni([1, 1]), _uni([2, 1, _PRIME]))
+        # b = p*(y + 1) is 0 mod p, so the gcd mod p is y + 1 itself
+        assert not ratfun._coprime_mod_p(_uni([1, 1]),
+                                         _uni([_PRIME, _PRIME]))
+
+    def test_needs_exactly_one_variable(self):
+        # constants and two-variable maps are left to the recursion
+        assert not ratfun._coprime_mod_p({0: 3}, {0: 5})
+        assert not ratfun._coprime_mod_p(P("x + 1").ints, P("y + 2").ints)
+        assert ratfun._coprime_mod_p(P("x + 1").ints, P("x + 2").ints)
+        assert ratfun._coprime_mod_p(P("y + 1").ints, {0: 5})
+
+
 class TestRatFun:
     def test_canonical_reduction(self):
         u = RatFun(P("x^2 - y^2"), P("x + y"))
@@ -899,6 +1043,26 @@ class TestRatFun:
 
     def test_negative_power(self):
         assert R("x") ** -2 == R("1/x^2")
+
+    def test_power_needs_no_gcd(self, monkeypatch):
+        # num**k / den**k of a reduced pair is reduced and den**k is monic;
+        # a negative power only rescales num**-k to a monic denominator
+        rng = random.Random(61)
+        from difftower.randexpr import random_ratfun
+        samples = [random_ratfun(rng, V2, max_deg=2) for _ in range(20)]
+        want = {(u, k): RatFun(u.num ** k, u.den ** k) if k >= 0
+                else RatFun(u.den ** -k, u.num ** -k)
+                for u in samples for k in (0, 1, 3, -1, -2)
+                if k >= 0 or not u.is_zero()}
+        calls = []
+        _spy(monkeypatch, "poly_gcd", calls)
+        for (u, k), w in want.items():
+            got = u ** k
+            assert (got.num, got.den) == (w.num, w.den)
+            assert got.den.leading_coeff() == 1
+        assert calls == []
+        with pytest.raises(DivisionByZero):
+            RatFun.const(V2, 0) ** -1
 
     def test_scale_keeps_the_reduced_form(self, monkeypatch):
         rng = random.Random(53)
@@ -1198,6 +1362,14 @@ class TestPackedKeys:
             for e2, k2 in zip(exps, keys):
                 assert (k1 < k2) == (_deglex(e1) < _deglex(e2))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_exponents(), max_size=8))
+    def test_monomial_keys_are_the_monomials_keys(self, exps):
+        assert monomial_keys(V3, exps) \
+            == [k for e in exps for k in MPoly.monomial(V3, e).ints]
+        with pytest.raises(VariableMismatch):
+            monomial_keys(V2, exps + [(0, 0, 0)])
+
     @settings(max_examples=200, deadline=None)
     @given(_exponents(), _exponents())
     @example((_MAX, 0, 0), (_MAX - 1, 0, 0))
@@ -1305,6 +1477,8 @@ class TestExponentWidth:
                 MPoly(V2, {exp: 1})
         with pytest.raises(ExponentOverflow):
             MPoly.monomial(V2, (0, 2 ** W))
+        with pytest.raises(ExponentOverflow):
+            monomial_keys(V2, [(1, 1), (0, 2 ** W)])
         assert MPoly(V2, {(_MAX, 0): 1}).leading_exp() == (_MAX, 0)
 
     def test_product(self):
@@ -1325,7 +1499,7 @@ class TestExponentWidth:
 
         def column(images, shift, exp):
             derive, _ = cleared_derivation(images, shift)
-            key, = MPoly.monomial(V2, exp).ints
+            key, = monomial_keys(V2, [exp])
             return MPoly._over(V2, derive({key: 3})).terms
 
         # d(x^MAX)/dx * x^2 and x^MAX * y have total degree MAX + 1 = 2**W
