@@ -5,19 +5,22 @@ to the same move: clear denominators, match coefficients of every monomial
 in the tower variables, and solve the resulting exact linear system over Q.
 The membership and ODE columns are cleared by one fixed factor:
 den(u)*L^D for a membership rung of degree D over values N/L, and
-lcm^2*denom for solve_first_order.  Every system reaches _assemble_rows
-as integer maps {packed key: int}, its columns all on one positive scale,
+lcm^2*denom for solve_first_order.  Every system is built as integer
+maps {packed key: int}, its columns all on one positive scale,
 and neither of those two families is built as a polynomial: an ODE column
 is the integer map of the monomial's image under one
 ratfun.cleared_derivation map, built once per call with no product and no
 gcd, and a membership column num(u)*B_e or -den(u)*B_e is one
 ratfun._product of integer maps.  The polynomial columns of
 solve_linear_ansatz, ratint's Horowitz system and the normal-tower steps go
-over the lcm of their denominators by ratfun.common_ints.  Each system is
-eliminated once: the homogeneous ones (membership rungs, normal-tower
-steps) by _kernel_rref, the inhomogeneous ones (ODE rungs,
-solve_linear_ansatz and ratint's Horowitz system) by _solve_columns.  The
-one division with remainder over Q is MPoly.divmod_lead;
+over the lcm of their denominators by ratfun.common_ints.  The
+homogeneous systems (membership rungs, normal-tower steps) are eliminated
+once, by _kernel_rref.  The inhomogeneous ones (ODE rungs,
+solve_linear_ansatz and ratint's Horowitz system) go to _solve_columns:
+columns with distinct leading keys are independent, so the target is
+reduced by them, with no rows and no elimination, as on every obstruction
+rung D(w) = w; the others are assembled and eliminated once.  The one
+division with remainder over Q is MPoly.divmod_lead;
 _poly_part_constant reads the constant term of its quotient.
 Membership in a subfield K is one MembershipSearch: K's closure chains and
 each order's cleared levels are built once, as its effort ladder first
@@ -39,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -149,8 +152,17 @@ def _solve_columns(cols: Sequence[Column], target: Column,
                    max_cells: int) -> List[Tuple[Fraction, ...]]:
     """Solutions of sum_i c_i * cols_i = target, as for solve_linear_ansatz,
     for integer columns and target all on one positive scale, as
-    _kernel_rref's columns are."""
+    _kernel_rref's columns are.  Nonzero columns with distinct leading keys
+    are independent over Q (Cox, Little & O'Shea, ch. 2), so the solution is
+    unique if there is one: after the same cell cap as _assemble_rows, a
+    zero target has only the excluded 0, and any other is reduced by
+    _reduce_by_leads, with no rows and no elimination.  A repeated lead or
+    a zero column is assembled and eliminated by linalg.solve_affine."""
     n = len(cols)
+    leads = [max(c) for c in cols if c]
+    if len(set(leads)) == n:
+        linalg.check_size(len(set().union(*cols, target)), n + 1, max_cells)
+        return _reduce_by_leads(cols, leads, target) if target else []
     rows = _assemble_rows([*cols, target], max_cells)
     rhs = [r.pop(n, 0) for r in rows]
     particular, kernel = linalg.solve_affine(rows, rhs, n)
@@ -158,6 +170,42 @@ def _solve_columns(cols: Sequence[Column], target: Column,
         return []
     # a homogeneous target's particular solution is 0 and is left out
     return [tuple(v) for v in [particular] + kernel if any(v)]
+
+
+def _reduce_by_leads(cols: Sequence[Column], leads: Sequence[int],
+                     target: Column) -> List[Tuple[Fraction, ...]]:
+    """[the unique c with sum_i c_i * cols_i = target], or [] when there is
+    none, for columns with the distinct leading keys leads.  The target is
+    reduced fraction-free by the columns in descending-lead order, as
+    ratfun._divide_lead divides: s*target = sum_i q_i*cols_i + rem, each
+    lead met once, and a lead coefficient that does not divide the
+    remainder's scales q, rem and s by lc/gcd.  The later columns hold only
+    keys below the lead just cleared, so rem ends with no lead among its
+    keys; a nonzero combination of the columns has one, its largest, so a
+    nonzero rem is off their span."""
+    quo, rem, s = [0] * len(cols), dict(target), 1
+    for i in sorted(range(len(cols)), key=leads.__getitem__, reverse=True):
+        le = leads[i]
+        c = rem.get(le)
+        if c is None:
+            continue
+        col = cols[i]
+        lc = col[le]
+        q, r = divmod(c, lc)
+        if r:
+            m = lc // gcd(c, lc)
+            s *= m
+            quo = [v * m for v in quo]
+            rem = _times(rem, m)
+            q = rem[le] // lc
+        quo[i] = q
+        for key, v in col.items():
+            nv = rem.get(key, 0) - q * v
+            if nv:
+                rem[key] = nv
+            else:
+                del rem[key]
+    return [] if rem else [tuple(Fraction(q, s) for q in quo)]
 
 
 def _kernel_rref(cols: Sequence[Column], max_cells: int) -> List[List[Fraction]]:

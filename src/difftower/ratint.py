@@ -6,8 +6,8 @@ when all residues at its poles are zero.  The decomposition itself is
 computed Horowitz-style as one exact linear solve, so the answer depends
 on no degree or order bound; only the cell cap applies to that solve.
 The proper part comes from MPoly.divmod_lead, and the Horowitz columns are
-polynomials, put on one scale by ratfun.common_ints and solved through
-ansatz._solve_columns, the shared assembly path.
+polynomials, put on one scale by ratfun.common_ints and solved by
+ansatz._solve_columns, the one solver of every inhomogeneous system.
 """
 
 from __future__ import annotations

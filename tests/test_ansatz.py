@@ -9,10 +9,12 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import difftower
 from difftower import ansatz, linalg
@@ -759,6 +761,207 @@ class TestOdeLadder:
         out = solve_first_order(zero, one, T, Bounds(2, 2, 1, **caps))
         assert isinstance(out, NoSolutionWithinBounds)
         assert seen == rungs
+
+
+def _general_solve(cols, target, max_cells):
+    """_solve_columns by the general path: linalg.solve_affine on the
+    _assemble_rows rows, whatever the leads."""
+    n = len(cols)
+    rows = _assemble_rows([*cols, target], max_cells)
+    particular, kernel = linalg.solve_affine(
+        rows, [r.pop(n, 0) for r in rows], n)
+    if particular is None:
+        return []
+    return [tuple(v) for v in [particular] + kernel if any(v)]
+
+
+def _combination(cols, coeffs):
+    out = {}
+    for col, a in zip(cols, coeffs):
+        for key, v in col.items():
+            out[key] = out.get(key, 0) + a * v
+    return {key: v for key, v in out.items() if v}
+
+
+NONZERO = st.integers(-9, 9).filter(bool)
+
+
+@st.composite
+def lead_systems(draw):
+    """Integer columns with distinct leading keys, some of them negative,
+    and a target that is zero, in the columns' span or drawn off it.  An
+    in-span target is an integer combination divided by its content, so a
+    lead coefficient need not divide the remainder's."""
+    n = draw(st.integers(1, 5))
+    leads = draw(st.lists(st.integers(-6, 12), min_size=n, max_size=n,
+                          unique=True))
+    cols = []
+    for le in leads:
+        col = draw(st.dictionaries(st.integers(-12, le - 1), NONZERO,
+                                   max_size=4))
+        col[le] = draw(NONZERO)
+        cols.append(col)
+    kind = draw(st.sampled_from(["zero", "span", "off"]))
+    target = {}
+    if kind != "zero":
+        target = _combination(
+            cols, draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+        content = gcd(*target.values()) or 1
+        target = {key: v // content for key, v in target.items()}
+    if kind == "off":
+        key = draw(st.integers(-12, 14))
+        target = _combination([target, {key: 1}], [1, draw(NONZERO)])
+    return cols, target
+
+
+def _no_assembly(cols, target, max_cells):
+    """_solve_columns, failing on any call of _assemble_rows or rref."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ansatz, "_assemble_rows", None)
+        m.setattr(linalg, "rref", None)
+        return ansatz._solve_columns(cols, target, max_cells)
+
+
+class TestDistinctLeadColumns:
+    """Nonzero columns with distinct leading keys are independent, so
+    _solve_columns reduces the target by them and assembles no rows; the
+    answer is the general path's, and the cell cap binds at the same
+    size."""
+
+    CAP = linalg.DEFAULT_MAX_CELLS
+
+    @settings(max_examples=300, deadline=None)
+    @given(lead_systems())
+    @example(([{5: 2, 1: 2}, {3: -3, 0: 3}], {5: 1, 1: 1, 3: -1, 0: 1}))
+    @example(([{5: 2, 1: 2}, {3: -3, 0: 3}], {5: 1, 1: 1}))
+    @example(([{5: 2, 1: 2}, {3: -3, 0: 3}], {4: 1}))
+    @example(([{5: 2, 1: 2}, {3: -3, 0: 3}], {}))
+    def test_matches_the_general_path(self, system):
+        cols, target = system
+        assert _no_assembly(cols, target, self.CAP) \
+            == _general_solve(cols, target, self.CAP)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lead_systems())
+    def test_the_cell_cap_binds_at_the_same_size(self, system):
+        cols, target = system
+        cells = len(_assemble_rows([*cols, target], self.CAP)) * (len(cols) + 1)
+        _no_assembly(cols, target, cells)
+        with pytest.raises(BoundsExceeded):
+            _no_assembly(cols, target, cells - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lead_systems(), st.data())
+    def test_a_repeated_lead_or_a_zero_column_falls_back(self, system, data):
+        cols, target = system
+        i = data.draw(st.integers(0, len(cols) - 1))
+        extra = data.draw(st.sampled_from([{}, {max(cols[i]): 1},
+                                           dict(cols[i])]))
+        cols = [*cols[:i], extra, *cols[i:]]
+        calls = []
+        real = ansatz._assemble_rows
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ansatz, "_assemble_rows",
+                      lambda *a: calls.append(a) or real(*a))
+            got = ansatz._solve_columns(cols, target, self.CAP)
+        assert len(calls) == 1
+        assert got == _general_solve(cols, target, self.CAP)
+
+    def test_each_branch_of_the_reduction(self):
+        # 2 and -3 divide neither remainder's lead coefficient, so both
+        # leads scale, the second by a negative factor
+        cols = [{5: 2, 1: 2}, {3: -3, 0: 3}]
+        F = Fraction
+        for target, want in [
+                ({5: 1, 1: 1, 3: -1, 0: 1}, [(F(1, 2), F(1, 3))]),
+                # the lead 3 is not in the remainder and is passed over
+                ({5: 1, 1: 1}, [(F(1, 2), F(0))]),
+                # a remainder left over: off the span
+                ({5: 1, 1: 2}, []),
+                ({4: 1}, []),
+                # a zero target: only the excluded 0
+                ({}, [])]:
+            assert _no_assembly(cols, target, self.CAP) == want
+        # dependent columns under one lead: the general path's kernel
+        assert ansatz._solve_columns([{5: 1}, {5: 2}], {5: 1}, self.CAP) \
+            == [(F(1), F(0)), (F(-2), F(1))]
+        # a zero column is free
+        assert ansatz._solve_columns([{}, {3: 1}], {3: 2}, self.CAP) \
+            == [(F(0), F(2)), (F(1), F(0))]
+
+
+def _ode_systems(f, g, T, bounds, solve=None):
+    """solve_first_order(f, g, T, bounds) with _solve_columns replaced by
+    solve (by default itself), and per rung whether its columns' leads are
+    distinct and whether it raised BoundsExceeded, with the calls of
+    _assemble_rows and linalg.rref."""
+    solve = solve or ansatz._solve_columns
+    rungs, calls = [], []
+
+    def spy(cols, target, max_cells):
+        leads = [max(c) for c in cols if c]
+        rungs.append([len(set(leads)) == len(cols), False])
+        try:
+            return solve(cols, target, max_cells)
+        except BoundsExceeded:
+            rungs[-1][1] = True
+            raise
+
+    real_rows, real_rref = ansatz._assemble_rows, linalg.rref
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ansatz, "_solve_columns", spy)
+        m.setattr(ansatz, "_assemble_rows",
+                  lambda *a: calls.append("rows") or real_rows(*a))
+        m.setattr(linalg, "rref", lambda *a: calls.append("rref")
+                  or real_rref(*a))
+        out = solve_first_order(parse_expr(f, T), parse_expr(g, T), T, bounds)
+    return out, rungs, calls
+
+
+class TestDistinctLeadRungs:
+    """ODE rungs whose columns have distinct leads: every obstruction rung
+    and the rungs of many equations with g != 0."""
+
+    ODE = Bounds(2, 2, 1, escalation=())
+
+    @pytest.mark.parametrize("tower", [log_tower, loglog_tower])
+    def test_the_obstruction_assembles_nothing(self, tower):
+        out, rungs, calls = _ode_systems("0", "1", tower(), self.ODE)
+        assert isinstance(out, NoSolutionWithinBounds) and not out.certified
+        assert rungs == [[True, False]] * 2
+        assert calls == []
+
+    @pytest.mark.parametrize("tower, f, g, w", [
+        (log_tower, "1/z - zeta1", "1", "zeta1"),
+        (log_tower, "1", "1", "-1"),
+        (loglog_tower, "1/(zeta1*z) - 2*zeta2", "2", "zeta2")])
+    def test_a_solvable_equation_gives_the_general_answer(self, tower, f, g,
+                                                           w):
+        T = tower()
+        out, rungs, calls = _ode_systems(f, g, T, self.ODE)
+        general, _, _ = _ode_systems(f, g, T, self.ODE, _general_solve)
+        assert out == general == Found(parse_expr(w, T))
+        assert rungs == [[True, False]] and calls == []
+
+    def test_f_g_zero_still_finds_the_constant(self):
+        # the constant monomial's column D(1) = 0 is zero, so the rung is
+        # assembled and eliminated as before
+        T = log_tower()
+        out, rungs, calls = _ode_systems("0", "0", T, self.ODE)
+        assert out == Found(RatFun.const(T.vars, 1))
+        assert rungs == [[False, False]] and calls == ["rows", "rref"]
+
+    def test_a_rung_over_the_cell_cap_is_skipped_as_before(self):
+        # the first obstruction rung on the log tower is 14 x (10 + 1): 154
+        # cells, over a cap of 150 that passes the ladder's 10^2 pre-check
+        T = log_tower()
+        for cap, over in [(150, True), (154, False)]:
+            bounds = Bounds(2, 2, 1, escalation=(), max_cells=cap)
+            out, rungs, calls = _ode_systems("0", "1", T, bounds)
+            general = _ode_systems("0", "1", T, bounds, _general_solve)
+            assert rungs == general[1] == [[True, over]]
+            assert isinstance(out, NoSolutionWithinBounds) and out == general[0]
+            assert calls == []
 
 
 def _reference_membership_at(u, values, num_deg, den_deg, skips):
