@@ -345,9 +345,9 @@ class MembershipSearch:
                  bounds: Bounds = Bounds()):
         self.bounds = bounds
         self._orders = _closures(K.generators, tower)
-        # per order: (values, levels built, the rest, _lead_steps(values))
+        # per order: (values, levels built, the rest, _lead_steps(values),
+        # (layers, upto) of _lead_sums)
         self._by_order = []
-        self._sums = {}   # order -> per degree d, the e.lam for |e| = d, <= d
 
     def values(self, order: int) -> List[RatFun]:
         """K's generators and their derivatives up to order, as _closures
@@ -355,28 +355,31 @@ class MembershipSearch:
         while len(self._by_order) <= order:
             values = next(self._orders)
             self._by_order.append((values, [], _cleared_levels(values),
-                                   _lead_steps(values)))
+                                   _lead_steps(values), ([{0}], {0})))
         return self._by_order[order][0]
 
     def _level(self, order: int, degree: int) -> Dict[tuple, Column]:
         """The cleared level of degree D = degree over the order's values."""
-        _, levels, more, _ = self._by_order[order]
+        _, levels, more, _, _ = self._by_order[order]
         while len(levels) < degree:
             levels.append(next(more))
         return levels[degree - 1]
 
-    def _lead_sums(self, order: int, degree: int) -> set:
-        """{e.lam : |e| <= degree} over the order's values: the leading
-        keys of the level's entries, less the common D*lead(L).  Built a
-        degree at a time, the sums with |e| = d being those with |e| = d-1
-        plus some lam_i."""
-        lam, _ = self._by_order[order][3]
-        sums = self._sums.setdefault(order, [({0}, {0})])   # (|e| = d, <= d)
-        while len(sums) <= degree:
-            top, upto = sums[-1]
-            top = {s + step for s in top for step in lam}
-            sums.append((top, upto | top))
-        return sums[degree][1]
+    def _lead_sums(self, order: int, *degrees: int) -> List[set]:
+        """[{e.lam : |e| <= d} for d in degrees] over the order's values:
+        the leading keys of a level's entries, less the common D*lead(L).
+        Each sum is kept once, in layers[k] for the least |e| = k reaching
+        it, and upto is their union: layers[k+1] = layers[k] + lam less
+        upto, since a sum first reached at j < k reached its successors by
+        j + 1 <= k.  The top degree's set is upto itself, so the layers grow
+        to the largest degree before any set is read."""
+        lam = self._by_order[order][3][0]
+        layers, upto = self._by_order[order][4]
+        while len(layers) <= max(degrees):
+            layers.append({s + k for s in layers[-1] for k in lam} - upto)
+            upto |= layers[-1]
+        return [upto if d == len(layers) - 1 else set().union(*layers[:d + 1])
+                for d in degrees]
 
     def _certified_miss(self, u: RatFun, order: int, num_deg: int,
                         den_deg: int) -> bool:
@@ -390,14 +393,13 @@ class MembershipSearch:
         for a zero target or one over other variables, and when its top
         column might not fit the packed keys, so that building it raises
         ExponentOverflow as before."""
-        values, _, _, (_, reach) = self._by_order[order]
+        values, _, _, (_, reach), _ = self._by_order[order]
         D = max(num_deg, den_deg)
         if (u.is_zero() or u.vars != values[0].vars
                 or not degree_fits(max(u.num.total_degree(),
                                        u.den.total_degree()) + D * reach)):
             return False
-        sums_q = self._lead_sums(order, den_deg)
-        sums_p = self._lead_sums(order, num_deg)
+        sums_q, sums_p = self._lead_sums(order, den_deg, num_deg)
         shift = max(u.den.ints) - max(u.num.ints)
         leads = len(sums_q) + len(sums_p) - len(
             sums_q.intersection(map(shift.__add__, sums_p)))
@@ -410,8 +412,13 @@ class MembershipSearch:
         """Search for u as a rational expression in K's generators and their
         derivatives.  Ascending effort ladder, so a Found witness is the one
         at the least (degree, order) bound.  A K of constants, whose every
-        order has no values, misses before any rung."""
+        order has no values, is Q: a constant u is found with no args (the
+        rung of no values, Q = 1 and P = u), and any other misses before
+        any rung."""
         if not self.values(0):
+            if u.is_const():
+                return Found(Witness(expr=RatFun.const((), u.const_value()),
+                                     args=(), target=u))
             return NoSolutionWithinBounds(self.bounds)
         for num_deg, den_deg, order in _degree_ladder(self.bounds):
             values = self.values(order)
@@ -482,15 +489,16 @@ def solve_first_order(f: RatFun, g: RatFun, tower: Tower,
         derive, d = cleared_derivation([ls * q for q in tower.images], shift)
         # on the scale d*den(C*f), x^e goes in as den(C*f)*x^e
         rhs = _times(target.ints, d)
-    columns: Dict[tuple, Column] = {}
+    # monomials_upto is descending deglex, so a rung's monomials are those
+    # above the rung below's degree, then the rung below's: its columns
+    # are theirs with the new ones in front
+    cols: List[Column] = []
     for deg in degrees:
         monoms = monomials_upto(len(variables), deg)
-        new = [e for e in monoms if e not in columns]
-        for e, key in zip(new, monomial_keys(variables, new)):
-            columns[e] = derive({key: target.den})
+        new = monomial_keys(variables, monoms[:len(monoms) - len(cols)])
+        cols[:0] = [derive({key: target.den}) for key in new]
         try:
-            sols = _solve_columns([columns[e] for e in monoms], rhs,
-                                  bounds.max_cells)
+            sols = _solve_columns(cols, rhs, bounds.max_cells)
         except BoundsExceeded:
             continue
         if not sols:

@@ -376,7 +376,9 @@ def subfield_structure(K: SubfieldSpec, tower: Tower,
     first F* whose generators are not linear over the tower.  Membership in
     K is one MembershipSearch for the whole call, which also gives the
     order-2 closure candidates, and each candidate is searched in K at most
-    once; one more search, over the final F*, serves every K generator."""
+    once; one more search, over the final F*, serves every K generator.
+    Over an empty F*, which is Q, that search finds each constant K
+    generator with no args and misses every other."""
     in_K = MembershipSearch(K, tower, bounds)
     candidates = [tower.gen(v) for v in tower.vars]
     candidates += [c for c in in_K.values(2) if c not in candidates]
@@ -418,7 +420,6 @@ def subfield_structure(K: SubfieldSpec, tower: Tower,
             progress = True
             break
 
-    # over an empty F* the membership search has no values and misses
     in_fstar = MembershipSearch(
         SubfieldSpec(generators=tuple(g.expr for g in fstar)), tower, bounds)
     input_witnesses: List[object] = []

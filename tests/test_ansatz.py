@@ -241,7 +241,12 @@ def _reference_membership(u, K, tower, bounds):
             values = next(orders)
             closures.append((values, _cleared_levels(values)))
         values, levels = closures[order]
-        if not values:   # no values, no ansatz: the rung misses
+        if not values:
+            # no values: u*Q = P over constants Q != 0 and P holds exactly
+            # when u is a constant, found as P/Q = u over no variables
+            if u.is_const():
+                return Found(Witness(expr=RatFun.const((), u.const_value()),
+                                     args=(), target=u))
             continue
         powers = next(levels)
         try:
@@ -310,9 +315,10 @@ class TestMembershipSearch:
 
     def test_a_k_of_constants_builds_no_rung(self, monkeypatch):
         """K's generators and all their derivatives are constants, so no
-        order has values: find misses before any rung, with no lead
-        sizing, no level and no system.  _cleared_levels is a generator,
-        so its spy records when its body first runs."""
+        order has values and K is Q: find answers before any rung, with no
+        lead sizing, no level and no system, a constant target with itself
+        over no args and any other with a miss.  _cleared_levels is a
+        generator, so its spy records when its body first runs."""
         calls = []
         sized, cleared, rung = (MembershipSearch._certified_miss,
                                 ansatz._cleared_levels, ansatz._membership_at)
@@ -336,13 +342,20 @@ class TestMembershipSearch:
             RatFun.const(T.vars, 3), RatFun.const(T.vars, 0))), T, SMALL,
             [parse_expr(t, T) for t in ("0", "3", "z", "zeta1/z")]))
         assert len(constant_ks) == 3
+        found = []
         for K, T, bounds, targets in constant_ks:
             search = MembershipSearch(K, T, bounds)
             for u in targets:
-                assert search.find(u) == NoSolutionWithinBounds(bounds)
-                assert subfield_membership(u, K, T, bounds) \
-                    == NoSolutionWithinBounds(bounds)
+                want = NoSolutionWithinBounds(bounds)
+                if u.is_const():
+                    want = Found(Witness(
+                        expr=RatFun.const((), u.const_value()), args=(),
+                        target=u))
+                    found.append(format_ratfun(u))
+                assert search.find(u) == want
+                assert subfield_membership(u, K, T, bounds) == want
         assert calls == []
+        assert {"0", "3"} <= set(found)
 
     def test_no_answer_depends_on_an_earlier_target(self):
         rng = random.Random(7)
@@ -1382,9 +1395,19 @@ class TestLeadCertificate:
             MembershipSearch(K, T, SMALL).find(parse_expr("z^3 + 1", ("z",)))
 
 
+# The peak RSS of a script run by a new interpreter, in kB: its own VmHWM,
+# as a child's ru_maxrss can start at the high-water mark of the process
+# that started it, here the test run
+PEAK_RSS = """
+def peak_rss_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+"""
+
 # the capped log-log miss: every rung above D = 3 is over the cell cap
-CAPPED = """
-import resource, sys, time
+CAPPED = PEAK_RSS + """
+import sys, time
 from difftower.ansatz import Bounds, subfield_membership
 from difftower.parser import parse_expr
 from difftower.tower import SubfieldSpec, tower_from_pairs
@@ -1396,8 +1419,7 @@ deg = int(sys.argv[1])
 t = time.perf_counter()
 out = subfield_membership(T.gen("zeta2"), K, T,
                           Bounds(deg, deg, 2, escalation=(), max_cells=2000))
-print(type(out).__name__, time.perf_counter() - t,
-      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(type(out).__name__, time.perf_counter() - t, peak_rss_kb())
 """
 
 
@@ -1456,6 +1478,78 @@ class TestRungSizing:
         # unsized, --deg 40 took seconds and hundreds of MB
         assert runs[40][0] < runs[8][0] + 0.5
         assert runs[40][1] < runs[8][1] + 10 * 1024
+
+
+# zeta1 = log z misses Q(z) at every rung, so the search climbs to degree D
+# at every order up to 4
+LEAD_SUMS = PEAK_RSS + """
+import sys
+from difftower.ansatz import Bounds, MembershipSearch
+from difftower.parser import parse_expr
+from difftower.tower import base_subfield, tower_from_pairs
+T = tower_from_pairs([("zeta1", parse_expr("1/z", ("z", "zeta1")))])
+D = int(sys.argv[1])
+out = MembershipSearch(base_subfield(T), T,
+                       Bounds(D, D, 4, escalation=())).find(T.gen("zeta1"))
+print(type(out).__name__, peak_rss_kb())
+"""
+
+
+def _brute_lead_sums(lam, degree):
+    return {sum(k * step for k, step in zip(e, lam))
+            for e in monomials_upto(len(lam), degree)}
+
+
+class TestLeadSumLayers:
+    """_lead_sums keeps each sum e.lam once, in the layer of the least |e|
+    that reaches it, and answers every degree as the sums over all
+    exponents of at most that degree do."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(lam=st.lists(st.integers(-4, 4), max_size=4),
+           queries=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                            min_size=1, max_size=5))
+    # the lower degree first, with the store at it and the higher one
+    # extending it; a zero and a repeated step
+    @example(lam=[2, 0, 2, -1], queries=[(2, 2), (2, 5), (4, 1), (0, 3)])
+    def test_layers_match_the_brute_force(self, lam, queries):
+        T = log_tower()
+        K = SubfieldSpec(generators=(parse_expr("zeta1/z", T),))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ansatz, "_lead_steps", lambda values: (lam, 0))
+            search = MembershipSearch(K, T, SMALL)
+            search.values(0)
+        for degrees in queries:
+            assert search._lead_sums(0, *degrees) \
+                == [_brute_lead_sums(lam, d) for d in degrees]
+            layers, upto = search._by_order[0][4]
+            assert sum(map(len, layers)) == len(upto)
+            assert upto == _brute_lead_sums(lam, len(layers) - 1)
+
+    def test_a_search_keeps_each_sum_once(self):
+        T = loglog_tower()
+        K = SubfieldSpec(generators=tuple(
+            parse_expr(g, T) for g in ("zeta1/z", "z^3 + zeta1")))
+        search = MembershipSearch(K, T, Bounds(4, 4, 2, escalation=()))
+        assert isinstance(search.find(T.gen("zeta2")), NoSolutionWithinBounds)
+        assert len(search._by_order) == 3
+        for _, _, _, (lam, _), (layers, upto) in search._by_order:
+            assert len(layers) - 1 == 4
+            assert sum(map(len, layers)) == len(upto)
+            assert upto == _brute_lead_sums(lam, 4)
+
+    def test_lead_sums_stay_small_at_a_large_degree(self):
+        src = str(Path(difftower.__file__).resolve().parents[1])
+        rss = {}
+        for deg in (50, 1000):
+            done = subprocess.run([sys.executable, "-c", LEAD_SUMS, str(deg)],
+                                  env={**os.environ, "PYTHONPATH": src},
+                                  capture_output=True, text=True, check=True)
+            name, rss_kb = done.stdout.split()
+            assert name == "NoSolutionWithinBounds"
+            rss[deg] = int(rss_kb)
+        # with two sets per degree, D = 1000 took about 100 MB more
+        assert rss[1000] < rss[50] + 10 * 1024
 
 
 # the membership answer on log_tower(), computed in a new interpreter

@@ -63,7 +63,8 @@ def towers(tmp_path):
              "q2": "base z\ngen zeta1 ; D(zeta1) = 1/z\n"
                    "subfield Q2 = [zeta1^2]\n",
              "dup": LOG_TWR + "subfield K = [z]\n",
-             "empty": LOG_TWR + "subfield E = []\n"}
+             "empty": LOG_TWR + "subfield E = []\n",
+             "consts": LOG_TWR + "subfield C = [3]\n"}
     paths = {}
     for name, text in texts.items():
         p = tmp_path / f"{name}.twr"
@@ -432,6 +433,17 @@ REPORTS = [
     ("log", ["structure", "--subfield", "K", "--deg", "1", "--order", "1"], 2,
      "status: partial\nK generator 0: unresolved\n---\n"
      "status=partial\ngenerators=\nkgen0=unresolved\n"),
+    # a K of constants is Q: a constant is found with no args
+    ("consts", ["member", "3", "--subfield", "C"], 0,
+     "witness: 3\nargs: \n---\nstatus=found\nwitness=3\nargs=\n"),
+    ("consts", ["member", "3", "--subfield", "K"], 0,
+     "witness: 3\nargs: x0 = zeta1/z\n---\n"
+     "status=found\nwitness=3\nargs=zeta1/z\n"),
+    ("log", ["recover", "--from", "2", "--target", "5"], 0,
+     "5\n---\nstatus=found\nwitness=5\nargs=\n"),
+    ("consts", ["structure", "--subfield", "C"], 0,
+     "status: resolved\nK generator 0: 3\n---\n"
+     "status=resolved\ngenerators=\nkgen0=3\n"),
     ("log", ["decompose", "zeta1^2"], 1,
      "error: NotAntiderivative: D(g) is not in Q(z): RatFun('2*zeta1/z')\n"
      "---\nstatus=error\nerror=NotAntiderivative\n"),
