@@ -16,12 +16,15 @@ solve_linear_ansatz, ratint's Horowitz system and the normal-tower steps go
 over the lcm of their denominators by ratfun.common_ints.  The
 homogeneous systems (membership rungs, normal-tower steps) are eliminated
 once, by _kernel_rref.  The inhomogeneous ones (ODE rungs,
-solve_linear_ansatz and ratint's Horowitz system) go to _solve_columns:
-columns with distinct leading keys are independent, so the target is
-reduced by them, with no rows and no elimination, as on every obstruction
-rung D(w) = w; the others are assembled and eliminated once.  The one
-division with remainder over Q is MPoly.divmod_lead;
-_poly_part_constant reads the constant term of its quotient.
+solve_linear_ansatz and ratint's Horowitz system) go to _solve_columns,
+which routes by the columns' leading keys alone: nonzero columns with
+distinct leads are independent and a zero column, as D(1) on an ODE rung,
+is a free coordinate, so the target is reduced by the nonzero ones, with
+no rows and no elimination, as on every obstruction rung D(w) = w; a
+repeated lead is assembled once, as [cols | -target], and read off one
+linalg.nullspace.  The one division with remainder over Q is
+MPoly.divmod_lead; _poly_part_constant reads the constant term of its
+quotient.
 Membership in a subfield K is one MembershipSearch: K's closure chains and
 each order's cleared levels are built once, as its effort ladder first
 reaches them, and shared by every target it is asked about;
@@ -153,30 +156,39 @@ def _solve_columns(cols: Sequence[Column], target: Column,
     """Solutions of sum_i c_i * cols_i = target, as for solve_linear_ansatz,
     for integer columns and target all on one positive scale, as
     _kernel_rref's columns are.  Nonzero columns with distinct leading keys
-    are independent over Q (Cox, Little & O'Shea, ch. 2), so the solution is
-    unique if there is one: after the same cell cap as _assemble_rows, a
-    zero target has only the excluded 0, and any other is reduced by
-    _reduce_by_leads, with no rows and no elimination.  A repeated lead or
-    a zero column is assembled and eliminated by linalg.solve_affine."""
+    are independent over Q (Cox, Little & O'Shea, ch. 2) and a zero column
+    is a free coordinate, so after the same cell cap as _assemble_rows the
+    target is reduced by _reduce_by_leads, with no rows and no elimination,
+    and each zero column adds its unit kernel vector, in column order.  A
+    repeated lead is assembled once, as [cols | -target], and read off one
+    linalg.nullspace: column n is free exactly when the system is
+    consistent, and its vector, the last, is the particular solution."""
     n = len(cols)
-    leads = [max(c) for c in cols if c]
-    if len(set(leads)) == n:
+    leads = {i: max(c) for i, c in enumerate(cols) if c}
+    if len(set(leads.values())) == len(leads):
         linalg.check_size(len(set().union(*cols, target)), n + 1, max_cells)
-        return _reduce_by_leads(cols, leads, target) if target else []
-    rows = _assemble_rows([*cols, target], max_cells)
-    rhs = [r.pop(n, 0) for r in rows]
-    particular, kernel = linalg.solve_affine(rows, rhs, n)
-    if particular is None:
+        free = [tuple(Fraction(j == i) for j in range(n))
+                for i in range(n) if i not in leads]
+        if not target:
+            return free
+        sols = _reduce_by_leads(cols, leads, target)
+        return sols + free if sols else []
+    basis = linalg.nullspace(
+        _assemble_rows([*cols, {key: -v for key, v in target.items()}],
+                       max_cells), n + 1)
+    if not basis or not basis[-1][n]:
         return []
+    particular = basis.pop()
     # a homogeneous target's particular solution is 0 and is left out
-    return [tuple(v) for v in [particular] + kernel if any(v)]
+    return [tuple(v[:n]) for v in ([particular] if target else []) + basis]
 
 
-def _reduce_by_leads(cols: Sequence[Column], leads: Sequence[int],
+def _reduce_by_leads(cols: Sequence[Column], leads: Dict[int, int],
                      target: Column) -> List[Tuple[Fraction, ...]]:
-    """[the unique c with sum_i c_i * cols_i = target], or [] when there is
-    none, for columns with the distinct leading keys leads.  The target is
-    reduced fraction-free by the columns in descending-lead order, as
+    """[the c with sum_i c_i * cols_i = target and 0 at every column
+    outside leads], or [] when there is none, for leads mapping each
+    nonzero column's index to its leading key, all distinct.  The target is
+    reduced fraction-free by those columns in descending-lead order, as
     ratfun._divide_lead divides: s*target = sum_i q_i*cols_i + rem, each
     lead met once, and a lead coefficient that does not divide the
     remainder's scales q, rem and s by lc/gcd.  The later columns hold only
@@ -184,7 +196,7 @@ def _reduce_by_leads(cols: Sequence[Column], leads: Sequence[int],
     keys; a nonzero combination of the columns has one, its largest, so a
     nonzero rem is off their span."""
     quo, rem, s = [0] * len(cols), dict(target), 1
-    for i in sorted(range(len(cols)), key=leads.__getitem__, reverse=True):
+    for i in sorted(leads, key=leads.__getitem__, reverse=True):
         le = leads[i]
         c = rem.get(le)
         if c is None:

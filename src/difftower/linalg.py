@@ -2,8 +2,11 @@
 
 ``rref`` is the one Gaussian elimination in difftower, and each system is
 eliminated once: ``nullspace``, ``structure.LinearField`` and
-``ansatz._kernel_rref``, which needs no second rref, reduce through it, and
-``solve_affine`` is one ``nullspace``, of ``[A | -b]``.
+``ansatz._kernel_rref``, which needs no second rref, reduce through it, as
+does ``ansatz._solve_columns``, which reads an inhomogeneous system off one
+``nullspace`` of ``[A | -b]``.  ``solve_affine`` reads the same nullspace;
+no library module calls it, and it stays as the reference that the tests
+and ``bench/linsys.py`` compare against.
 
 Rows in are dicts {column index: int or Fraction}, rows out {column index:
 Fraction} with keys in ascending column order.  Everything reduces to the
@@ -182,7 +185,10 @@ def solve_affine(rows: List[Row], rhs: Sequence[Fraction], n_cols: int):
     or (None, kernel basis) when inconsistent.  Both come from the one
     ``nullspace`` of [A | -b]: its column n_cols is free exactly when the
     system is consistent, and then its last vector (coordinate n_cols is 1)
-    is the particular solution; the other vectors are A's kernel."""
+    is the particular solution; the other vectors are A's kernel.  No
+    library module calls this: ``ansatz._solve_columns`` reads the same
+    nullspace itself, and this is the reference it is tested against, as
+    are the ``solve_affine`` systems that ``bench/linsys.py`` replays."""
     basis = nullspace([{**row, n_cols: -b} if b else row
                        for row, b in zip(rows, rhs)], n_cols + 1)
     tails = [vec.pop() for vec in basis]   # coordinate n_cols, cut off

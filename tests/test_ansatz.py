@@ -777,7 +777,7 @@ class TestOdeLadder:
 
 
 def _general_solve(cols, target, max_cells):
-    """_solve_columns by the general path: linalg.solve_affine on the
+    """The reference answer of _solve_columns: linalg.solve_affine on the
     _assemble_rows rows, whatever the leads."""
     n = len(cols)
     rows = _assemble_rows([*cols, target], max_cells)
@@ -835,10 +835,22 @@ def _no_assembly(cols, target, max_cells):
         return ansatz._solve_columns(cols, target, max_cells)
 
 
+def _spied_solve(cols, target, max_cells):
+    """_solve_columns, with the calls of _assemble_rows and linalg.rref."""
+    calls = []
+    real_rows, real_rref = ansatz._assemble_rows, linalg.rref
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ansatz, "_assemble_rows",
+                  lambda *a: calls.append("rows") or real_rows(*a))
+        m.setattr(linalg, "rref",
+                  lambda *a: calls.append("rref") or real_rref(*a))
+        return ansatz._solve_columns(cols, target, max_cells), calls
+
+
 class TestDistinctLeadColumns:
     """Nonzero columns with distinct leading keys are independent, so
     _solve_columns reduces the target by them and assembles no rows; the
-    answer is the general path's, and the cell cap binds at the same
+    answer is the reference's, and the cell cap binds at the same
     size."""
 
     CAP = linalg.DEFAULT_MAX_CELLS
@@ -866,18 +878,15 @@ class TestDistinctLeadColumns:
     @settings(max_examples=200, deadline=None)
     @given(lead_systems(), st.data())
     def test_a_repeated_lead_or_a_zero_column_falls_back(self, system, data):
+        # a repeated lead is assembled and eliminated once; an inserted zero
+        # column is a free coordinate and assembles nothing
         cols, target = system
         i = data.draw(st.integers(0, len(cols) - 1))
         extra = data.draw(st.sampled_from([{}, {max(cols[i]): 1},
                                            dict(cols[i])]))
         cols = [*cols[:i], extra, *cols[i:]]
-        calls = []
-        real = ansatz._assemble_rows
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(ansatz, "_assemble_rows",
-                      lambda *a: calls.append(a) or real(*a))
-            got = ansatz._solve_columns(cols, target, self.CAP)
-        assert len(calls) == 1
+        got, calls = _spied_solve(cols, target, self.CAP)
+        assert calls == (["rows", "rref"] if extra else [])
         assert got == _general_solve(cols, target, self.CAP)
 
     def test_each_branch_of_the_reduction(self):
@@ -895,12 +904,78 @@ class TestDistinctLeadColumns:
                 # a zero target: only the excluded 0
                 ({}, [])]:
             assert _no_assembly(cols, target, self.CAP) == want
-        # dependent columns under one lead: the general path's kernel
+        # dependent columns under one lead: the assembled route's kernel
         assert ansatz._solve_columns([{5: 1}, {5: 2}], {5: 1}, self.CAP) \
             == [(F(1), F(0)), (F(-2), F(1))]
         # a zero column is free
-        assert ansatz._solve_columns([{}, {3: 1}], {3: 2}, self.CAP) \
+        assert _no_assembly([{}, {3: 1}], {3: 2}, self.CAP) \
             == [(F(0), F(2)), (F(1), F(0))]
+
+
+@st.composite
+def column_systems(draw):
+    """Integer columns with zero columns at any position, leads drawn from
+    a small range so that they repeat, and columns that are combinations
+    of earlier ones; the target is zero, in the columns' span (divided by
+    its content) or off it."""
+    n = draw(st.integers(1, 5))
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "drawn", "drawn", "dependent"]))
+        if kind == "zero":
+            cols.append({})
+        elif kind == "dependent" and cols:
+            cols.append(_combination(cols, draw(st.lists(
+                st.integers(-3, 3), min_size=len(cols),
+                max_size=len(cols)))))
+        else:
+            le = draw(st.integers(0, 4))
+            col = draw(st.dictionaries(st.integers(-3, le - 1), NONZERO,
+                                       max_size=3))
+            col[le] = draw(NONZERO)
+            cols.append(col)
+    kind = draw(st.sampled_from(["zero", "span", "off"]))
+    target = {}
+    if kind != "zero":
+        target = _combination(
+            cols, draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+        content = gcd(*target.values()) or 1
+        target = {key: v // content for key, v in target.items()}
+    if kind == "off":
+        key = draw(st.integers(-3, 6))
+        target = _combination([target, {key: 1}], [1, draw(NONZERO)])
+    return cols, target
+
+
+class TestSolveColumnsRoutes:
+    """Both routes of _solve_columns, the lead reduction with its free zero
+    columns and the one nullspace of [cols | -target], give the answer of
+    linalg.solve_affine on the assembled rows, and the cell cap binds at
+    the same size on both."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(column_systems())
+    # every column zero: all free, with the zero or the off-span target
+    @example(([{}, {}], {}))
+    @example(([{}, {}], {2: 1}))
+    # a zero column between two columns that share a lead
+    @example(([{3: 1, 0: 2}, {}, {3: 2, 1: 1}], {3: 3, 1: 1, 0: 2}))
+    # an off-span target with a zero column: no solution, no kernel, on
+    # either route
+    @example(([{2: 1}, {}, {0: -3}], {1: 1}))
+    @example(([{2: 1}, {}, {2: 3, 0: 1}], {1: 1}))
+    def test_matches_the_reference(self, system):
+        cols, target = system
+        leads = [max(c) for c in cols if c]
+        cells = len(_assemble_rows([*cols, target], linalg.DEFAULT_MAX_CELLS)) \
+            * (len(cols) + 1)
+        got, calls = _spied_solve(cols, target, cells)
+        assert got == _general_solve(cols, target, cells)
+        assert calls == ([] if len(set(leads)) == len(leads)
+                         else ["rows", "rref"])
+        for solve in (ansatz._solve_columns, _general_solve):
+            with pytest.raises(BoundsExceeded):
+                solve(cols, target, cells - 1)
 
 
 def _ode_systems(f, g, T, bounds, solve=None):
@@ -957,12 +1032,13 @@ class TestDistinctLeadRungs:
         assert rungs == [[True, False]] and calls == []
 
     def test_f_g_zero_still_finds_the_constant(self):
-        # the constant monomial's column D(1) = 0 is zero, so the rung is
-        # assembled and eliminated as before
+        # the constant monomial's column D(1) = 0 is zero, a free
+        # coordinate beside the other columns' distinct leads, so the rung
+        # assembles nothing and its unit vector is the constant
         T = log_tower()
         out, rungs, calls = _ode_systems("0", "0", T, self.ODE)
         assert out == Found(RatFun.const(T.vars, 1))
-        assert rungs == [[False, False]] and calls == ["rows", "rref"]
+        assert rungs == [[False, False]] and calls == []
 
     def test_a_rung_over_the_cell_cap_is_skipped_as_before(self):
         # the first obstruction rung on the log tower is 14 x (10 + 1): 154
