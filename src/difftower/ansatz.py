@@ -15,15 +15,15 @@ ratfun._product of integer maps.  The polynomial columns of
 solve_linear_ansatz, ratint's Horowitz system and the normal-tower steps go
 over the lcm of their denominators by ratfun.common_ints.  The
 homogeneous systems (membership rungs, normal-tower steps) are eliminated
-once, by _kernel_rref.  The inhomogeneous ones (ODE rungs,
+once, by _kernel_rref, into sparse rows.  The inhomogeneous ones (ODE rungs,
 solve_linear_ansatz and ratint's Horowitz system) go to _solve_columns,
 which routes by the columns' leading keys alone: nonzero columns with
 distinct leads are independent and a zero column, as D(1) on an ODE rung,
 is a free coordinate, so the target is reduced by the nonzero ones, with
 no rows and no elimination, as on every obstruction rung D(w) = w; a
-repeated lead is assembled once, as [cols | -target], and read off one
-linalg.nullspace.  The one division with remainder over Q is
-MPoly.divmod_lead; _poly_part_constant reads the constant term of its
+repeated lead is assembled once, as [cols | -target], and read off the
+sparse vectors of one linalg.kernel.  The one division with remainder over
+Q is MPoly.divmod_lead; _poly_part_constant reads the constant term of its
 quotient.
 Membership in a subfield K is one MembershipSearch: K's closure chains and
 each order's cleared levels are built once, as its effort ladder first
@@ -161,8 +161,8 @@ def _solve_columns(cols: Sequence[Column], target: Column,
     target is reduced by _reduce_by_leads, with no rows and no elimination,
     and each zero column adds its unit kernel vector, in column order.  A
     repeated lead is assembled once, as [cols | -target], and read off one
-    linalg.nullspace: column n is free exactly when the system is
-    consistent, and its vector, the last, is the particular solution."""
+    sparse linalg.kernel: column n is free exactly when the system is
+    consistent, and its vector, popped, is the particular solution."""
     n = len(cols)
     leads = {i: max(c) for i, c in enumerate(cols) if c}
     if len(set(leads.values())) == len(leads):
@@ -173,14 +173,14 @@ def _solve_columns(cols: Sequence[Column], target: Column,
             return free
         sols = _reduce_by_leads(cols, leads, target)
         return sols + free if sols else []
-    basis = linalg.nullspace(
-        _assemble_rows([*cols, {key: -v for key, v in target.items()}],
-                       max_cells), n + 1)
-    if not basis or not basis[-1][n]:
+    rows = _assemble_rows([*cols, {k: -v for k, v in target.items()}], max_cells)
+    vecs = linalg.kernel(rows, n + 1)
+    particular = vecs.pop(n, None)
+    if particular is None:
         return []
-    particular = basis.pop()
     # a homogeneous target's particular solution is 0 and is left out
-    return [tuple(v[:n]) for v in ([particular] if target else []) + basis]
+    return [tuple(v.get(j, linalg._ZERO) for j in range(n))
+            for v in ([particular] if target else []) + [*vecs.values()]]
 
 
 def _reduce_by_leads(cols: Sequence[Column], leads: Dict[int, int],
@@ -220,15 +220,16 @@ def _reduce_by_leads(cols: Sequence[Column], leads: Dict[int, int],
     return [] if rem else [tuple(Fraction(q, s) for q in quo)]
 
 
-def _kernel_rref(cols: Sequence[Column], max_cells: int) -> List[List[Fraction]]:
-    """The kernel {c : sum_i c_i*cols_i = 0} in RREF, dense rows with
-    leading columns ascending, by one elimination: on the columns reversed,
-    nullspace's vector for free column f is 1 at f, 0 at the other free
-    columns and nonzero only at pivot columns before f, so reversed it leads
-    with 1 at n-1-f and is 0 at every other leading column n-1-f'.  The RREF
-    is unique, so a second rref of any kernel basis would give the same."""
-    rows = _assemble_rows(cols[::-1], max_cells)
-    return [vec[::-1] for vec in reversed(linalg.nullspace(rows, len(cols)))]
+def _kernel_rref(cols: Sequence[Column], max_cells: int) -> List[linalg.Row]:
+    """The kernel {c : sum_i c_i*cols_i = 0} in RREF, sparse rows with
+    leading columns and keys ascending, by one elimination: on the columns
+    reversed, linalg.kernel's vector for free column f is 1 at f, 0 at the
+    other free columns and nonzero only at pivots before f, so reindexed as
+    n-1-c it leads with 1 at n-1-f and is 0 at every other leading column
+    n-1-f'.  The RREF is unique: an rref of any kernel basis gives it."""
+    top = len(cols) - 1   # column c of the reversed system is column top - c
+    vecs = linalg.kernel(_assemble_rows(cols[::-1], max_cells), top + 1).values()
+    return [{top - c: v for c, v in reversed(vec.items())} for vec in reversed(vecs)]
 
 
 def solve_linear_ansatz(terms: Sequence[RatFun], target: RatFun) -> List[Tuple[Fraction, ...]]:
@@ -287,10 +288,10 @@ def _membership_at(u: RatFun, values: Sequence[RatFun], num_deg: int,
     each column is one _product, so all are on the one positive scale
     d*c^D.  VariableMismatch for a target over other variables.
 
-    Returns the canonical formal witness P/Q: of the kernel's RREF rows
-    (denominator coefficients first, deglex descending) with Q(values) != 0,
-    the one leading furthest right, whose Q has the deglex-least leading term.
-    """
+    Returns the canonical formal witness P/Q: of the kernel's sparse RREF
+    rows (Q's coefficients first, deglex descending, split at nq) with
+    Q(values) != 0, the one leading furthest right, whose Q has the
+    deglex-least leading term."""
     if u.vars != values[0].vars:
         raise VariableMismatch(f"{u.vars!r} vs {values[0].vars!r}")
     m, n = len(values), len(u.vars)
@@ -302,7 +303,7 @@ def _membership_at(u: RatFun, values: Sequence[RatFun], num_deg: int,
     cols += [_product(neg_den, powers[e], n) for e in monoms_p]
     nq = len(monoms_q)
     for row in reversed(_kernel_rref(cols, max_cells)):
-        q_terms = {monoms_q[c]: v for c, v in enumerate(row[:nq]) if v}
+        q_terms = {monoms_q[c]: v for c, v in row.items() if c < nq}
         # c^D*L^D*Q(values) = sum q_e*B_e is 0 exactly when Q(values) is, as
         # when Q = 0; summed with the q_e cleared to integers
         k = lcm(*(v.denominator for v in q_terms.values()))
@@ -313,7 +314,7 @@ def _membership_at(u: RatFun, values: Sequence[RatFun], num_deg: int,
                 total[key] = total.get(key, 0) + w * c
         if not any(total.values()):
             continue
-        p_poly = MPoly(xvars, {monoms_p[c]: v for c, v in enumerate(row[nq:]) if v})
+        p_poly = MPoly(xvars, {monoms_p[c - nq]: v for c, v in row.items() if c >= nq})
         return RatFun(p_poly, MPoly(xvars, q_terms))
     return None
 

@@ -1,12 +1,12 @@
 """Exact sparse linear algebra over Q for the undetermined-coefficients engine.
 
 ``rref`` is the one Gaussian elimination in difftower, and each system is
-eliminated once: ``nullspace``, ``structure.LinearField`` and
-``ansatz._kernel_rref``, which needs no second rref, reduce through it, as
-does ``ansatz._solve_columns``, which reads an inhomogeneous system off one
-``nullspace`` of ``[A | -b]``.  ``solve_affine`` reads the same nullspace;
-no library module calls it, and it stays as the reference that the tests
-and ``bench/linsys.py`` compare against.
+eliminated once: ``structure.LinearField`` reduces through it, and every
+kernel is the sparse ``kernel`` of one rref (``ansatz._kernel_rref``,
+``structure.ostrowski_relation``, and ``ansatz._solve_columns``, which
+reads an inhomogeneous system off the kernel of ``[A | -b]``).  No library
+module calls its dense forms ``nullspace`` and ``solve_affine``; they stay
+as the references that the tests and ``bench/linsys.py`` compare against.
 
 Rows in are dicts {column index: int or Fraction}, rows out {column index:
 Fraction} with keys in ascending column order.  Everything reduces to the
@@ -158,24 +158,27 @@ def _primitive(row: Dict[int, int]) -> Dict[int, int]:
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def nullspace(rows: List[Row], n_cols: int) -> List[List[Fraction]]:
-    """Deterministic kernel basis: one vector per free column, in column
-    order, with the free coordinate set to 1 and every other free
-    coordinate 0."""
+def kernel(rows: List[Row], n_cols: int) -> Dict[int, Row]:
+    """Deterministic kernel basis, sparse: {free column f: vector}, f
+    ascending, read off one rref in one pass over its rows.  The vector for
+    f is 1 at f, 0 at the other free columns and minus column f of the RREF
+    at the pivots, all before f, so its keys ascend and it holds no zero."""
     red, pivots = rref(rows, n_cols)
     pivot_set = set(pivots)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = [_ZERO] * n_cols
-        vec[free] = _ONE
-        for row, pcol in zip(red, pivots):
-            coeff = row.get(free)
-            if coeff is not None:
-                vec[pcol] = -coeff
-        basis.append(vec)
-    return basis
+    vecs = {f: {} for f in range(n_cols) if f not in pivot_set}
+    for row, pcol in zip(red, pivots):
+        for c, v in row.items():
+            if c != pcol:
+                vecs[c][pcol] = -v
+    for f, vec in vecs.items():
+        vec[f] = _ONE
+    return vecs
+
+
+def nullspace(rows: List[Row], n_cols: int) -> List[List[Fraction]]:
+    """``kernel`` as dense lists: a reference that no library module calls."""
+    return [[vec.get(c, _ZERO) for c in range(n_cols)]
+            for vec in kernel(rows, n_cols).values()]
 
 
 def solve_affine(rows: List[Row], rhs: Sequence[Fraction], n_cols: int):
@@ -186,8 +189,8 @@ def solve_affine(rows: List[Row], rhs: Sequence[Fraction], n_cols: int):
     ``nullspace`` of [A | -b]: its column n_cols is free exactly when the
     system is consistent, and then its last vector (coordinate n_cols is 1)
     is the particular solution; the other vectors are A's kernel.  No
-    library module calls this: ``ansatz._solve_columns`` reads the same
-    nullspace itself, and this is the reference it is tested against, as
+    library module calls this: ``ansatz._solve_columns`` reads the sparse
+    ``kernel`` itself, and this is the reference it is tested against, as
     are the ``solve_affine`` systems that ``bench/linsys.py`` replays."""
     basis = nullspace([{**row, n_cols: -b} if b else row
                        for row, b in zip(rows, rhs)], n_cols + 1)

@@ -183,22 +183,18 @@ def ostrowski_relation(ws: Sequence[RatFun], K: SubfieldSpec, tower: Tower,
             if c:
                 coeff_rows.setdefault(o, {})[j] = c
     rows = [coeff_rows[o] for o in outside if o in coeff_rows]
-    kernel = linalg.nullspace(rows, len(ws))
+    kernel = linalg.kernel(rows, len(ws))
     if not kernel:
         return Independent()
-    alpha = _normalize_first_one(kernel[0])
+    vec = next(iter(kernel.values()))   # scaled to 1 at its first key
+    lead = next(iter(vec.values()))
     remainder = RatFun.const(tower.vars, 0)
-    for a, w in zip(alpha, ws):
-        if a:
-            remainder = remainder + w.scale(a)
+    for j, v in vec.items():
+        remainder = remainder + ws[j].scale(v / lead)
     if not field.contains(remainder):
         raise DiffTowerError("relation remainder failed the membership check")
-    return Relation(alpha=tuple(alpha), remainder=remainder)
-
-
-def _normalize_first_one(vec):
-    lead = next(v for v in vec if v)
-    return tuple(v / lead for v in vec)
+    return Relation(alpha=tuple(vec.get(j, 0) / lead for j in range(len(ws))),
+                    remainder=remainder)
 
 
 # -- decomposition over flat towers ------------------------------------------
@@ -279,8 +275,8 @@ def _closure_step(tower: Tower, field: LinearField, unplaced: List[str],
     out = []
     for row in _kernel_rref(common_ints(cols), bounds.max_cells):
         expr = RatFun.const(tower.vars, 0)
-        for i, c in enumerate(row[:n_alpha]):
-            if c:
+        for i, c in row.items():
+            if i < n_alpha:
                 expr = expr + tower.gen(unplaced[i]).scale(c)
         out.append(expr)
     return out

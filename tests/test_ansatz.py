@@ -32,6 +32,7 @@ from difftower.randexpr import random_mpoly, random_ratfun, random_tower
 from difftower.ratfun import (MPoly, RatFun, _product, clear_denominators,
                               cleared_derivation, common_ints,
                               monomial_keys)
+from difftower.structure import Relation, normal_tower, ostrowski_relation
 from difftower.tower import SubfieldSpec, base_subfield, tower_from_pairs
 
 SMALL = Bounds(3, 3, 2, escalation=())
@@ -1148,8 +1149,8 @@ class TestClearedRung:
         assert skips, "no case reached the Q(values) = 0 skip"
 
     def test_one_elimination_per_rung(self, monkeypatch):
-        """The kernel's RREF comes out of the one rref inside nullspace,
-        on a hit and on a miss alike."""
+        """The kernel's RREF comes out of the one rref inside
+        linalg.kernel, on a hit and on a miss alike."""
         calls = []
         rref = linalg.rref
         monkeypatch.setattr(linalg, "rref",
@@ -1200,7 +1201,8 @@ def _integer_systems():
 class TestKernelRref:
     def test_matches_rref_of_nullspace(self):
         """_kernel_rref is linalg.rref applied to nullspace's vectors of the
-        system in its own column order, as dense rows."""
+        system in its own column order: the same sparse rows, keys
+        ascending, with no zero entry."""
         dims = []
         for polys in _integer_systems():
             n = len(polys)
@@ -1210,8 +1212,11 @@ class TestKernelRref:
             red, _ = linalg.rref(
                 [{i: v for i, v in enumerate(vec) if v} for vec in kernel], n)
             got = _kernel_rref(cols, linalg.DEFAULT_MAX_CELLS)
-            assert got == [[row.get(c, 0) for c in range(n)] for row in red]
-            assert all(type(v) is Fraction for row in got for v in row)
+            assert got == red
+            assert [list(row.items()) for row in got] \
+                == [list(row.items()) for row in red]
+            assert all(type(v) is Fraction and v
+                       for row in got for v in row.values())
             dims.append((n, len(got)))
         assert len(dims) >= 300
         assert (1, 0) in dims and (1, 1) in dims
@@ -1661,3 +1666,45 @@ class TestNoStateAcrossCalls:
                                env={**os.environ, "PYTHONPATH": src},
                                capture_output=True, text=True, check=True)
         assert fresh.stdout.strip() == first
+
+
+class TestNoDenseKernel:
+    def test_the_library_reads_only_sparse_kernels(self, monkeypatch):
+        """With linalg.nullspace and linalg.solve_affine raising on any
+        call, membership rungs, the log-log normal tower, an Ostrowski
+        relation and a repeated-lead system keep their reference answers,
+        read off the sparse linalg.kernel."""
+        rungs = []
+        for u, values, num_deg, den_deg in _rung_cases():
+            levels = _cleared_levels(values)
+            for _ in range(max(num_deg, den_deg)):
+                powers = next(levels)
+            want = _reference_membership_at(u, values, num_deg, den_deg, [])
+            rungs.append(((u, values, num_deg, den_deg, powers), want))
+        # a lead shared by two columns, and a zero column
+        cols, target = [{3: 1, 0: 2}, {}, {3: 2, 1: 1}], {3: 3, 1: 1, 0: 2}
+        want_sols = _general_solve(cols, target, linalg.DEFAULT_MAX_CELLS)
+        assert len(want_sols) == 2
+
+        def dense(*args):
+            raise AssertionError("a dense kernel was read")
+
+        monkeypatch.setattr(linalg, "nullspace", dense)
+        monkeypatch.setattr(linalg, "solve_affine", dense)
+        found = set()
+        for args, want in rungs:
+            got = _membership_at(*args, linalg.DEFAULT_MAX_CELLS)
+            assert got == want, args[:4]
+            found.add(got is not None)
+        assert found == {True, False}
+        nt = normal_tower(loglog_tower(), SMALL)
+        assert [[format_ratfun(e) for e in lvl] for lvl in nt.levels] \
+            == [[], ["z"], ["zeta1"], ["zeta2"]]
+        T = two_log_tower()
+        ws = [parse_expr(t, T)
+              for t in ("zeta1", "zeta2", "zeta1 + zeta2 + 3*z^2")]
+        assert ostrowski_relation(ws, base_subfield(T), T, SMALL) == Relation(
+            alpha=(Fraction(1), Fraction(1), Fraction(-1)),
+            remainder=parse_expr("-3*z^2", T))
+        assert ansatz._solve_columns(
+            cols, target, linalg.DEFAULT_MAX_CELLS) == want_sols

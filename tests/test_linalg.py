@@ -1,4 +1,4 @@
-"""Exact sparse RREF, nullspace, affine solve."""
+"""Exact sparse RREF, sparse kernel, nullspace, affine solve."""
 
 import copy
 import random
@@ -177,6 +177,24 @@ class TestRref:
             assert (red, pivots) == (want, want_pivots)
             assert _items(red) == _items(want)
             assert all(type(v) is Fraction for r in red for v in r.values())
+            # the sparse kernel read: a vector per free column, 1 there,
+            # nonzero only there and at pivots, keys ascending, in the
+            # kernel; densified it is nullspace and the reference's kernel
+            kernel = linalg.kernel(given_rows, n_cols)
+            assert list(kernel) == [c for c in range(n_cols)
+                                    if c not in want_pivots]
+            for free, vec in kernel.items():
+                assert vec[free] == 1
+                assert set(vec) <= {free, *want_pivots}
+                assert list(vec) == sorted(vec)
+                assert all(type(v) is Fraction and v for v in vec.values())
+                assert all(sum(v * vec.get(c, 0) for c, v in r.items()) == 0
+                           for r in rows)
+            dense = [[vec.get(c, 0) for c in range(n_cols)]
+                     for vec in kernel.values()]
+            assert dense == linalg.nullspace(given_rows, n_cols)
+            assert dense == _reference_solve_affine(
+                rows, [0] * len(rows), n_cols)[1]
 
     @pytest.mark.parametrize("rows", [
         [{0: 3, 1: 1}, {1: 2, 2: 4}],
@@ -227,6 +245,7 @@ class TestRref:
         rhs = [F(1), 2, F(0), Fraction(3, 4), 5, 0, F(1), 0]
         before = copy.deepcopy(rows), copy.deepcopy(rhs)
         linalg.rref(rows, 5)
+        linalg.kernel(rows, 5)
         linalg.nullspace(rows, 5)
         linalg.solve_affine(rows, rhs, 5)
         assert (rows, rhs) == before
